@@ -311,59 +311,59 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # Convolution and pooling
 
 
-def _conv_cols(xp: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    batch, cin = xp.shape[0], xp.shape[1]
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        batch * out_h * out_w, cin * k * k)
-
-
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with square kernel and symmetric zero padding.
 
     Output extent is floor((H + 2p - k) / s) + 1; an extent below 1 raises.
+    Shift-and-accumulate, NCHW at the boundary and NHWC inside: per tap (i, j)
+    the strided window of the zero-padded NHWC input xp is copied into one
+    [B*oh*ow, Cin] matrix, out += window @ W[:, :, i, j].T, and backward takes
+    dW[:, :, i, j] = (window.T @ g).T, dxp[window] += g @ W[:, :, i, j]. Output
+    dtype is result_type(x, w). No input copy is kept: backward rebuilds xp.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
     batch, cin, h, wid = x.shape
-    cout, cin_k, kh, kw = w.shape
-    if kh != kw:
+    cout, cin_k, k, kw = w.shape
+    if k != kw:
         raise ShapeError(f"conv2d kernel must be square, got {w.shape}")
     if cin != cin_k:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    if kh < 1 or stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d invalid geometry: k={kh} stride={stride} padding={padding}")
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (wid + 2 * padding - kw) // stride + 1
+    if k < 1 or stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d invalid geometry: k={k} stride={stride} padding={padding}")
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (wid + 2 * padding - k) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError(
-            f"conv2d output extent below 1 for input {x.shape}, k={kh}, "
+            f"conv2d output extent below 1 for input {x.shape}, k={k}, "
             f"stride={stride}, padding={padding}")
+    taps = [(i, j, np.s_[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride])
+            for i in range(k) for j in range(k)]
+    inner = np.s_[:, padding:padding + h, padding:padding + wid]
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0))  # [k, k, Cin, Cout]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _conv_cols(xp, kh, stride, out_h, out_w)
-    w2 = w.data.reshape(cout, cin * kh * kw)
-    out_data = (cols @ w2.T).reshape(batch, out_h, out_w, cout).transpose(0, 3, 1, 2)
-    del cols  # recomputed in backward; keeps the tape memory-lean
+    def padded():
+        xp = np.zeros((batch, h + 2 * padding, wid + 2 * padding, cin), dtype=x.data.dtype)
+        xp[inner] = x.data.transpose(0, 2, 3, 1)
+        return xp
+
+    xp = padded()
+    out = np.zeros((batch, out_h, out_w, cout), dtype=np.result_type(x.data, w.data))
+    for i, j, win in taps:
+        out += (xp[win].reshape(-1, cin) @ wt[i, j]).reshape(out.shape)
 
     def bwd(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        if w.requires_grad:
-            xp_b = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            cols_b = _conv_cols(xp_b, kh, stride, out_h, out_w)
-            accumulate_grad(w, (g2.T @ cols_b).reshape(w.shape))
-        if x.requires_grad:
-            dcols = (g2 @ w2).reshape(batch, out_h, out_w, cin, kh, kw)
-            dxp = np.zeros((batch, cin, h + 2 * padding, wid + 2 * padding), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
-                        dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            if padding:
-                dxp = dxp[:, :, padding:padding + h, padding:padding + wid]
-            accumulate_grad(x, dxp)
+        xp = padded()
+        dxp, dw = np.zeros_like(xp, dtype=g.dtype), np.zeros(wt.shape, dtype=g.dtype)
+        for i, j, win in taps:
+            dw[i, j] = xp[win].reshape(-1, cin).T @ g2
+            if x.requires_grad:  # false for the encoder, whose input is data
+                dxp[win] += (g2 @ wt[i, j].T).reshape(batch, out_h, out_w, cin)
+        accumulate_grad(w, dw.transpose(3, 2, 0, 1))
+        accumulate_grad(x, dxp[inner].transpose(0, 3, 1, 2))
 
-    return make_node(np.ascontiguousarray(out_data), (x, w), bwd)
+    return make_node(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, w), bwd)
 
 
 def _pool_geometry(h: int, wid: int, window: int, stride: int, padding: int):

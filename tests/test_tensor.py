@@ -2,6 +2,8 @@
 checks against central finite differences, broadcast and tape contracts.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,13 +152,114 @@ def test_conv_kernel_gradient_vs_finite_differences(seed):
     gradcheck(lambda a, k: tz.reduce_mean(tz.conv2d(a, k), (0, 1, 2, 3)), x, w)
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0)])
-def test_conv_strided_padded_gradient(stride, padding):
+@pytest.mark.parametrize("stride,padding,k,hw", [
+    pytest.param(1, 1, 3, (6, 6), id="1-1"),
+    pytest.param(2, 1, 3, (6, 6), id="2-1"),
+    pytest.param(2, 0, 3, (6, 6), id="2-0"),
+    pytest.param(2, 0, 1, (6, 6), id="shortcut-k1-s2-p0"),
+    pytest.param(2, 1, 3, (5, 7), id="nonsquare-5x7"),
+])
+def test_conv_strided_padded_gradient(stride, padding, k, hw):
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 3, 6, 6))
-    w = rng.standard_normal((4, 3, 3, 3))
-    gradcheck(lambda a, k: tz.reduce_mean(tz.conv2d(a, k, stride, padding),
-                                          (0, 1, 2, 3)), x, w)
+    x = rng.standard_normal((2, 3) + hw)
+    w = rng.standard_normal((4, 3, k, k))
+    gradcheck(lambda a, kern: tz.reduce_mean(tz.conv2d(a, kern, stride, padding),
+                                             (0, 1, 2, 3)), x, w)
+
+
+def conv_reference(x, w, g, stride, padding):
+    """Direct nested-loop float64 conv: output and the vector-Jacobian
+    products dx, dw for output gradient g. Padding is a bounds check."""
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    k = w.shape[2]
+    out_h = (x.shape[2] + 2 * padding - k) // stride + 1
+    out_w = (x.shape[3] + 2 * padding - k) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], out_h, out_w))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for oh in range(out_h):
+        for ow in range(out_w):
+            for i in range(k):
+                for j in range(k):
+                    r, c = oh * stride + i - padding, ow * stride + j - padding
+                    if 0 <= r < x.shape[2] and 0 <= c < x.shape[3]:
+                        out[:, :, oh, ow] += x[:, :, r, c] @ w[:, :, i, j].T
+                        if g is not None:
+                            dx[:, :, r, c] += g[:, :, oh, ow] @ w[:, :, i, j]
+                            dw[:, :, i, j] += g[:, :, oh, ow].T @ x[:, :, r, c]
+    return out, dx, dw
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv_matches_loop_reference(k, stride, padding):
+    rng = np.random.default_rng(100 * k + 10 * stride + padding)
+    h, wid = 7, 10
+    x = Tensor(rng.standard_normal((2, 3, h, wid)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+    out = tz.conv2d(x, w, stride, padding)
+    g = rng.standard_normal(out.shape)
+    ref, dx, dw = conv_reference(x.data, w.data, g, stride, padding)
+    assert out.shape == ref.shape
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    backward(out, seed=g)
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
+    # rows/columns past the last window are never read: their gradient is 0
+    # (6 of the 27 cases leave some, e.g. k5 s3 p0 leaves 2 rows, 2 columns)
+    read_h = (out.shape[2] - 1) * stride + k - padding
+    read_w = (out.shape[3] - 1) * stride + k - padding
+    assert np.all(x.grad[:, :, read_h:, :] == 0)
+    assert np.all(x.grad[:, :, :, read_w:] == 0)
+
+
+def test_conv_one_sided_gradients_match_reference():
+    rng = np.random.default_rng(3)
+    xd, wd = rng.standard_normal((2, 3, 5, 6)), rng.standard_normal((4, 3, 3, 3))
+    g = rng.standard_normal((2, 4, 3, 3))
+    _, dx, dw = conv_reference(xd, wd, g, 2, 1)
+    # frozen input (the encoder sees data, not a parameter)
+    x, w = Tensor(xd), Tensor(wd, requires_grad=True)
+    backward(tz.conv2d(x, w, 2, 1), seed=g)
+    assert x.grad is None
+    np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
+    # frozen kernel
+    x, w = Tensor(xd, requires_grad=True), Tensor(wd)
+    backward(tz.conv2d(x, w, 2, 1), seed=g)
+    assert w.grad is None
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("xdt,wdt", [(np.float32, np.float64), (np.float64, np.float32),
+                                     (np.float32, np.float32)])
+def test_conv_output_dtype_is_result_type(xdt, wdt):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((2, 3, 6, 5)), dtype=xdt, requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)), dtype=wdt, requires_grad=True)
+    out = tz.conv2d(x, w, 1, 1)
+    assert out.dtype == np.result_type(x.data, w.data)
+    ref, _, _ = conv_reference(x.data, w.data, None, 1, 1)
+    tol = 1e-12 if out.dtype == np.float64 else 1e-5
+    np.testing.assert_allclose(out.data, ref, rtol=tol, atol=tol)
+    backward(out, seed=np.ones(out.shape))
+    assert x.grad.dtype == xdt and w.grad.dtype == wdt
+
+
+def test_conv_node_retains_only_its_output():
+    # the taped node must not keep the padded input (or any input copy)
+    # alive until backward: that would grow peak memory by ~1 input per conv
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((32, 8, 16, 16)), dtype=np.float32, requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 8, 3, 3)), dtype=np.float32, requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = tz.conv2d(x, w, 1, 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.backward_fn is not None
+    assert retained <= 1.1 * out.data.nbytes, (retained, out.data.nbytes)
 
 
 # ---------------------------------------------------------------------------
