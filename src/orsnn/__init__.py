@@ -23,8 +23,8 @@ from .metrics import (EnergyModel, EnergyReport, FiringRateTrace,
                       detect_natural_pruning, estimate_energy, fc_flops,
                       firing_rates, spike_count)
 from .network import Network, build_network, encode_static, frames_to_input
-from .neuron import (LIFConfig, LIFState, lif_reference_trace, lif_step,
-                     smooth_spike_fn, spike_fn, surrogate_grad)
+from .neuron import (LIFConfig, LIFState, lif_multistep, lif_reference_trace,
+                     lif_step, smooth_spike_fn, spike_fn, surrogate_grad)
 from .record import SpikeRecord
 from .residual import (AuditReport, BlockTopology, JoinMode, ResidualBlock,
                        audit_spike_drivenness, build_block, join)

@@ -1,8 +1,9 @@
 """Layer toolkit operating on the canonical [T, N, C, H, W] activation layout.
 
 Every layer folds the time axis into the batch for its spatial math and
-restores it afterwards; spiking layers instead walk the time axis so the
-membrane state threads step to step. A ForwardContext carries the
+restores it afterwards; a spiking layer instead hands the whole [T, ...]
+input to the fused LIF op, which threads the membrane step to step inside
+one autograd node (see neuron.py). A ForwardContext carries the
 training flag, the optional SpikeRecord, and the audit reference (the
 tensor whose binarity decides MAC-vs-AC for the next arithmetic layer;
 linear pooling chains are transparent to it).
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import NumericError, ShapeError
-from .neuron import LIFConfig, LIFState, lif_step
+from .neuron import LIFConfig, LIFState, lif_multistep
 from .record import SpikeRecord
 from .tensor import Tensor
 
@@ -157,26 +158,21 @@ class BatchNormLayer(Module):
 
 
 class LIFLayer(Module):
-    """Spiking nonlinearity walking the time axis with persistent membrane."""
+    """Spiking nonlinearity over the time axis with persistent membrane."""
 
-    def __init__(self, name: str, cfg: LIFConfig, smooth: bool = False):
+    def __init__(self, name: str, cfg: LIFConfig):
         super().__init__(name)
         self.cfg = cfg
-        self.smooth = smooth
         self.state = LIFState()
 
     def reset_state(self) -> None:
         self.state.reset()
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        t = _require_5d(x, self.name)[0] if x.ndim == 5 else x.shape[0]
         try:
-            steps = [lif_step(self.state, tz.index_first(x, i), self.cfg,
-                              smooth=self.smooth)
-                     for i in range(t)]
+            out = lif_multistep(self.state, x, self.cfg)
         except NumericError as err:
             raise NumericError(f"{self.name}: {err}") from None
-        out = tz.stack_first(steps)
         if ctx.record is not None:
             ctx.record.note_spikes(self.name, "lif", out.data)
         ctx.audit_ref = out.data

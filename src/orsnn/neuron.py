@@ -3,9 +3,21 @@
 The iterative update per time step, with membrane trace H carrying state
 between steps and U the pre-spike potential:
 
-    U[t] = H[t-1] + (1/tau) * (I[t-1] - (H[t-1] - u_reset))
+    U[t] = H[t-1] + (1/tau) * (I[t] - (H[t-1] - u_reset))
     S[t] = step(U[t] - u_threshold)        # 1 when U >= threshold
     H[t] = U[t] * (1 - S[t])               # hard reset to zero where fired
+
+lif_multistep runs this over the leading time axis of a [T, ...] input in
+plain numpy and records the rollout as one autograd node keeping only U and
+S. Its backward is BPTT over reversed t, with sg the arc-tangent surrogate
+slope and gH[T-1] the carried membrane's gradient (0 when unused):
+
+    gU[t]   = (gS[t] - [not detach_reset] gH[t] U[t]) sg(U[t] - u_threshold)
+              + gH[t] (1 - S[t])
+    gI[t]   = gU[t] / tau,    gH[t-1] = gU[t] (1 - 1/tau)
+
+detach_reset makes the reset factor (1 - S) a constant of the graph, so no
+gradient reaches the membrane through the spike that reset it.
 
 The step function fires exactly at threshold (step(0) = 1). Its backward
 uses the arc-tangent surrogate; a smooth twin replaces the step with the
@@ -52,25 +64,29 @@ def surrogate_grad(v: np.ndarray, alpha: float) -> np.ndarray:
     return alpha / (2.0 * (1.0 + half * half))
 
 
-def spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
-    """Heaviside step with step(0) = 1; arc-tangent surrogate backward."""
-    out_data = (v.data >= 0).astype(v.data.dtype)
+def _fire(v: np.ndarray, alpha: float, smooth: bool) -> np.ndarray:
+    """Forward of the step (step(0) = 1), or of its smooth twin
+    arctan(pi*alpha*v/2)/pi + 1/2, in the dtype of v."""
+    if smooth:
+        return (np.arctan(np.pi * alpha * v / 2.0) / np.pi + 0.5).astype(v.dtype)
+    return (v >= 0).astype(v.dtype)
 
+
+def _spike_node(v: Tensor, alpha: float, smooth: bool) -> Tensor:
     def bwd(g):
         accumulate_grad(v, g * surrogate_grad(v.data, alpha).astype(g.dtype, copy=False))
 
-    return make_node(out_data, (v,), bwd)
+    return make_node(_fire(v.data, alpha, smooth), (v,), bwd)
+
+
+def spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
+    """Heaviside step with step(0) = 1; arc-tangent surrogate backward."""
+    return _spike_node(v, alpha, smooth=False)
 
 
 def smooth_spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
     """Surrogate primitive arctan(pi*alpha*v/2)/pi + 1/2 used in both passes."""
-    half = np.pi * alpha * v.data / 2.0
-    out_data = (np.arctan(half) / np.pi + 0.5).astype(v.data.dtype)
-
-    def bwd(g):
-        accumulate_grad(v, g * surrogate_grad(v.data, alpha).astype(g.dtype, copy=False))
-
-    return make_node(out_data, (v,), bwd)
+    return _spike_node(v, alpha, smooth=True)
 
 
 @dataclass
@@ -85,29 +101,79 @@ class LIFState:
         self.steps = 0
 
 
+def lif_multistep(state: LIFState, x: Tensor, cfg: LIFConfig,
+                  smooth: bool = False) -> Tensor:
+    """Advance over axis 0 of x ([T, ...]); returns the spikes as one node
+    over (x[, state.membrane]) and leaves H[T-1] in state.membrane, itself
+    differentiable, so a later call continues the rollout and its gradient.
+    """
+    return _lif(state, x, x.data, cfg, smooth)
+
+
 def lif_step(state: LIFState, current: Tensor, cfg: LIFConfig,
              smooth: bool = False) -> Tensor:
     """Advance one time step; returns the spike tensor and mutates state.
 
-    The reset multiplier (1 - S) is detached from the graph when
-    cfg.detach_reset is set, so gradients flow only through the membrane.
+    The T=1 case of lif_multistep: one fused node, the BPTT backward of the
+    module docstring, and the reset factor (1 - S) detached from the graph
+    when cfg.detach_reset is set, so gradients flow only through U.
     """
-    assert_finite(current.data, "neuron input current")
-    if state.membrane is not None and state.membrane.shape != current.shape:
+    return _lif(state, current, current.data[None], cfg, smooth)
+
+
+# Elements per backward time chunk: a chunk's surrogate slopes are computed in
+# one pass (few numpy calls at small T*N) and stay in cache for the step loop.
+_BPTT_CHUNK = 1 << 15
+
+
+def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
+         smooth: bool) -> Tensor:
+    if xs.ndim < 1 or len(xs) < 1:
+        raise ShapeError(f"LIF input needs a leading time axis of >= 1 step, got {x.shape}")
+    assert_finite(xs, "neuron input current")
+    h0 = state.membrane
+    if h0 is not None and h0.shape != xs.shape[1:]:
         raise ShapeError(
-            f"neuron state shape {state.membrane.shape} does not match input {current.shape}")
-    if state.membrane is None:
-        h_prev = Tensor(np.full(current.shape, cfg.u_reset, dtype=current.dtype))
-    else:
-        h_prev = state.membrane
-    u = h_prev + (current - (h_prev - cfg.u_reset)) * (1.0 / cfg.tau)
-    v = u - cfg.u_threshold
-    fire = smooth_spike_fn if smooth else spike_fn
-    s = fire(v, cfg.surrogate_alpha)
-    gate = s.detach() if cfg.detach_reset else s
-    state.membrane = u * (1.0 - gate)
-    state.steps += 1
-    return s
+            f"neuron state shape {h0.shape} does not match input step {xs.shape[1:]}")
+    # Constants in the input dtype and the op order of U and H reproduce the
+    # per-step Tensor arithmetic bit for bit, and so does the backward below.
+    reset, thr, k, one = (np.asarray(c, dtype=xs.dtype)
+                          for c in (cfg.u_reset, cfg.u_threshold, 1.0 / cfg.tau, 1.0))
+    h = np.full(xs.shape[1:], reset) if h0 is None else h0.data
+    u_all, s_all = np.empty_like(xs), np.empty_like(xs)
+    for t in range(len(xs)):
+        u = np.add(h, (xs[t] - (h - reset)) * k, out=u_all[t])
+        s_all[t] = _fire(u - thr, cfg.surrogate_alpha, smooth)
+        h = u * (one - s_all[t])
+    h_grad = []  # gH[T-1], handed over by the membrane node
+
+    def bwd(g):
+        g, gx = g.reshape(xs.shape), np.empty(xs.shape, g.dtype)
+        gh = h_grad.pop() if h_grad else np.zeros_like(g[0])
+        span = max(1, _BPTT_CHUNK // max(1, g[0].size))
+        for stop in range(len(g), 0, -span):
+            start = max(0, stop - span)
+            sg = surrogate_grad(u_all[start:stop] - thr, cfg.surrogate_alpha)
+            sg, keep = sg.astype(g.dtype, copy=False), one - s_all[start:stop]
+            for t in reversed(range(start, stop)):
+                gs = g[t] if cfg.detach_reset else g[t] - gh * u_all[t]
+                gu = gs * sg[t - start] + gh * keep[t - start]
+                # gI = gU k, and gH = gU (1 - 1/tau) rounded as the per-step graph did
+                gh = gu - np.multiply(gu, k, out=gx[t])
+        accumulate_grad(x, gx.reshape(x.shape))
+        if h0 is not None:
+            accumulate_grad(h0, gh)
+
+    spikes = make_node(s_all.reshape(x.shape), (x,) if h0 is None else (x, h0), bwd)
+
+    def membrane_bwd(g):
+        h_grad.append(g)
+        if spikes.grad is None:  # backward() skips nodes without a gradient
+            spikes.grad = np.zeros_like(spikes.data)
+
+    state.membrane = make_node(h, (spikes,), membrane_bwd)
+    state.steps += len(xs)
+    return spikes
 
 
 @dataclass

@@ -162,9 +162,11 @@ def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # one copy, laid out like t.data and never a view of g
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def backward(root: Tensor, seed=None) -> None:
@@ -566,38 +568,6 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
         accumulate_grad(x, np.ascontiguousarray(g.transpose(inverse)))
 
     return make_node(np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
-
-
-def index_first(x: Tensor, i: int) -> Tensor:
-    """Select step i along axis 0 (used to walk the time axis)."""
-    if not 0 <= i < x.shape[0]:
-        raise ShapeError(f"index {i} out of range for axis 0 of {x.shape}")
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[i] += g
-
-    return make_node(x.data[i], (x,), bwd)
-
-
-def stack_first(parts: list[Tensor]) -> Tensor:
-    """Stack tensors along a new leading axis (inverse of index_first)."""
-    if not parts:
-        raise ShapeError("stack_first needs at least one tensor")
-    base = parts[0].shape
-    for p in parts[1:]:
-        if p.shape != base:
-            raise ShapeError(f"stack_first shape mismatch: {base} vs {p.shape}")
-    out_data = np.stack([p.data for p in parts])
-
-    def bwd(g):
-        for t, p in enumerate(parts):
-            accumulate_grad(p, g[t])
-
-    return make_node(out_data, tuple(parts), bwd)
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:

@@ -23,8 +23,8 @@ from orsnn.layers import ForwardContext
 from orsnn.metrics import (FiringRateTrace, apply_pruning,
                            detect_natural_pruning, estimate_energy)
 from orsnn.network import build_network
-from orsnn.neuron import (LIFConfig, LIFState, lif_reference_trace, lif_step,
-                          smooth_spike_fn)
+from orsnn.neuron import (LIFConfig, LIFState, lif_multistep, lif_reference_trace,
+                          lif_step, smooth_spike_fn)
 from orsnn.record import SpikeRecord
 from orsnn.residual import JoinMode, audit_spike_drivenness, join
 from orsnn.tensor import Tensor
@@ -194,6 +194,7 @@ def _gradient_cases():
 
     n = lambda rng, *shape: rng.normal(0.0, 1.0, size=shape)
     running = lambda c: (np.zeros(c), np.ones(c))
+    attached = LIFConfig(detach_reset=False)
     cases = [
         case("add-broadcast", lambda r: (n(r, 3, 4), n(r, 4)),
              lambda a, b: a + b),
@@ -224,10 +225,10 @@ def _gradient_cases():
              lambda x: tz.reshape(x, (3, 4))),
         case("permute", lambda r: (n(r, 2, 3, 4),),
              lambda x: tz.permute(x, (2, 0, 1))),
-        case("index-first", lambda r: (n(r, 4, 3, 2),),
-             lambda x: tz.index_first(x, 2)),
-        case("stack-first", lambda r: (n(r, 2, 3), n(r, 2, 3), n(r, 2, 3)),
-             lambda a, b, c: tz.stack_first([a, b, c])),
+        case("lif-multistep-smooth", lambda r: (n(r, 4, 2, 2, 3, 3),),
+             lambda x: lif_multistep(LIFState(), x, attached, smooth=True)),
+        case("lif-multistep-smooth-h0", lambda r: (n(r, 4, 2, 2, 3, 3), n(r, 2, 2, 3, 3)),
+             lambda x, h0: lif_multistep(LIFState(membrane=h0), x, attached, smooth=True)),
         case("concat", lambda r: (n(r, 2, 2, 3), n(r, 2, 1, 3)),
              lambda a, b: tz.concat([a, b], axis=1)),
         case("reduce-mean", lambda r: (n(r, 2, 3, 4),),

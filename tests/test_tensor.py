@@ -79,6 +79,28 @@ def test_gradient_accumulates_across_uses():
     assert np.array_equal(a.grad, [5.0])
 
 
+@pytest.mark.parametrize("g", [
+    np.arange(6.0, dtype=np.float32).reshape(2, 3),
+    np.broadcast_to(np.float32([1.5, -2.0, 3.0]), (2, 3)),
+    np.float64([[0.1, 0.2, 0.3]]).repeat(2, axis=0),
+    np.arange(6.0, dtype=np.float32).reshape(3, 2).T,
+], ids=["same", "broadcast", "float64", "transposed"])
+def test_first_gradient_is_one_fresh_copy(g):
+    """The first gradient lands as zeros-then-add did: same shape, dtype,
+    values and C layout, in an array of its own that the caller's g never
+    aliases (later accumulation must not write through to g)."""
+    a = t(np.zeros((2, 3)), requires_grad=True, dtype=np.float32)
+    tz.accumulate_grad(a, g)
+    want = np.zeros((2, 3), dtype=np.float32)
+    want += g
+    assert a.grad.dtype == want.dtype and a.grad.shape == want.shape
+    assert np.array_equal(a.grad, want) and a.grad.flags.c_contiguous
+    assert not np.shares_memory(a.grad, g)
+    before = np.array(g)
+    tz.accumulate_grad(a, np.ones((2, 3), dtype=np.float32))
+    assert np.array_equal(g, before) and np.array_equal(a.grad, want + 1)
+
+
 # ---------------------------------------------------------------------------
 # Matmul and dense
 
@@ -373,23 +395,8 @@ def test_shape_op_gradients(seed):
     x = rng.standard_normal((2, 3, 4))
     gradcheck(lambda a: tz.reduce_mean(tz.reshape(a, (6, 4)), (0, 1)), x)
     gradcheck(lambda a: tz.reduce_mean(tz.permute(a, (2, 0, 1)), (0, 1, 2)), x)
-    gradcheck(lambda a: tz.reduce_mean(tz.index_first(a, 1), (0, 1)), x)
     y = rng.standard_normal((2, 3, 4))
     gradcheck(lambda a, b: tz.reduce_mean(tz.concat([a, b], 1), (0, 1, 2)), x, y)
-
-
-def test_stack_first_roundtrip_and_gradient():
-    rng = np.random.default_rng(3)
-    parts = [rng.standard_normal((2, 3)) for _ in range(4)]
-
-    def fn(*ts):
-        return tz.reduce_mean(tz.mul(tz.stack_first(list(ts)),
-                                     tz.stack_first(list(ts))), (0, 1, 2))
-
-    gradcheck(fn, *parts)
-    stacked = tz.stack_first([t(p) for p in parts])
-    assert stacked.shape == (4, 2, 3)
-    assert np.array_equal(stacked.data[2], parts[2])
 
 
 @pytest.mark.parametrize("seed", range(3))
