@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttentionPlan
+from .data import replacing
 from .errors import (ArchMismatch, BadMagic, CheckpointError, CorruptPayload,
                      DatasetNotFound, VersionMismatch)
 from .neuron import LIFConfig
@@ -70,7 +71,7 @@ def _write_blocks(fh, named_arrays) -> None:
 def save_checkpoint(network, path, epoch: int = 0) -> None:
     params = [(n, p.data) for n, p in network.named_params()]
     buffers = network.named_buffers()
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_header_text(network, epoch).encode("utf-8"))
         _write_blocks(fh, params)
         _write_blocks(fh, buffers)

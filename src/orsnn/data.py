@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import gzip
+import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -378,13 +380,29 @@ def augment(batch: np.ndarray, transforms, rng: np.random.Generator) -> np.ndarr
 # CSV report files
 
 
+@contextmanager
+def replacing(path, mode: str, **open_kwargs):
+    """Write to a temporary file beside path and os.replace it onto path, so
+    a failed or killed writer leaves the previous file. No fsync: a crash of
+    the machine before its cache is flushed can still lose the write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, rows, fieldnames=None) -> None:
     rows = list(rows)
     if fieldnames is None:
         if not rows:
             raise DataFormatError("cannot infer columns of an empty table")
         fieldnames = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
+    with replacing(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)

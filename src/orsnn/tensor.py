@@ -11,7 +11,7 @@ tensors for finite-difference comparisons.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import GraphError, NumericError, ShapeError
 
@@ -313,15 +313,40 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # Convolution and pooling
 
 
+# Floats per copied column block: one block and its GEMM output stay in cache.
+_CONV_CHUNK = 1 << 15
+
+
+def _correlate(xp, k, stride, oh, ow):
+    """Yield (rows, cols) per batch chunk of the zero-padded NHWC input xp:
+    cols is the im2col block [len(rows), k*k*Cin] of the flat output rows,
+    taps (i, j, c), copied from a read-only view whose last axis is the
+    k*Cin contiguous floats of one kernel row."""
+    batch, _, _, cin = xp.shape
+    sb, sh, sw, sc = xp.strides
+    runs = as_strided(xp, (batch, oh, ow, k, k * cin),
+                      (sb, stride * sh, stride * sw, sh, sc), writeable=False)
+    step = max(1, _CONV_CHUNK // (oh * ow * k * k * cin))
+    for b0 in range(0, batch, step):
+        b1 = min(b0 + step, batch)
+        yield slice(b0 * oh * ow, b1 * oh * ow), runs[b0:b1].reshape(-1, k * k * cin)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with square kernel and symmetric zero padding.
 
     Output extent is floor((H + 2p - k) / s) + 1; an extent below 1 raises.
-    Shift-and-accumulate, NCHW at the boundary and NHWC inside: per tap (i, j)
-    the strided window of the zero-padded NHWC input xp is copied into one
-    [B*oh*ow, Cin] matrix, out += window @ W[:, :, i, j].T, and backward takes
-    dW[:, :, i, j] = (window.T @ g).T, dxp[window] += g @ W[:, :, i, j]. Output
-    dtype is result_type(x, w). No input copy is kept: backward rebuilds xp.
+    NCHW at the boundary, NHWC inside. All three directions are one chunked
+    im2col GEMM (_correlate) written by matmul(out=):
+      forward  y = corr_s(pad_p(x), W);
+      dX       corr_1(pad_(k-1)(dilate_s(g)), flip(W)^T), the transposed conv
+               over the padded input's extent, of which rows and columns p to
+               p + H - 1 are dx (also for p > k-1). dilate_s puts s-1 zeros
+               between gradient rows (and columns), so input rows the forward
+               never reads get exactly 0;
+      dW       sum over chunks of cols^T g.
+    Output dtype is result_type(x, w). No input copy is kept: backward
+    rebuilds pad_p(x). dX is skipped for a frozen input, dW for a frozen kernel.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -339,31 +364,34 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv2d output extent below 1 for input {x.shape}, k={k}, "
             f"stride={stride}, padding={padding}")
-    taps = [(i, j, np.s_[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride])
-            for i in range(k) for j in range(k)]
-    inner = np.s_[:, padding:padding + h, padding:padding + wid]
-    wt = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0))  # [k, k, Cin, Cout]
 
     def padded():
         xp = np.zeros((batch, h + 2 * padding, wid + 2 * padding, cin), dtype=x.data.dtype)
-        xp[inner] = x.data.transpose(0, 2, 3, 1)
+        xp[:, padding:padding + h, padding:padding + wid] = x.data.transpose(0, 2, 3, 1)
         return xp
 
-    xp = padded()
-    out = np.zeros((batch, out_h, out_w, cout), dtype=np.result_type(x.data, w.data))
-    for i, j, win in taps:
-        out += (xp[win].reshape(-1, cin) @ wt[i, j]).reshape(out.shape)
+    out = np.empty((batch, out_h, out_w, cout), dtype=np.result_type(x.data, w.data))
+    wm = w.data.transpose(2, 3, 1, 0).reshape(-1, cout)  # [(i, j, Cin), Cout]
+    for rows, cols in _correlate(padded(), k, stride, out_h, out_w):
+        np.matmul(cols, wm, out=out.reshape(-1, cout)[rows])
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        xp = padded()
-        dxp, dw = np.zeros_like(xp, dtype=g.dtype), np.zeros(wt.shape, dtype=g.dtype)
-        for i, j, win in taps:
-            dw[i, j] = xp[win].reshape(-1, cin).T @ g2
-            if x.requires_grad:  # false for the encoder, whose input is data
-                dxp[win] += (g2 @ wt[i, j].T).reshape(batch, out_h, out_w, cin)
-        accumulate_grad(w, dw.transpose(3, 2, 0, 1))
-        accumulate_grad(x, dxp[inner].transpose(0, 3, 1, 2))
+        g4 = g.transpose(0, 2, 3, 1)
+        if w.requires_grad:
+            g2 = np.ascontiguousarray(g4).reshape(-1, cout)
+            dw = sum((cols.T @ g2[rows] for rows, cols in
+                      _correlate(padded(), k, stride, out_h, out_w)),
+                     np.zeros((k * k * cin, cout), dtype=g.dtype))
+            accumulate_grad(w, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
+        if x.requires_grad:  # false for the encoder, whose input is data
+            ext = (h + 2 * padding + k - 1, wid + 2 * padding + k - 1)
+            gp = np.zeros((batch, *ext, cout), dtype=g.dtype)
+            gp[:, k - 1:k - 1 + stride * out_h:stride, k - 1:k - 1 + stride * out_w:stride] = g4
+            wf = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
+            dx = np.empty((batch, h, wid, cin), dtype=np.result_type(g, w.data))
+            for rows, cols in _correlate(gp[:, padding:, padding:], k, 1, h, wid):
+                np.matmul(cols, wf, out=dx.reshape(-1, cin)[rows])
+            accumulate_grad(x, dx.transpose(0, 3, 1, 2))
 
     return make_node(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, w), bwd)
 
@@ -511,9 +539,13 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             f"batchnorm2d parameter shapes {gamma.shape}/{beta.shape} do not match C={ch}")
     axes = (0, 2, 3)
     n = x.shape[0] * x.shape[2] * x.shape[3]
+    x3 = x.data.reshape(x.shape[0], ch, -1)  # [B, C, H*W]: per-channel ops broadcast [C, 1]
+    out3 = np.empty(x3.shape, np.result_type(x3, gamma.data, beta.data))
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = x3.mean(axis=(0, 2))
+        xhat = np.subtract(x3, mean[:, None])
+        sq = out3 if out3.dtype == xhat.dtype else None  # squares in x's dtype, as x.var
+        var = np.multiply(xhat, xhat, out=sq).mean(axis=(0, 2))
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         unbiased = var * (n / (n - 1)) if n > 1 else var
@@ -522,9 +554,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         mean = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
+        xhat = np.subtract(x3, mean[:, None])
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv_std[:, None]
+    np.multiply(gamma.data[:, None], xhat, out=out3)
+    out3 += beta.data[:, None]
+    xhat, out_data = xhat.reshape(x.shape), out3.reshape(x.shape)
 
     def bwd(g):
         accumulate_grad(gamma, (g * xhat).sum(axis=axes))

@@ -4,6 +4,7 @@ corruption detection."""
 import numpy as np
 import pytest
 
+from orsnn import checkpoint
 from orsnn.attention import AttentionPlan
 from orsnn.checkpoint import (
     CKPT_FORMAT,
@@ -117,6 +118,21 @@ class TestRoundTrip:
         assert "block1.shortcut_conv.weight" not in dict(loaded.named_params())
         x = batch(seed=2)
         assert loaded.forward(x).data.tobytes() == pruned.forward(x).data.tobytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(trained_like_net(seed=1), path)
+        before = path.read_bytes()
+
+        def fail_after_header(fh, blocks):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "_write_blocks", fail_after_header)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(trained_like_net(seed=2), path, epoch=3)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
 
 class TestGuards:

@@ -377,3 +377,14 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetNotFound):
             read_csv(tmp_path / "absent.csv")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [{"a": "1", "b": "2"}])
+        before = path.read_bytes()
+        # DictWriter raises on the second row, after the header and first row
+        with pytest.raises(ValueError):
+            write_csv(path, [{"a": "3", "b": "4"}, {"a": "5", "c": "6"}],
+                      fieldnames=["a", "b"])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -284,6 +284,45 @@ def test_conv_node_retains_only_its_output():
     assert retained <= 1.1 * out.data.nbytes, (retained, out.data.nbytes)
 
 
+@pytest.mark.parametrize("xshape,wshape,stride,padding", [
+    # 16*16 positions * 9 taps * 16 channels > _CONV_CHUNK: one sample per chunk
+    pytest.param((3, 16, 16, 16), (5, 16, 3, 3), 1, 1, id="one-sample-per-chunk"),
+    # 70 positions * 27 taps fit 17 samples per chunk: 20 = 17 + a ragged 3
+    pytest.param((20, 3, 7, 10), (4, 3, 3, 3), 1, 1, id="ragged-last-chunk"),
+])
+def test_conv_chunking_matches_loop_reference(xshape, wshape, stride, padding):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal(xshape), requires_grad=True)
+    w = Tensor(rng.standard_normal(wshape), requires_grad=True)
+    out = tz.conv2d(x, w, stride, padding)
+    per_sample = out.shape[2] * out.shape[3] * wshape[1] * wshape[2] ** 2
+    samples = max(1, tz._CONV_CHUNK // per_sample)
+    assert samples == 1 or xshape[0] % samples, "case no longer exercises chunking"
+    g = rng.standard_normal(out.shape)
+    ref, dx, dw = conv_reference(x.data, w.data, g, stride, padding)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    backward(out, seed=g)
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_forward_transient_memory():
+    # one forward copies the input once (padded NHWC) plus one column block
+    # per chunk; a whole-batch im2col would peak near 11.6x the output
+    rng = np.random.default_rng(0)
+    x = Tensor((rng.random((512, 16, 8, 8)) < 0.2).astype(np.float32))
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32)
+    with no_grad():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = tz.conv2d(x, w, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3.5 * out.data.nbytes, (peak, out.data.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # Pooling
 
@@ -370,19 +409,53 @@ def test_batchnorm_running_stats_update_and_infer():
     assert np.allclose(out.data, expect)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_batchnorm_gradients(seed):
+@pytest.mark.parametrize("seed,training", [
+    *(pytest.param(s, True, id=str(s)) for s in range(3)),
+    *(pytest.param(s, False, id=f"eval-{s}") for s in range(3)),
+])
+def test_batchnorm_gradients(seed, training):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((4, 2, 3, 3))
     gamma = rng.standard_normal(2) + 2.0
     beta = rng.standard_normal(2)
+    # non-uniform weights: the plain mean of BN's output is mean(beta), whose
+    # gradient wrt x and gamma is 0 whatever the backward computes
+    weights = Tensor(rng.uniform(0.5, 1.5, size=x.shape))
+    running_mean, running_var = rng.standard_normal(2), rng.uniform(0.5, 2.0, 2)
 
     def fn(a, g, b):
-        return tz.reduce_mean(
-            tz.batchnorm2d(a, g, b, np.zeros(2), np.ones(2), training=True),
-            (0, 1, 2, 3))
+        y = tz.batchnorm2d(a, g, b, running_mean.copy(), running_var.copy(),
+                           training=training)
+        return tz.reduce_mean(y * weights, (0, 1, 2, 3))
 
     gradcheck(fn, x, gamma, beta)
+
+
+@pytest.mark.parametrize("xdt,pdt", [(np.float32, np.float32), (np.float64, np.float64),
+                                     (np.float32, np.float64)])
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_forward_is_bit_identical_to_formula(training, xdt, pdt):
+    rng = np.random.default_rng(4)
+    x = (3.0 * rng.standard_normal((16, 5, 6, 7)) + 1.0).astype(xdt)
+    gamma, beta = rng.standard_normal(5).astype(pdt), rng.standard_normal(5).astype(pdt)
+    rm, rv = rng.standard_normal(5).astype(pdt), rng.uniform(0.5, 2.0, 5).astype(pdt)
+    eps, momentum, axes, n = 1e-5, 0.1, (0, 2, 3), 16 * 6 * 7
+    erm, erv = rm.copy(), rv.copy()
+    if training:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        erm *= 1.0 - momentum
+        erm += momentum * mean
+        erv *= 1.0 - momentum
+        erv += momentum * (var * (n / (n - 1)))
+    else:
+        mean, var = rm.astype(xdt), rv.astype(xdt)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    expect = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    out = tz.batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training, eps, momentum)
+    assert out.dtype == expect.dtype
+    assert np.array_equal(out.data, expect)
+    assert np.array_equal(rm, erm) and np.array_equal(rv, erv)
 
 
 # ---------------------------------------------------------------------------
