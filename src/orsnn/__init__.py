@@ -20,15 +20,14 @@ from .errors import (ArchError, ArchMismatch, AuditError, BadMagic, BuildError,
                      PruneRefused, ShapeError, Truncated, VersionMismatch)
 from .metrics import (EnergyModel, EnergyReport, FiringRateTrace,
                       PruningReport, apply_pruning, conv_flops,
-                      detect_natural_pruning, estimate_energy, fc_flops,
-                      firing_rates, spike_count)
+                      detect_natural_pruning, estimate_energy, fc_flops)
 from .network import Network, build_network, encode_static, frames_to_input
 from .neuron import (LIFConfig, LIFState, lif_multistep, lif_reference_trace,
                      lif_step, smooth_spike_fn, spike_fn, surrogate_grad)
-from .record import SpikeRecord
+from .record import SpikeRecord, instrumented_pass
 from .residual import (AuditReport, BlockTopology, JoinMode, ResidualBlock,
                        audit_spike_drivenness, build_block, join)
-from .tensor import Tensor, backward, clear_tape, no_grad
+from .tensor import Tensor, backward, no_grad
 from .training import (Adam, EpochStats, TABLE_DEFAULTS, TrainConfig,
                        TrainingLog, default_config, evaluate, train)
 

@@ -23,17 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import load_config, render_config
+from .config import load_config, save_config
 from .data import (SYNTH_KINDS, augment, load_events, load_idx_dir,
-                   parse_transforms, read_csv, save_events, synth_events,
-                   write_csv)
+                   parse_transforms, read_csv, replacing, save_events,
+                   synth_events, write_csv)
 from .errors import (AuditError, ConfigError, DataFormatError, DatasetNotFound,
                      EngineError, NumericError, PruneRefused)
 from .metrics import (FiringRateTrace, apply_pruning, detect_natural_pruning,
                       estimate_energy)
-from .record import SpikeRecord
+from .record import instrumented_pass
 from .residual import audit_spike_drivenness
-from .tensor import no_grad
 from .training import TrainingLog, _to_time_major, evaluate, train
 
 EXIT_OK = 0
@@ -152,7 +151,7 @@ def cmd_train(args) -> int:
         network, start_epoch = load_checkpoint(args.resume, expect_arch=cfg.arch)
     else:
         network, start_epoch = cfg.build(), 0
-    (out_dir / ARTIFACTS["config"]).write_text(render_config(cfg))
+    save_config(out_dir / ARTIFACTS["config"], cfg)
     trace_path = out_dir / ARTIFACTS["firing_rates"]
     log_path = out_dir / ARTIFACTS["train_log"]
     ckpt_path = out_dir / ARTIFACTS["checkpoint"]
@@ -205,7 +204,8 @@ def cmd_audit(args) -> int:
     print(text)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / ARTIFACTS["audit"]).write_text(text + "\n")
+        with replacing(Path(args.out) / ARTIFACTS["audit"], "w") as fh:
+            fh.write(text + "\n")
     return EXIT_OK if report.fully_spike_driven else EXIT_FAIL
 
 
@@ -213,10 +213,8 @@ def cmd_energy(args) -> int:
     network, _ = load_checkpoint(args.ckpt)
     xy = _apply_cli_transforms(
         _limit(resolve_split(args.data, args.split), args.limit), args.transforms)
-    rec = SpikeRecord()
-    with no_grad():
-        for batch in _batches(xy[0], network.time_steps, args.batch_size):
-            network.forward(batch, record=rec, training=False, strict=False)
+    rec = instrumented_pass(
+        network, _batches(xy[0], network.time_steps, args.batch_size))
     report = estimate_energy(network, rec)
     print(report.render())
     if args.out:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .attention import AttentionPlan
+from .data import replacing
 from .errors import ConfigError, DatasetNotFound
 from .neuron import LIFConfig
 from .residual import JoinMode
@@ -208,7 +209,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
-    Path(path).write_text(render_config(cfg))
+    with replacing(path, "w") as fh:
+        fh.write(render_config(cfg))
 
 
 def load_config(path) -> ExperimentConfig:

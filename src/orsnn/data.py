@@ -144,7 +144,7 @@ def save_idx_images(path, images: np.ndarray) -> None:
     if images.dtype != np.uint8:
         images = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
     n, h, w = images.shape
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(struct.pack(">4I", IDX_IMAGE_MAGIC, n, h, w))
         fh.write(np.ascontiguousarray(images).tobytes())
 
@@ -155,7 +155,7 @@ def save_idx_labels(path, labels: np.ndarray) -> None:
         raise ShapeError(f"labels must be [N], got {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) > 255:
         raise DataFormatError("IDX labels must fit a byte")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(struct.pack(">2I", IDX_LABEL_MAGIC, labels.shape[0]))
         fh.write(labels.astype(np.uint8).tobytes())
 
@@ -198,7 +198,7 @@ def save_events(path, dataset: FramedEventSet) -> None:
     if np.any(frames != np.rint(frames)):
         raise DataFormatError("event frame values must be integral counts")
     n, t, c, h, w = frames.shape
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(EVT_MAGIC + b"\n")
         fh.write(f"{n} {t} {c} {h} {w}\n".encode("ascii"))
         fh.write(frames.astype(np.uint8).tobytes())

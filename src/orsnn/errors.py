@@ -10,9 +10,6 @@ class EngineError(Exception):
 
     kind = "EngineError"
 
-    def __str__(self) -> str:
-        return super().__str__()
-
 
 class ShapeError(EngineError, ValueError):
     """Operand shapes or dtypes are incompatible with the requested op."""

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EngineError, PruneRefused, ShapeError
-from .record import SPIKING_KINDS, SpikeRecord, layer_class
+from .record import SPIKING_KINDS, SpikeRecord, instrumented_pass, layer_class
 from .residual import AUDIT_POLICY, JoinMode
-from .tensor import no_grad
 
 
 @dataclass(frozen=True)
@@ -159,15 +158,6 @@ def estimate_energy(network, record: SpikeRecord,
         spikes_per_neuron_per_step=sps / neurons / t if neurons else 0.0)
 
 
-def spike_count(record: SpikeRecord) -> float:
-    """Total output spikes across all spiking layers over the record."""
-    return record.spike_total()
-
-
-def firing_rates(record: SpikeRecord) -> dict[str, float]:
-    return record.firing_rates()
-
-
 # ---------------------------------------------------------------------------
 # Natural pruning
 
@@ -275,17 +265,12 @@ def apply_pruning(network, flagged_names, verify_batches):
         raise PruneRefused(
             f"join {network.join_mode.value} does not absorb a silent shortcut")
     flagged = list(flagged_names)
-    by_name = {}
-    for block in network.blocks():
-        if block.shortcut_lif_name:
-            by_name[block.shortcut_lif_name] = block.name
+    prunable = {block.shortcut_lif_name for block in network.blocks()}
     for name in flagged:
-        if name not in by_name:
+        if name not in prunable:
             raise EngineError(f"no prunable shortcut named {name!r}")
     for bi, batch in enumerate(verify_batches):
-        rec = SpikeRecord()
-        with no_grad():
-            network.forward(batch, record=rec, training=False, strict=False)
+        rec = instrumented_pass(network, batch)
         for name in flagged:
             st = rec.layers.get(name)
             if st is None:

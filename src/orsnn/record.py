@@ -3,7 +3,8 @@
 A SpikeRecord accumulates across batches: spike counts, input nonzero
 fractions (the firing-rate proxy the energy model consumes), binarity of
 each arithmetic layer's audited input, and arithmetic-op counts. It is
-the single source the audit and energy reports read from.
+the single source the audit, energy and pruning reports read from, and
+instrumented_pass is the one forward loop that fills it for them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ARITH_KINDS = ("conv", "fc", "attn_conv", "attn_fc", "attn_pool")
+from .tensor import Tensor, no_grad
+
 SPIKING_KINDS = ("lif", "gate")
 
 
@@ -69,8 +71,6 @@ class SpikeRecord:
     layers: dict[str, LayerStats] = field(default_factory=dict)
     samples: int = 0
     time_steps: int = 0
-    capture: bool = False
-    captured: dict[str, list[np.ndarray]] = field(default_factory=dict)
 
     def stats(self, name: str, kind: str) -> LayerStats:
         if name not in self.layers:
@@ -94,8 +94,6 @@ class SpikeRecord:
         st = self.stats(name, kind)
         st.out_spikes += float(out.sum())
         st.out_total += out.size
-        if self.capture:
-            self.captured.setdefault(name, []).append(out.copy())
         return st
 
     def spike_total(self) -> float:
@@ -110,5 +108,14 @@ class SpikeRecord:
         return {name: st.output_rate for name, st in self.layers.items()
                 if st.kind in SPIKING_KINDS}
 
-    def arithmetic_layers(self) -> list[LayerStats]:
-        return [st for st in self.layers.values() if st.kind in ARITH_KINDS]
+
+def instrumented_pass(network, batches) -> SpikeRecord:
+    """Record one no-grad, non-strict forward of each [T, N, C, H, W] batch:
+    one array or Tensor, or an iterable of them."""
+    if isinstance(batches, (np.ndarray, Tensor)):
+        batches = [batches]
+    rec = SpikeRecord()
+    with no_grad():
+        for batch in batches:
+            network.forward(batch, record=rec, training=False, strict=False)
+    return rec

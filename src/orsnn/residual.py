@@ -21,8 +21,8 @@ from .attention import AttentionGate, AttentionPlan, make_attention
 from .errors import AuditError, BuildError, ShapeError
 from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module)
 from .neuron import LIFConfig
-from .record import SpikeRecord, binarity, layer_class
-from .tensor import Tensor, no_grad
+from .record import SpikeRecord, binarity, instrumented_pass, layer_class
+from .tensor import Tensor
 
 
 class JoinMode(enum.Enum):
@@ -332,12 +332,7 @@ def audit_spike_drivenness(network, batches, mode: str = "strict") -> AuditRepor
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown audit mode {mode!r}")
-    if isinstance(batches, (np.ndarray, Tensor)):
-        batches = [batches]
-    rec = SpikeRecord()
-    with no_grad():
-        for batch in batches:
-            network.forward(batch, record=rec, training=False, strict=False)
+    rec = instrumented_pass(network, batches)
     report = AuditReport(samples=rec.samples, time_steps=rec.time_steps)
     for stat_name in network.arithmetic_stat_names():
         st = rec.layers.get(stat_name)

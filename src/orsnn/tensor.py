@@ -1,14 +1,19 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps an ndarray plus an optional gradient accumulator. Every
-differentiable op appends its output to the active ComputationTape in
-execution order; backward() replays the tape in reverse, restricted to
-nodes that can reach the requested root, accumulating (never overwriting)
-gradients. Training runs in float32 by default; tests build float64
-tensors for finite-difference comparisons.
+differentiable op run while gradients are live returns a node that holds
+its parents, its backward function and a creation index. backward(root)
+collects the nodes reachable from root and runs their backward functions
+in descending creation index, so each node's gradient is complete before
+it is passed on; gradients accumulate, never overwrite. No global list
+holds nodes, so reference counting frees a graph as soon as the tensors
+that reach it are dropped. Training runs in float32 by default; tests
+build float64 tensors for finite-difference comparisons.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -17,30 +22,8 @@ from .errors import GraphError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
-
-class ComputationTape:
-    """Execution-ordered record of differentiable op outputs."""
-
-    def __init__(self):
-        self.nodes: list[Tensor] = []
-
-    def clear(self) -> None:
-        self.nodes.clear()
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-_TAPE = ComputationTape()
 _GRAD_ENABLED = True
-
-
-def get_tape() -> ComputationTape:
-    return _TAPE
-
-
-def clear_tape() -> None:
-    _TAPE.clear()
+_NODE_INDEX = count(1)
 
 
 class no_grad:
@@ -58,14 +41,10 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """Dense array with optional gradient and autograd book-keeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "index", "name")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
         arr = np.asarray(data)
@@ -78,6 +57,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.parents: tuple[Tensor, ...] = ()
         self.backward_fn = None
+        self.index = 0
         self.name = name
 
     @property
@@ -145,17 +125,19 @@ def _coerce(value, like: Tensor) -> Tensor:
 
 
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Create an op output, recording it on the tape when grads are live.
+    """Create an op output, made a graph node when grads are live.
 
-    backward_fn receives the output gradient and is responsible for
-    accumulating into each parent (use accumulate_grad).
+    A node keeps its parents and backward_fn and takes the next creation
+    index, which orders backward: a node is always created after its
+    parents. backward_fn receives the output gradient and is responsible
+    for accumulating into each parent (use accumulate_grad).
     """
     needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
         out.parents = tuple(parents)
         out.backward_fn = backward_fn
-        _TAPE.nodes.append(out)
+        out.index = next(_NODE_INDEX)
     return out
 
 
@@ -181,21 +163,17 @@ def backward(root: Tensor, seed=None) -> None:
         raise ShapeError(f"seed shape {seed.shape} does not match root shape {root.shape}")
     if not root.requires_grad:
         return
-    reachable: set[int] = set()
+    graph: dict[int, Tensor] = {}
     stack = [root]
     while stack:
         node = stack.pop()
-        if id(node) in reachable:
-            continue
-        reachable.add(id(node))
-        stack.extend(node.parents)
+        if id(node) not in graph:
+            graph[id(node)] = node
+            stack.extend(node.parents)
     accumulate_grad(root, seed)
-    for node in reversed(_TAPE.nodes):
-        if id(node) not in reachable or node.backward_fn is None:
-            continue
-        if node.grad is None:
-            continue
-        node.backward_fn(node.grad)
+    for node in sorted(graph.values(), key=lambda n: n.index, reverse=True):
+        if node.backward_fn is not None and node.grad is not None:
+            node.backward_fn(node.grad)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

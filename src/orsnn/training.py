@@ -15,7 +15,7 @@ from .errors import ConfigError, DivergenceError, NumericError, ShapeError
 from .metrics import FiringRateTrace, detect_natural_pruning
 from .network import encode_static, frames_to_input
 from .record import SpikeRecord
-from .tensor import Tensor, clear_tape, no_grad
+from .tensor import no_grad
 
 TABLE_DEFAULTS = {
     "dvs-gesture": dict(lr=1e-4, time_steps=32, batch_size=32, epochs=1000,
@@ -225,7 +225,6 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
             if transforms:
                 xb = augment(xb, transforms, rng_augment)
             inp = _to_time_major(xb, cfg.time_steps)
-            clear_tape()
             opt.zero_grad()
             try:
                 logits = network.forward(inp, record=None, training=True,
@@ -243,7 +242,6 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
             opt.step()
             loss_sum += float(loss.data) * xb.shape[0]
             hits += int((logits.data.argmax(axis=1) == yb).sum())
-        clear_tape()
         rec = SpikeRecord()
         val_loss, val_acc = evaluate(network, rate_data,
                                      batch_size=cfg.batch_size,

@@ -1,13 +1,14 @@
-"""Shared test helpers: the central-finite-difference gradient oracle and
-small seeded input factories.
+"""Shared test helpers: the central-finite-difference gradient oracle,
+small seeded input factories and a file that fails like a full disk.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import errno
 
-from orsnn.tensor import Tensor, backward, clear_tape, no_grad
+import numpy as np
+
+from orsnn.tensor import Tensor, backward, no_grad
 
 
 def numeric_gradient(fn, tensors, index: int, step: float = 1e-5) -> np.ndarray:
@@ -36,7 +37,6 @@ def gradcheck(fn, *arrays, rel: float = 1e-4, step: float = 1e-5,
     """
     tensors = [Tensor(np.array(a, dtype=np.float64), requires_grad=True)
                for a in arrays]
-    clear_tape()
     out = fn(*tensors)
     assert out.data.size == 1, "gradcheck objective must be scalar"
     backward(out)
@@ -50,7 +50,6 @@ def gradcheck(fn, *arrays, rel: float = 1e-4, step: float = 1e-5,
         assert worst <= rel, (
             f"input {idx}: worst relative gradient error {worst:.3e} > {rel:.0e}\n"
             f"analytic:\n{analytic}\nnumeric:\n{numeric}")
-    clear_tape()
 
 
 def margin_random(rng: np.random.Generator, shape, margin: float = 1e-2,
@@ -73,8 +72,20 @@ def distinct_random(rng: np.random.Generator, shape, min_gap: float = 1e-3
     return vals.reshape(shape)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_tape():
-    clear_tape()
-    yield
-    clear_tape()
+class FullDisk:
+    """Stands in for open(): takes half of the first write, then fails as a
+    full disk does. Patch it over orsnn.data's open to break a writer."""
+
+    def __init__(self, path, mode, **kwargs):
+        self.fh = open(path, mode, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, chunk):
+        self.fh.write(chunk[:len(chunk) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")

@@ -4,12 +4,15 @@ reporting for every subcommand."""
 import numpy as np
 import pytest
 
+import orsnn.data
 from orsnn.checkpoint import load_checkpoint, save_checkpoint
 from orsnn.cli import main
 from orsnn.config import load_config
 from orsnn.data import load_events, read_csv, save_idx_images, save_idx_labels, write_csv
 from orsnn.network import build_network
 from orsnn.residual import JoinMode
+
+from conftest import FullDisk
 
 SPEC = "synth:two-class-motion:40:4:12:12:5"
 ARCH = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC2"
@@ -202,6 +205,19 @@ class TestAudit:
         assert "FAIL" in text
         assert "block1.conv3" in text
         assert "block1.conv3" in (out / "audit.txt").read_text()
+
+    def test_failed_report_write_keeps_previous_report(self, run_dir, tmp_path,
+                                                        monkeypatch):
+        out = tmp_path / "rep"
+        argv = ["audit", "--ckpt", str(run_dir / "checkpoint.ckpt"),
+                "--data", SPEC, "--out", str(out)]
+        assert main(argv) == 0
+        before = (out / "audit.txt").read_bytes()
+        monkeypatch.setattr(orsnn.data, "open", FullDisk, raising=False)
+        with pytest.raises(OSError):
+            main(argv)
+        assert (out / "audit.txt").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["audit.txt"]
 
 
 class TestEnergy:

@@ -6,6 +6,8 @@ import gzip
 import numpy as np
 import pytest
 
+import orsnn.data
+from orsnn.config import experiment_defaults, save_config
 from orsnn.data import (
     FramedEventSet,
     IdxDataset,
@@ -35,6 +37,8 @@ from orsnn.errors import (
     ShapeError,
     Truncated,
 )
+
+from conftest import FullDisk
 
 
 def sample_images(n=4, h=5, w=6, seed=0):
@@ -378,7 +382,9 @@ class TestCsv:
         with pytest.raises(DatasetNotFound):
             read_csv(tmp_path / "absent.csv")
 
-    def test_failed_write_keeps_previous_file(self, tmp_path):
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A writer that fails part-way leaves the previous file byte for
+        byte and no temporary file beside it."""
         path = tmp_path / "t.csv"
         write_csv(path, [{"a": "1", "b": "2"}])
         before = path.read_bytes()
@@ -388,3 +394,28 @@ class TestCsv:
                       fieldnames=["a", "b"])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+        arch = "c4k3s1p1-BN-LIF-AP-FC2"
+        writers = {  # file name -> (first write, failing second write)
+            "set.evt": (lambda p: save_events(p, synth_events("moving-bar", 4, 2, 6, 6)),
+                        lambda p: save_events(p, synth_events("moving-bar", 6, 3, 6, 6))),
+            "images.idx": (lambda p: save_idx_images(p, sample_images(seed=0)),
+                           lambda p: save_idx_images(p, sample_images(n=6, seed=1))),
+            "labels.idx": (lambda p: save_idx_labels(p, np.arange(4)),
+                           lambda p: save_idx_labels(p, np.arange(6))),
+            "exp.cfg": (lambda p: save_config(p, experiment_defaults("mnist", arch)),
+                        lambda p: save_config(p, experiment_defaults("mnist", arch,
+                                                                     seed=9))),
+        }
+        for name, (first, second) in writers.items():
+            directory = tmp_path / name.replace(".", "_")
+            directory.mkdir()
+            path = directory / name
+            first(path)
+            before = path.read_bytes()
+            with monkeypatch.context() as m:
+                m.setattr(orsnn.data, "open", FullDisk, raising=False)
+                with pytest.raises(OSError):
+                    second(path)
+            assert path.read_bytes() == before, name
+            assert [p.name for p in directory.iterdir()] == [name]

@@ -13,8 +13,6 @@ from orsnn.metrics import (
     detect_natural_pruning,
     estimate_energy,
     fc_flops,
-    firing_rates,
-    spike_count,
 )
 from orsnn.network import build_network
 from orsnn.record import SpikeRecord
@@ -183,13 +181,14 @@ class TestQuiescentNetwork:
         assert report.spikes_per_neuron == pytest.approx(2.0, rel=1e-6)
         assert report.spikes_per_neuron_per_step == pytest.approx(1.0, rel=1e-6)
 
-    def test_spike_count_and_rate_wrappers(self):
+    def test_spike_total_and_firing_rates(self):
         net = build_network(SMALL, time_steps=2, in_channels=1, seed=0)
         rec = SpikeRecord()
         net.forward((np.random.default_rng(1).random((2, 3, 1, 12, 12)) < 0.5)
                     .astype(np.float32), record=rec)
-        assert spike_count(rec) == rec.spike_total()
-        rates = firing_rates(rec)
+        assert rec.spike_total() == sum(
+            st.out_spikes for name, st in rec.layers.items() if "lif" in name)
+        rates = rec.firing_rates()
         assert set(rates) == {"lif1", "block1.lif1", "block1.lif2",
                               "block1.shortcut_lif", "block1.lif3", "block1.lif4"}
         for rate in rates.values():

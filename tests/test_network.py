@@ -1,9 +1,14 @@
 """Network assembly: canonical architectures, naming, determinism,
-input validation, and the spike-drivenness audit."""
+graph lifetime and state carry-over, input validation, and the
+spike-drivenness audit."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import orsnn.tensor as tz
 from orsnn.attention import AttentionGate, AttentionPlan
 from orsnn.errors import AuditError, BuildError, ShapeError
 from orsnn.layers import (
@@ -18,6 +23,7 @@ from orsnn.layers import (
 from orsnn.network import Network, build_network, encode_static, frames_to_input
 from orsnn.record import SpikeRecord
 from orsnn.residual import JoinMode, ResidualBlock, audit_spike_drivenness
+from orsnn.tensor import Tensor, backward
 
 # Reference stacks: a static-image classifier (single-stride encoder stack,
 # three downsampling residual blocks) and an event-camera variant with a
@@ -137,6 +143,58 @@ class TestDeterminism:
         wa = dict(a.named_params())["encoder.weight"].data
         wb = dict(b.named_params())["encoder.weight"].data
         assert not np.array_equal(wa, wb)
+
+
+class TestGraphs:
+    def test_grad_mode_forwards_keep_only_the_last_graph(self):
+        """A dropped output frees its graph by reference counting alone; only
+        the LIF state holds the last forward's graph until the next reset."""
+        net = build_network(SMALL, time_steps=4, in_channels=2, seed=0)
+        x = binary_batch((4, 8, 2, 16, 16), seed=5)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.forward(x, training=True)
+            one = tracemalloc.get_traced_memory()[0] - before
+            for _ in range(9):
+                net.forward(x, training=True)
+            ten = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert one > 0
+        assert ten <= 1.5 * one, (ten, one)
+
+    def test_split_forwards_match_one_forward_of_twice_the_steps(self):
+        """Two forwards of T steps without a reset and one backward through
+        both give the inputs the gradient of one forward of 2T steps, bit
+        for bit: the second graph reaches the first through the carried
+        membranes."""
+        steps, batch = 2, 3
+        rng = np.random.default_rng(8)
+        x = binary_batch((2 * steps, batch, 1, 8, 8), seed=8)
+        w = Tensor(rng.normal(size=(batch, 4)).astype(np.float32))
+        split = build_network(SMALL, time_steps=steps, in_channels=1, seed=0)
+        whole = build_network(SMALL, time_steps=2 * steps, in_channels=1, seed=0)
+        for net in (split, whole):
+            push_beta(net, (".beta",), 0.8)
+
+        halves = [Tensor(x[:steps], requires_grad=True),
+                  Tensor(x[steps:], requires_grad=True)]
+        first = split.forward(halves[0])
+        second = split.forward(halves[1], reset=False)
+        backward(tz.reduce_mean(first * w, (0, 1))
+                 + tz.reduce_mean(second * w, (0, 1)))
+
+        xw = Tensor(x, requires_grad=True)
+        logits = whole.forward(xw)  # the mean over 2T is half the sum of the halves' means
+        backward(tz.reduce_mean(logits * (w * 2.0), (0, 1)))
+
+        assert np.array_equal(first.data + second.data, 2.0 * logits.data)
+        got = np.concatenate([h.grad for h in halves])
+        assert np.any(halves[0].grad != 0)
+        assert np.array_equal(got, xw.grad)
 
 
 def test_quiescent_input_yields_zero_logits():

@@ -15,7 +15,7 @@ from orsnn.errors import NumericError, ShapeError
 from orsnn.layers import ForwardContext, LIFLayer
 from orsnn.neuron import (LIFConfig, LIFState, lif_multistep, lif_reference_trace,
                           lif_step, smooth_spike_fn, spike_fn, surrogate_grad)
-from orsnn.tensor import Tensor, accumulate_grad, backward, clear_tape, make_node
+from orsnn.tensor import Tensor, accumulate_grad, backward, make_node
 
 from conftest import gradcheck, margin_random
 
@@ -142,7 +142,6 @@ def test_config_validation():
 
 def test_detach_reset_changes_gradient():
     def run(detach):
-        clear_tape()
         cfg = LIFConfig(detach_reset=detach)
         x = Tensor(np.array([0.9, 1.7, 0.4]), requires_grad=True)
         state = LIFState()

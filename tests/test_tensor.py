@@ -1,5 +1,5 @@
 """Autograd core: forward fixtures with hand-computed values, gradient
-checks against central finite differences, broadcast and tape contracts.
+checks against central finite differences, broadcast and graph contracts.
 """
 
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 
 import orsnn.tensor as tz
 from orsnn.errors import GraphError, NumericError, ShapeError
-from orsnn.tensor import Tensor, backward, clear_tape, no_grad
+from orsnn.tensor import Tensor, backward, no_grad
 
 from conftest import distinct_random, gradcheck, margin_random
 
@@ -519,7 +519,7 @@ def test_softmax_cross_entropy_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# Tape mechanics
+# Graph mechanics
 
 
 def test_backward_nonscalar_needs_seed():
@@ -539,13 +539,13 @@ def test_no_grad_suppresses_graph():
     assert a.grad is None and out.grad is None
 
 
-def test_tape_replay_is_bit_deterministic():
+def test_backward_replay_is_bit_deterministic():
+    """Building and differentiating the same graph twice gives the same bits."""
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 3, 5, 5))
     w = rng.standard_normal((4, 3, 3, 3))
     grads = []
     for _ in range(2):
-        clear_tape()
         xt = t(x, requires_grad=True)
         wt = t(w, requires_grad=True)
         out = tz.reduce_mean(tz.relu(tz.conv2d(xt, wt, 1, 1)), (0, 1, 2, 3))

@@ -171,7 +171,6 @@ def test_every_parameter_receives_gradient():
                 p.data[...] = 0.4
         x, _ = tiny_dataset(n=4, seed=seed)
         y = np.array([0, 1, 1, 2], dtype=np.int64)
-        tz.clear_tape()
         inp = np.repeat(x[None], 4, axis=0)
         logits = net.forward(inp, training=True)
         loss = tz.softmax_cross_entropy(logits, y)
@@ -179,7 +178,16 @@ def test_every_parameter_receives_gradient():
         for name, p in net.named_params():
             assert p.grad is not None, f"{name} missing grad (seed {seed})"
             assert np.any(p.grad != 0), f"{name} grad all zero (seed {seed})"
-        tz.clear_tape()
+
+
+def test_training_leaves_other_graphs_intact():
+    """A graph built before a training run still backpropagates after it."""
+    x = Tensor(np.array(2.0), requires_grad=True)
+    y = x * x
+    train(tiny_net(), tiny_dataset(n=4),
+          TrainConfig(lr=1e-3, time_steps=2, batch_size=4, epochs=1))
+    tz.backward(y * y)
+    assert x.grad == 32.0
 
 
 def test_divergence_error_reports_epoch_and_batch():
