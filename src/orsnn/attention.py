@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import BuildError, ShapeError
-from .layers import ForwardContext, Module, fold_time, he_uniform, unfold_time
+from .layers import ForwardContext, Module, he_uniform
 from .neuron import LIFConfig, LIFState, lif_step
 from .tensor import Tensor
 
@@ -177,9 +177,7 @@ class ChannelAttention(AttentionGate):
         return [(f"{self.name}.w0", self.w0), (f"{self.name}.w1", self.w1)]
 
     def _mlp(self, descriptor: Tensor) -> Tensor:
-        rows, t, n = fold_time(descriptor)
-        hid = tz.relu(tz.dense(rows, self.w0))
-        return unfold_time(tz.dense(hid, self.w1), t, n)
+        return tz.dense(tz.relu(tz.dense(descriptor, self.w0)), self.w1)
 
     def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         if x.ndim != 5:
@@ -221,11 +219,9 @@ class SpatialAttention(AttentionGate):
         mx = tz.reduce_max(x, (2,), keepdims=True)
         avg = tz.reduce_mean(x, (2,), keepdims=True)
         stacked = tz.concat([mx, avg], axis=2)
-        flat, t, n = fold_time(stacked)
-        drive = unfold_time(
-            tz.conv2d(flat, self.weight, stride=1, padding=(self.kernel - 1) // 2), t, n)
+        drive = tz.conv2d(stacked, self.weight, stride=1, padding=(self.kernel - 1) // 2)
         if ctx.record is not None:
-            h, w = x.shape[3], x.shape[4]
+            t, n, _, h, w = x.shape
             ctx.record.note_input(
                 self.name, "attn_conv", stacked.data, stacked.data,
                 flops=t * n * h * w * self.kernel * self.kernel * 2)

@@ -1,12 +1,13 @@
 """Layer toolkit operating on the canonical [T, N, C, H, W] activation layout.
 
-Every layer folds the time axis into the batch for its spatial math and
-restores it afterwards; a spiking layer instead hands the whole [T, ...]
-input to the fused LIF op, which threads the membrane step to step inside
-one autograd node (see neuron.py). A ForwardContext carries the
-training flag, the optional SpikeRecord, and the audit reference (the
-tensor whose binarity decides MAC-vs-AC for the next arithmetic layer;
-linear pooling chains are transparent to it).
+Every layer hands its [T, N, ...] activation straight to one tensor op:
+conv, BN, the pools and the classifier fold T into the batch as a view
+inside their own autograd node, so each of these layers adds exactly one
+node; a spiking layer hands the whole [T, ...] input to the fused LIF op,
+which threads the membrane step to step inside one node (see neuron.py).
+A ForwardContext carries the training flag, the optional SpikeRecord, and
+the audit reference (the tensor whose binarity decides MAC-vs-AC for the
+next arithmetic layer; linear pooling chains are transparent to it).
 """
 
 from __future__ import annotations
@@ -76,17 +77,8 @@ def _require_5d(x: Tensor, who: str) -> tuple[int, ...]:
     return x.shape
 
 
-def fold_time(x: Tensor) -> tuple[Tensor, int, int]:
-    t, n = x.shape[0], x.shape[1]
-    return tz.reshape(x, (t * n,) + x.shape[2:]), t, n
-
-
-def unfold_time(x: Tensor, t: int, n: int) -> Tensor:
-    return tz.reshape(x, (t, n) + x.shape[1:])
-
-
 class ConvLayer(Module):
-    """Square-kernel convolution, time folded into batch. No bias (BN follows)."""
+    """Square-kernel convolution over all T x N frames. No bias (BN follows)."""
 
     def __init__(self, name: str, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, *, rng: np.random.Generator,
@@ -112,9 +104,7 @@ class ConvLayer(Module):
         t, n, c, h, w = _require_5d(x, self.name)
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} channels, got {c}")
-        flat, t, n = fold_time(x)
-        y = tz.conv2d(flat, self.weight, self.stride, self.padding)
-        out = unfold_time(y, t, n)
+        out = tz.conv2d(x, self.weight, self.stride, self.padding)
         if ctx.record is not None:
             ref = ctx.audit_ref if ctx.audit_ref is not None else x.data
             ctx.record.note_input(
@@ -148,11 +138,9 @@ class BatchNormLayer(Module):
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        flat, t, n = fold_time(x)
-        y = tz.batchnorm2d(flat, self.gamma, self.beta, self.running_mean,
-                           self.running_var, training=ctx.training,
-                           eps=self.eps, momentum=self.momentum)
-        out = unfold_time(y, t, n)
+        out = tz.batchnorm2d(x, self.gamma, self.beta, self.running_mean,
+                             self.running_var, training=ctx.training,
+                             eps=self.eps, momentum=self.momentum)
         ctx.audit_ref = out.data
         return out
 
@@ -188,9 +176,7 @@ class MaxPoolLayer(Module):
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        flat, t, n = fold_time(x)
-        y = tz.max_pool2d(flat, self.window, self.stride, self.padding)
-        out = unfold_time(y, t, n)
+        out = tz.max_pool2d(x, self.window, self.stride, self.padding)
         ctx.audit_ref = out.data
         return out
 
@@ -202,9 +188,7 @@ class AdaptiveAvgPoolLayer(Module):
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        flat, t, n = fold_time(x)
-        y = tz.adaptive_avg_pool2d(flat, self.out_size)
-        out = unfold_time(y, t, n)
+        out = tz.adaptive_avg_pool2d(x, self.out_size)
         ctx.audit_ref = out.data
         return out
 
@@ -219,9 +203,7 @@ class GlobalAvgPoolLayer(Module):
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        flat, t, n = fold_time(x)
-        y = tz.global_avg_pool(flat)
-        return unfold_time(y, t, n)
+        return tz.global_avg_pool(x)
 
 
 class DenseLayer(Module):
@@ -246,13 +228,11 @@ class DenseLayer(Module):
         if x.shape[2] != self.in_features:
             raise ShapeError(
                 f"{self.name}: expected {self.in_features} features, got {x.shape[2]}")
-        flat, t, n = fold_time(x)
-        y = tz.dense(flat, self.weight, self.bias)
-        out = unfold_time(y, t, n)
+        out = tz.dense(x, self.weight, self.bias)
         if ctx.record is not None:
             ref = ctx.audit_ref if ctx.audit_ref is not None else x.data
             ctx.record.note_input(
                 self.name, "fc", x.data, ref,
-                flops=self.in_features * self.out_features * t * n)
+                flops=self.in_features * self.out_features * x.shape[0] * x.shape[1])
         ctx.audit_ref = out.data
         return out

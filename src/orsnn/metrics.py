@@ -18,6 +18,7 @@ import numpy as np
 from .errors import EngineError, PruneRefused, ShapeError
 from .record import SPIKING_KINDS, SpikeRecord, instrumented_pass, layer_class
 from .residual import AUDIT_POLICY, JoinMode
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ def apply_pruning(network, flagged_names, verify_batches):
     verification batch; any spike refuses the prune and reports the batch
     index. The original network is left untouched.
     """
-    if isinstance(verify_batches, np.ndarray):
+    if isinstance(verify_batches, (np.ndarray, Tensor)):
         verify_batches = [verify_batches]
     if network.join_mode not in (JoinMode.OR, JoinMode.ADD):
         raise PruneRefused(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, accumulate_grad, assert_finite, make_node
+from .tensor import Tensor, _give_grad, accumulate_grad, assert_finite, make_node
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
                 gu = gs * sg[t - start] + gh * keep[t - start]
                 # gI = gU k, and gH = gU (1 - 1/tau) rounded as the per-step graph did
                 gh = gu - np.multiply(gu, k, out=gx[t])
-        accumulate_grad(x, gx.reshape(x.shape))
+        _give_grad(x, gx.reshape(x.shape))
         if h0 is not None:
             accumulate_grad(h0, gh)
 

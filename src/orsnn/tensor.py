@@ -5,15 +5,21 @@ differentiable op run while gradients are live returns a node that holds
 its parents, its backward function and a creation index. backward(root)
 collects the nodes reachable from root and runs their backward functions
 in descending creation index, so each node's gradient is complete before
-it is passed on; gradients accumulate, never overwrite. No global list
-holds nodes, so reference counting frees a graph as soon as the tensors
-that reach it are dropped. Training runs in float32 by default; tests
-build float64 tensors for finite-difference comparisons.
+it is passed on; gradients accumulate, never overwrite. A tensor's first
+gradient is a copy of what its consumer passed (accumulate_grad), except
+where the consumer's backward has just allocated that array and drops it:
+then the array itself becomes .grad (_give_grad). No global list holds
+nodes, so reference counting frees a graph as soon as the tensors that
+reach it are dropped. Conv, BN, the pools and dense take [N, ...] or
+[T, N, ...] inputs and fold T into the batch inside their own node.
+Training runs in float32 by default; tests build float64 tensors for
+finite-difference comparisons.
 """
 
 from __future__ import annotations
 
 from itertools import count
+from math import prod
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -151,6 +157,29 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _give_grad(t: Tensor, g: np.ndarray) -> None:
+    """accumulate_grad for a g that the calling backward has just allocated
+    and drops: a first gradient laid out like t.data becomes t.grad as it
+    is, with no copy. g must share memory with no other array in use."""
+    if (t.requires_grad and t.grad is None and g.dtype == t.data.dtype
+            and g.shape == t.data.shape and g.strides == t.data.strides):
+        t.grad = g
+    else:
+        accumulate_grad(t, g)
+
+
+def _fold(x: Tensor, core: int, who: str) -> np.ndarray:
+    """x.data as [B, *its last `core` axes]: an [N, ...] input as it is and
+    a [T, N, ...] one with T and N folded into B, a view when x.data is
+    contiguous. Ops built on it return [*leading axes, ...] outputs and
+    reshape gradients back inside their own node."""
+    if x.ndim not in (core + 1, core + 2):
+        raise ShapeError(
+            f"{who} expects {core + 1}-D [N, ...] or {core + 2}-D [T, N, ...] input, "
+            f"got {x.shape}")
+    return x.data.reshape((prod(x.shape[:-core]),) + x.shape[-core:])
+
+
 def backward(root: Tensor, seed=None) -> None:
     """Accumulate d(root)/d(ancestor) into every reachable tensor's .grad."""
     if seed is None:
@@ -224,8 +253,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        accumulate_grad(a, _unbroadcast(g * b.data, a.shape))
-        accumulate_grad(b, _unbroadcast(g * a.data, b.shape))
+        _give_grad(a, _unbroadcast(g * b.data, a.shape))
+        _give_grad(b, _unbroadcast(g * a.data, b.shape))
 
     return make_node(out_data, (a, b), bwd)
 
@@ -265,26 +294,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fully-connected layer: y = x @ w.T + b with w of shape [Fout, Fin]."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError(f"dense expects 2-D input and weight, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1]:
+    """Fully-connected layer: y = x @ w.T + b with w of shape [Fout, Fin],
+    over x of [N, Fin] or [T, N, Fin]."""
+    if w.ndim != 2:
+        raise ShapeError(f"dense expects a 2-D weight, got {w.shape}")
+    x2 = _fold(x, 1, "dense")
+    if x.shape[-1] != w.shape[1]:
         raise ShapeError(
             f"dense feature extents differ: input {x.shape} vs weight {w.shape}")
-    out_data = x.data @ w.data.T
+    out_data = x2 @ w.data.T
     if b is not None:
         if b.shape != (w.shape[0],):
             raise ShapeError(f"dense bias shape {b.shape} does not match weight {w.shape}")
         out_data = out_data + b.data
 
     def bwd(g):
-        accumulate_grad(x, g @ w.data)
-        accumulate_grad(w, g.T @ x.data)
+        g2 = g.reshape(out_data.shape)
+        _give_grad(x, (g2 @ w.data).reshape(x.shape))
+        accumulate_grad(w, g2.T @ x2)
         if b is not None:
-            accumulate_grad(b, g.sum(axis=0))
+            accumulate_grad(b, g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
-    return make_node(out_data, parents, bwd)
+    return make_node(out_data.reshape(x.shape[:-1] + (w.shape[0],)), parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +327,56 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 _CONV_CHUNK = 1 << 15
 
 
-def _correlate(xp, k, stride, oh, ow):
-    """Yield (rows, cols) per batch chunk of the zero-padded NHWC input xp:
-    cols is the im2col block [len(rows), k*k*Cin] of the flat output rows,
-    taps (i, j, c), copied from a read-only view whose last axis is the
-    k*Cin contiguous floats of one kernel row."""
+def _correlate(xp, kh, kw, stride, oh, ow):
+    """Yield (samples, cols) per batch chunk of the zero-padded NHWC input
+    xp: samples slices the batch and cols is the im2col block
+    [samples * oh * ow, kh*kw*Cin] of its flat output rows, taps (i, j, c),
+    copied from a read-only view whose last axis is the kw*Cin contiguous
+    floats of one kernel row."""
     batch, _, _, cin = xp.shape
     sb, sh, sw, sc = xp.strides
-    runs = as_strided(xp, (batch, oh, ow, k, k * cin),
+    runs = as_strided(xp, (batch, oh, ow, kh, kw * cin),
                       (sb, stride * sh, stride * sw, sh, sc), writeable=False)
-    step = max(1, _CONV_CHUNK // (oh * ow * k * k * cin))
+    step = max(1, _CONV_CHUNK // (oh * ow * kh * kw * cin))
     for b0 in range(0, batch, step):
-        b1 = min(b0 + step, batch)
-        yield slice(b0 * oh * ow, b1 * oh * ow), runs[b0:b1].reshape(-1, k * k * cin)
+        samples = slice(b0, min(b0 + step, batch))
+        yield samples, runs[samples].reshape(-1, kh * kw * cin)
+
+
+def _phases(extent: int, k: int, stride: int, padding: int):
+    """The polyphase split of one axis of conv dX. For each input offset d
+    in [0, s) yield (d, r, taps, m0, m): the m input rows d, d + s, ... are
+    padded rows s*(m0 + j) + r, which only kernel rows r, r + s, ... (taps
+    of them) read, from gradient rows m0 + j, m0 + j - 1, ..."""
+    for d in range(stride):
+        m0, r = divmod(d + padding, stride)
+        yield d, r, len(range(r, k, stride)), m0, len(range(d, extent, stride))
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with square kernel and symmetric zero padding.
 
-    Output extent is floor((H + 2p - k) / s) + 1; an extent below 1 raises.
-    NCHW at the boundary, NHWC inside. All three directions are one chunked
-    im2col GEMM (_correlate) written by matmul(out=):
+    x is [N, C, H, W] or [T, N, C, H, W]; T and N are folded into one batch
+    axis inside the node. Output extent is floor((H + 2p - k) / s) + 1; an
+    extent below 1 raises. NCHW at the boundary, NHWC inside. All three
+    directions are chunked im2col GEMMs (_correlate):
       forward  y = corr_s(pad_p(x), W);
-      dX       corr_1(pad_(k-1)(dilate_s(g)), flip(W)^T), the transposed conv
-               over the padded input's extent, of which rows and columns p to
-               p + H - 1 are dx (also for p > k-1). dilate_s puts s-1 zeros
-               between gradient rows (and columns), so input rows the forward
-               never reads get exactly 0;
+      dX       polyphase: padded row q = s*m + r receives
+               sum_a g[m - a] W[s*a + r] (columns alike), so each of the s^2
+               input phases dx[d::s, e::s] is corr_1 of g, zero-padded by
+               ceil(k/s) - 1 rows ahead, with the flipped sub-kernel
+               W[r::s, c::s], r = (d + p) % s and c = (e + p) % s. No multiply
+               touches a zero inserted between gradient rows, and stride 1 is
+               the one-phase case. A phase whose sub-kernel is empty (k < s)
+               and input rows the forward never reads get exactly 0;
       dW       sum over chunks of cols^T g.
     Output dtype is result_type(x, w). No input copy is kept: backward
     rebuilds pad_p(x). dX is skipped for a frozen input, dW for a frozen kernel.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
-    batch, cin, h, wid = x.shape
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d expects a 4-D kernel, got {w.shape}")
+    x4 = _fold(x, 3, "conv2d")
+    batch, cin, h, wid = x4.shape
     cout, cin_k, k, kw = w.shape
     if k != kw:
         raise ShapeError(f"conv2d kernel must be square, got {w.shape}")
@@ -345,33 +393,48 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def padded():
         xp = np.zeros((batch, h + 2 * padding, wid + 2 * padding, cin), dtype=x.data.dtype)
-        xp[:, padding:padding + h, padding:padding + wid] = x.data.transpose(0, 2, 3, 1)
+        xp[:, padding:padding + h, padding:padding + wid] = x4.transpose(0, 2, 3, 1)
         return xp
 
     out = np.empty((batch, out_h, out_w, cout), dtype=np.result_type(x.data, w.data))
     wm = w.data.transpose(2, 3, 1, 0).reshape(-1, cout)  # [(i, j, Cin), Cout]
-    for rows, cols in _correlate(padded(), k, stride, out_h, out_w):
-        np.matmul(cols, wm, out=out.reshape(-1, cout)[rows])
+    for samples, cols in _correlate(padded(), k, k, stride, out_h, out_w):
+        np.matmul(cols, wm, out=out[samples].reshape(-1, cout))
 
     def bwd(g):
-        g4 = g.transpose(0, 2, 3, 1)
+        g4 = g.reshape(batch, cout, out_h, out_w).transpose(0, 2, 3, 1)
         if w.requires_grad:
-            g2 = np.ascontiguousarray(g4).reshape(-1, cout)
-            dw = sum((cols.T @ g2[rows] for rows, cols in
-                      _correlate(padded(), k, stride, out_h, out_w)),
+            g4c = np.ascontiguousarray(g4)
+            dw = sum((cols.T @ g4c[samples].reshape(-1, cout) for samples, cols in
+                      _correlate(padded(), k, k, stride, out_h, out_w)),
                      np.zeros((k * k * cin, cout), dtype=g.dtype))
             accumulate_grad(w, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
         if x.requires_grad:  # false for the encoder, whose input is data
-            ext = (h + 2 * padding + k - 1, wid + 2 * padding + k - 1)
+            along_h = list(_phases(h, k, stride, padding))
+            along_w = list(_phases(wid, k, stride, padding))
+            lo = (k - 1) // stride  # ceil(k/s) - 1 zero rows ahead of g
+            ext = [lo + max([n] + [m0 + m for *_, m0, m in axis])
+                   for n, axis in ((out_h, along_h), (out_w, along_w))]
             gp = np.zeros((batch, *ext, cout), dtype=g.dtype)
-            gp[:, k - 1:k - 1 + stride * out_h:stride, k - 1:k - 1 + stride * out_w:stride] = g4
-            wf = w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
-            dx = np.empty((batch, h, wid, cin), dtype=np.result_type(g, w.data))
-            for rows, cols in _correlate(gp[:, padding:, padding:], k, 1, h, wid):
-                np.matmul(cols, wf, out=dx.reshape(-1, cin)[rows])
-            accumulate_grad(x, dx.transpose(0, 3, 1, 2))
+            gp[:, lo:lo + out_h, lo:lo + out_w] = g4
+            dx = np.empty((batch, cin, h, wid), dtype=np.result_type(g, w.data))
+            for d, r, kr, m0, mh in along_h:
+                for e, c, kc, n0, mw in along_w:
+                    phase = (slice(None), slice(None), slice(d, None, stride),
+                             slice(e, None, stride))
+                    if not (kr and kc):  # k < s: no tap reads these rows
+                        dx[phase] = 0
+                        continue
+                    sub = w.data[:, :, r::stride, c::stride][:, :, ::-1, ::-1]
+                    sub = sub.transpose(2, 3, 0, 1).reshape(-1, cin)
+                    view = gp[:, m0 + lo - kr + 1:, n0 + lo - kc + 1:]
+                    for samples, taps in _correlate(view, kr, kc, 1, mh, mw):
+                        part = (taps @ sub).reshape(-1, mh, mw, cin)
+                        dx[(samples,) + phase[1:]] = part.transpose(0, 3, 1, 2)
+            _give_grad(x, dx.reshape(x.shape))
 
-    return make_node(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, w), bwd)
+    out_data = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return make_node(out_data.reshape(x.shape[:-3] + out_data.shape[1:]), (x, w), bwd)
 
 
 def _pool_geometry(h: int, wid: int, window: int, stride: int, padding: int):
@@ -385,14 +448,14 @@ def _pool_geometry(h: int, wid: int, window: int, stride: int, padding: int):
 
 
 def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Max pooling; ties resolve to the first (lowest linear index) element."""
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects 4-D input, got {x.shape}")
+    """Max pooling over [N, C, H, W] or [T, N, C, H, W]; ties resolve to the
+    first (lowest linear index) element."""
+    x4 = _fold(x, 3, "max_pool2d")
     stride = window if stride is None else stride
-    batch, ch, h, wid = x.shape
+    batch, ch, h, wid = x4.shape
     out_h, out_w = _pool_geometry(h, wid, window, stride, padding)
     fill = np.array(-np.inf, dtype=x.data.dtype)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+    xp = np.pad(x4, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                 constant_values=fill)
     win = sliding_window_view(xp, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
     flat = win.reshape(batch, ch, out_h, out_w, window * window)
@@ -405,96 +468,99 @@ def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int =
         dxp = np.zeros_like(xp)
         wi, wj = arg // window, arg % window
         bi, ci, oi, oj = np.indices(arg.shape, sparse=True)
-        np.add.at(dxp, (bi, ci, oi * stride + wi, oj * stride + wj), g)
+        np.add.at(dxp, (bi, ci, oi * stride + wi, oj * stride + wj), g.reshape(arg.shape))
         if padding:
             dxp = dxp[:, :, padding:padding + h, padding:padding + wid]
-        accumulate_grad(x, dxp)
+        _give_grad(x, dxp.reshape(x.shape))
 
-    return make_node(np.ascontiguousarray(out_data), (x,), bwd)
+    out_data = np.ascontiguousarray(out_data)
+    return make_node(out_data.reshape(x.shape[:-3] + out_data.shape[1:]), (x,), bwd)
 
 
 def avg_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Average pooling; padded zeros count toward the divisor (window^2)."""
-    if x.ndim != 4:
-        raise ShapeError(f"avg_pool2d expects 4-D input, got {x.shape}")
+    """Average pooling over [N, C, H, W] or [T, N, C, H, W]; padded zeros
+    count toward the divisor (window^2)."""
+    x4 = _fold(x, 3, "avg_pool2d")
     stride = window if stride is None else stride
-    batch, ch, h, wid = x.shape
+    batch, ch, h, wid = x4.shape
     out_h, out_w = _pool_geometry(h, wid, window, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.pad(x4, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     win = sliding_window_view(xp, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_data = win.mean(axis=(-2, -1))
+    out_data = np.ascontiguousarray(win.mean(axis=(-2, -1)))
 
     def bwd(g):
         if not x.requires_grad:
             return
         dxp = np.zeros_like(xp)
-        share = g / float(window * window)
+        share = g.reshape(out_data.shape) / float(window * window)
         for i in range(window):
             for j in range(window):
                 dxp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += share
         if padding:
             dxp = dxp[:, :, padding:padding + h, padding:padding + wid]
-        accumulate_grad(x, dxp)
+        _give_grad(x, dxp.reshape(x.shape))
 
-    return make_node(np.ascontiguousarray(out_data), (x,), bwd)
+    return make_node(out_data.reshape(x.shape[:-3] + out_data.shape[1:]), (x,), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """[B, C, H, W] -> [B, C] spatial mean."""
-    if x.ndim != 4:
-        raise ShapeError(f"global_avg_pool expects 4-D input, got {x.shape}")
-    batch, ch, h, wid = x.shape
-    out_data = x.data.mean(axis=(2, 3))
+    """[N, C, H, W] -> [N, C] (or [T, N, ...] -> [T, N, C]) spatial mean."""
+    x4 = _fold(x, 3, "global_avg_pool")
+    h, wid = x4.shape[2:]
+    out_data = x4.mean(axis=(2, 3))
 
     def bwd(g):
-        accumulate_grad(x, np.broadcast_to(g[:, :, None, None] / (h * wid), x.shape))
+        accumulate_grad(x, np.broadcast_to(g[..., None, None] / (h * wid), x.shape))
 
-    return make_node(out_data, (x,), bwd)
+    return make_node(out_data.reshape(x.shape[:-2]), (x,), bwd)
 
 
 def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
-    """Average-pool to a fixed [out_size, out_size] spatial extent.
+    """Average-pool [N, C, H, W] or [T, N, C, H, W] to a fixed
+    [out_size, out_size] spatial extent.
 
     Bin i covers rows floor(i*H/out) .. ceil((i+1)*H/out), the usual
     adaptive convention, so any input extent is accepted.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"adaptive_avg_pool2d expects 4-D input, got {x.shape}")
+    x4 = _fold(x, 3, "adaptive_avg_pool2d")
     if out_size < 1:
         raise ShapeError(f"adaptive_avg_pool2d output extent must be >= 1, got {out_size}")
-    batch, ch, h, wid = x.shape
+    batch, ch, h, wid = x4.shape
+    out_shape = x.shape[:-2] + (out_size, out_size)
     if h % out_size == 0 and wid % out_size == 0:
         bh, bw = h // out_size, wid // out_size
-        view = x.data.reshape(batch, ch, out_size, bh, out_size, bw)
-        out_data = view.mean(axis=(3, 5))
+        view = x4.reshape(batch, ch, out_size, bh, out_size, bw)
+        out_data = np.ascontiguousarray(view.mean(axis=(3, 5)))
 
         def bwd_fast(g):
             if not x.requires_grad:
                 return
-            dx = np.broadcast_to(g[:, :, :, None, :, None] / (bh * bw),
+            g4 = g.reshape(out_data.shape)
+            dx = np.broadcast_to(g4[:, :, :, None, :, None] / (bh * bw),
                                  (batch, ch, out_size, bh, out_size, bw))
             accumulate_grad(x, dx.reshape(x.shape))
 
-        return make_node(np.ascontiguousarray(out_data), (x,), bwd_fast)
+        return make_node(out_data.reshape(out_shape), (x,), bwd_fast)
 
     bounds_h = [(i * h // out_size, -(-((i + 1) * h) // out_size)) for i in range(out_size)]
     bounds_w = [(j * wid // out_size, -(-((j + 1) * wid) // out_size)) for j in range(out_size)]
     out_data = np.empty((batch, ch, out_size, out_size), dtype=x.data.dtype)
     for i, (h0, h1) in enumerate(bounds_h):
         for j, (w0, w1) in enumerate(bounds_w):
-            out_data[:, :, i, j] = x.data[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
+            out_data[:, :, i, j] = x4[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
 
     def bwd(g):
         if not x.requires_grad:
             return
-        dx = np.zeros_like(x.data)
+        g4 = g.reshape(out_data.shape)
+        dx = np.zeros_like(x4)
         for i, (h0, h1) in enumerate(bounds_h):
             for j, (w0, w1) in enumerate(bounds_w):
-                dx[:, :, h0:h1, w0:w1] += (g[:, :, i, j] /
+                dx[:, :, h0:h1, w0:w1] += (g4[:, :, i, j] /
                                            ((h1 - h0) * (w1 - w0)))[:, :, None, None]
-        accumulate_grad(x, dx)
+        _give_grad(x, dx.reshape(x.shape))
 
-    return make_node(out_data, (x,), bwd)
+    return make_node(out_data.reshape(out_shape), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +570,26 @@ def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
                 training: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
-    """Per-channel batch normalization over [B, C, H, W].
+    """Per-channel batch normalization over [N, C, H, W] or [T, N, C, H, W]
+    (statistics pool T, N, H and W).
 
     Training mode normalizes with biased batch statistics and updates the
     running buffers in place (unbiased variance, torch convention).
+    Backward, with s = gamma / sqrt(var + eps), m the pooled count and sums
+    over everything but C: dbeta = sum g, dgamma = sum g*xhat, and
+
+        dx = s * (g - dbeta/m - xhat * dgamma/m)     (training)
+        dx = s * g                                   (eval)
+
+    two reductions and one fused pass.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"batchnorm2d expects 4-D input, got {x.shape}")
-    ch = x.shape[1]
+    x3 = _fold(x, 3, "batchnorm2d")
+    ch = x3.shape[1]
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError(
             f"batchnorm2d parameter shapes {gamma.shape}/{beta.shape} do not match C={ch}")
-    axes = (0, 2, 3)
-    n = x.shape[0] * x.shape[2] * x.shape[3]
-    x3 = x.data.reshape(x.shape[0], ch, -1)  # [B, C, H*W]: per-channel ops broadcast [C, 1]
+    x3 = x3.reshape(x3.shape[0], ch, -1)  # [B, C, H*W]: per-channel ops broadcast [C, 1]
+    n = x3.shape[0] * x3.shape[2]
     out3 = np.empty(x3.shape, np.result_type(x3, gamma.data, beta.data))
     if training:
         mean = x3.mean(axis=(0, 2))
@@ -537,23 +609,25 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     xhat *= inv_std[:, None]
     np.multiply(gamma.data[:, None], xhat, out=out3)
     out3 += beta.data[:, None]
-    xhat, out_data = xhat.reshape(x.shape), out3.reshape(x.shape)
 
     def bwd(g):
-        accumulate_grad(gamma, (g * xhat).sum(axis=axes))
-        accumulate_grad(beta, g.sum(axis=axes))
+        g3 = g.reshape(x3.shape)
+        gx = g3 * xhat
+        sum_g, sum_gx = g3.sum(axis=(0, 2)), gx.sum(axis=(0, 2))
+        accumulate_grad(gamma, sum_gx)
+        accumulate_grad(beta, sum_g)
         if not x.requires_grad:
             return
-        gx = g * gamma.data[None, :, None, None]
+        scale = (gamma.data * inv_std)[:, None]
         if training:
-            mean_gx = gx.mean(axis=axes, keepdims=True)
-            mean_gx_xhat = (gx * xhat).mean(axis=axes, keepdims=True)
-            dx = (gx - mean_gx - xhat * mean_gx_xhat) * inv_std[None, :, None, None]
+            dx = np.subtract(g3, (sum_g / n)[:, None])
+            dx -= np.multiply(xhat, (sum_gx / n)[:, None], out=gx)
+            dx *= scale
         else:
-            dx = gx * inv_std[None, :, None, None]
-        accumulate_grad(x, dx)
+            dx = g3 * scale
+        _give_grad(x, dx.reshape(x.shape))
 
-    return make_node(out_data, (x, gamma, beta), bwd)
+    return make_node(out3.reshape(x.shape), (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from orsnn.metrics import (
 )
 from orsnn.network import build_network
 from orsnn.record import SpikeRecord
+from orsnn.tensor import Tensor
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
 
@@ -363,3 +364,11 @@ class TestApplyPruning:
         (batch,) = binary_batches(1, (2, 4, 1, 12, 12), seed=5)
         pruned = apply_pruning(net, ["block1.shortcut_lif"], batch)
         assert pruned.pruned_block_names() == ["block1"]
+
+    def test_single_tensor_accepted_as_batches(self):
+        net = build_network(SMALL, time_steps=2, in_channels=1, seed=1)
+        silence_shortcut(net)
+        (batch,) = binary_batches(1, (2, 4, 1, 12, 12), seed=5)
+        pruned = apply_pruning(net, ["block1.shortcut_lif"], Tensor(batch))
+        assert pruned.pruned_block_names() == ["block1"]
+        assert pruned.forward(batch).data.tobytes() == net.forward(batch).data.tobytes()

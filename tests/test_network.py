@@ -16,6 +16,7 @@ from orsnn.layers import (
     BatchNormLayer,
     ConvLayer,
     DenseLayer,
+    ForwardContext,
     GlobalAvgPoolLayer,
     LIFLayer,
     MaxPoolLayer,
@@ -195,6 +196,28 @@ class TestGraphs:
         got = np.concatenate([h.grad for h in halves])
         assert np.any(halves[0].grad != 0)
         assert np.array_equal(got, xw.grad)
+
+
+    @pytest.mark.parametrize("make,shape", [
+        (lambda rng: ConvLayer("conv", 3, 4, 3, 2, 1, rng=rng), (2, 3, 3, 7, 7)),
+        (lambda rng: BatchNormLayer("bn", 3), (2, 3, 3, 7, 7)),
+        (lambda rng: MaxPoolLayer("mp", 3, 2, 1), (2, 3, 3, 7, 7)),
+        (lambda rng: AdaptiveAvgPoolLayer("ap", 2), (2, 3, 3, 7, 7)),
+        (lambda rng: GlobalAvgPoolLayer("gap"), (2, 3, 3, 7, 7)),
+        (lambda rng: DenseLayer("fc", 5, 4, rng=rng), (2, 3, 5)),
+    ], ids=["conv", "bn", "maxpool", "adaptive-pool", "global-pool", "fc"])
+    def test_each_layer_forward_adds_one_node(self, make, shape):
+        """The [T, N] fold happens inside the layer's op: its output's first
+        parent is the layer input itself, and backward reaches it."""
+        rng = np.random.default_rng(2)
+        layer = make(rng)
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        out = layer.forward(x, ForwardContext(training=True))
+        assert out.shape[:2] == shape[:2]
+        assert out.parents[0] is x
+        assert all(not p.parents for p in out.parents)
+        backward(out, seed=np.ones(out.shape, np.float32))
+        assert x.grad.shape == x.shape
 
 
 def test_quiescent_input_yields_zero_logits():

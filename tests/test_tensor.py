@@ -323,6 +323,94 @@ def test_conv_forward_transient_memory():
     assert peak <= 3.5 * out.data.nbytes, (peak, out.data.nbytes)
 
 
+def test_strided_conv_backward_transient_memory():
+    # polyphase dX: g padded by ceil(k/s) - 1 (0.78x the input here) plus dx
+    # itself; the dilated gradient [B, H+2p+k-1, W+2p+k-1, Cout] alone is
+    # 3.1x the input, and the whole parent backward peaked at 5.5x
+    rng = np.random.default_rng(0)
+    x = Tensor((rng.random((256, 8, 16, 16)) < 0.3).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 8, 3, 3)), dtype=np.float32)
+    out = tz.conv2d(x, w, 2, 1)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape
+    assert peak <= 2.5 * x.data.nbytes, (peak, x.data.nbytes)
+
+
+@pytest.mark.parametrize("op,shape", [
+    (lambda a, rng: tz.conv2d(a, Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True),
+                              2, 1), (2, 3, 3, 7, 6)),
+    (lambda a, rng: tz.batchnorm2d(a, Tensor(rng.standard_normal(3) + 2, requires_grad=True),
+                                   Tensor(rng.standard_normal(3), requires_grad=True),
+                                   np.zeros(3), np.ones(3), training=True), (2, 3, 3, 4, 5)),
+    (lambda a, rng: tz.batchnorm2d(a, Tensor(rng.standard_normal(3) + 2, requires_grad=True),
+                                   Tensor(rng.standard_normal(3), requires_grad=True),
+                                   np.zeros(3), np.ones(3), training=False), (2, 3, 3, 4, 5)),
+    (lambda a, rng: tz.max_pool2d(a, 3, 2, 1), (2, 3, 2, 6, 6)),
+    (lambda a, rng: tz.avg_pool2d(a, 2, 2, 1), (2, 3, 2, 5, 5)),
+    (lambda a, rng: tz.adaptive_avg_pool2d(a, 2), (2, 3, 2, 6, 6)),
+    (lambda a, rng: tz.adaptive_avg_pool2d(a, 3), (2, 3, 2, 5, 7)),
+    (lambda a, rng: tz.global_avg_pool(a), (2, 3, 2, 5, 5)),
+    (lambda a, rng: tz.dense(a, Tensor(rng.standard_normal((4, 5)), requires_grad=True),
+                             Tensor(rng.standard_normal(4), requires_grad=True)), (2, 3, 5)),
+], ids=["conv", "bn-train", "bn-eval", "maxpool", "avgpool", "adaptive", "adaptive-uneven",
+        "global", "dense"])
+def test_leading_time_axis_is_folded_into_the_batch(op, shape):
+    """An op on [T, N, ...] gives, bit for bit, the [T, N] reshape of the op
+    on [T*N, ...], with the same gradients for the input and every parameter."""
+    data = distinct_random(np.random.default_rng(1), shape)
+    runs = []
+    for lead in (shape[:2], (shape[0] * shape[1],)):
+        x = Tensor(data.reshape(lead + shape[2:]), requires_grad=True)
+        out = op(x, np.random.default_rng(2))
+        seed = np.random.default_rng(3).standard_normal(out.size).reshape(out.shape)
+        backward(out, seed=seed)
+        params = [p.grad for p in out.parents[1:]]
+        runs.append((out.data.reshape((-1,) + out.shape[len(lead):]),
+                     x.grad.reshape(data.shape), params))
+    (out5, dx5, dp5), (out4, dx4, dp4) = runs
+    assert np.array_equal(out5, out4) and np.array_equal(dx5, dx4)
+    assert all(np.array_equal(a, b) for a, b in zip(dp5, dp4))
+    with pytest.raises(ShapeError):
+        op(Tensor(data[0, 0]), np.random.default_rng(2))
+
+
+def test_gradients_handed_over_without_copy_share_no_memory(monkeypatch):
+    """A join input that feeds BN and a mask multiply, and a tensor used
+    twice by one mul, receive gradients from backwards that hand their fresh
+    arrays over: every .grad is its own array, with the values that
+    copying every gradient gives."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((2, 3, 3, 4, 4))
+    b = (rng.random(a.shape) < 0.5).astype(np.float64)
+    mask = (rng.random((2, 3, 1, 1, 1)) < 0.5).astype(np.float64)
+
+    def run():
+        x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        joined = x + y - x * y
+        normed = tz.batchnorm2d(joined, gamma, beta, np.zeros(3), np.ones(3), training=True)
+        gated = tz.mul(joined, Tensor(mask))
+        out = tz.mul(normed, normed) + gated
+        backward(out, seed=np.ones(out.shape))
+        tensors = [x, y, gamma, beta, joined, normed, gated, out]
+        return [t.grad for t in tensors]
+
+    grads = run()
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    monkeypatch.setattr(tz, "_give_grad", tz.accumulate_grad)
+    reference = run()
+    assert all(np.array_equal(g, r) for g, r in zip(grads, reference))
+
+
 # ---------------------------------------------------------------------------
 # Pooling
 

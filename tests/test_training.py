@@ -2,6 +2,8 @@
 invariance, single-batch overfit, gradient flow, divergence reporting,
 and seed determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,33 @@ def test_training_leaves_other_graphs_intact():
           TrainConfig(lr=1e-3, time_steps=2, batch_size=4, epochs=1))
     tz.backward(y * y)
     assert x.grad == 32.0
+
+
+def test_second_step_does_not_hold_the_first_steps_graph():
+    """At train-conv's shapes (two OR-SEW blocks, T=8, batch 32, 2x16x16
+    events) a step that still held its predecessor's graph peaked 1.38x as
+    high as the first step."""
+    net = build_network("c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c32))-AP-FC4",
+                        time_steps=8, in_channels=2, seed=0)
+    rng = np.random.default_rng(0)
+    x = (rng.random((64, 8, 2, 16, 16)) < 0.2).astype(np.float32)
+    y = np.arange(64) % 4
+    peaks, forward = [], net.forward
+
+    def traced_forward(*args, **kwargs):  # peak since the previous forward began
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return forward(*args, **kwargs)
+
+    net.forward = traced_forward
+    tracemalloc.start()
+    try:
+        train(net, (x, y), TrainConfig(lr=1e-3, time_steps=8, batch_size=32, epochs=1),
+              val_data=(x[:4], y[:4]))
+    finally:
+        tracemalloc.stop()
+    first, second = peaks[1], peaks[2]  # the steps; peaks[2] is read at validation
+    assert second <= 1.1 * first, (first, second)
 
 
 def test_divergence_error_reports_epoch_and_batch():
