@@ -15,23 +15,22 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttentionPlan
+from .config import from_settings, settings
 from .data import replacing
-from .errors import (ArchMismatch, BadMagic, CheckpointError, CorruptPayload,
-                     DatasetNotFound, VersionMismatch)
+from .errors import (ArchMismatch, BadMagic, CheckpointError, ConfigError,
+                     CorruptPayload, DatasetNotFound, VersionMismatch)
 from .neuron import LIFConfig
 from .residual import JoinMode
 
 CKPT_FORMAT = "ORSNN-CKPT"
 CKPT_VERSION = "v1"
 
+# Followed in the header by one lif_<name> line per LIFConfig setting.
 _HEADER_KEYS = ("arch", "join", "attention", "attention_reductions",
-                "in_channels", "time_steps", "seed", "epoch", "pruned",
-                "lif_tau", "lif_u_threshold", "lif_u_reset",
-                "lif_surrogate_alpha", "lif_reset_mode", "lif_detach_reset")
+                "in_channels", "time_steps", "seed", "epoch", "pruned")
 
 
 def _header_text(network, epoch: int) -> str:
-    lif = network.lif_cfg
     plan = network.attention
     attention = plan.render() if plan else "none"
     reductions = (f"{plan.temporal_reduction},{plan.channel_reduction},"
@@ -46,13 +45,8 @@ def _header_text(network, epoch: int) -> str:
              f"time_steps={network.time_steps}",
              f"seed={network.seed}",
              f"epoch={epoch}",
-             f"pruned={pruned}",
-             f"lif_tau={lif.tau!r}",
-             f"lif_u_threshold={lif.u_threshold!r}",
-             f"lif_u_reset={lif.u_reset!r}",
-             f"lif_surrogate_alpha={lif.surrogate_alpha!r}",
-             f"lif_reset_mode={lif.reset_mode}",
-             f"lif_detach_reset={str(lif.detach_reset).lower()}"]
+             f"pruned={pruned}"]
+    lines += [f"lif_{name}={text}" for name, text in settings(network.lif_cfg)]
     return "\n".join(lines) + "\n\n"
 
 
@@ -127,7 +121,8 @@ def _parse_header(text: str, path) -> dict:
         if not sep:
             raise CorruptPayload(f"{path}: malformed header line {line!r}")
         meta[key] = value
-    missing = [k for k in _HEADER_KEYS if k not in meta]
+    lif_keys = tuple(f"lif_{name}" for name, _ in settings(LIFConfig()))
+    missing = [k for k in _HEADER_KEYS + lif_keys if k not in meta]
     if missing:
         raise CorruptPayload(f"{path}: header missing keys {missing}")
     return meta
@@ -157,13 +152,11 @@ def load_checkpoint(path, expect_arch: str | None = None):
             f"{path}: checkpoint architecture {meta['arch']!r} differs from "
             f"expected {expect_arch!r}")
     try:
-        lif = LIFConfig(
-            tau=float(meta["lif_tau"]),
-            u_threshold=float(meta["lif_u_threshold"]),
-            u_reset=float(meta["lif_u_reset"]),
-            surrogate_alpha=float(meta["lif_surrogate_alpha"]),
-            reset_mode=meta["lif_reset_mode"],
-            detach_reset=meta["lif_detach_reset"] == "true")
+        lif = from_settings(LIFConfig, {k[4:]: v for k, v in meta.items()
+                                        if k.startswith("lif_")}, "lif")
+    except ConfigError as err:
+        raise CorruptPayload(f"{path}: bad LIF setting in header: {err}") from err
+    try:
         join = JoinMode.parse(meta["join"])
         tr, cr, sk = (int(v) for v in meta["attention_reductions"].split(","))
         attention = AttentionPlan.parse(meta["attention"],

@@ -1,12 +1,13 @@
 """Experiment configuration: a flat INI file with three typed sections
-(experiment, lif, train) that round-trips losslessly.
+(experiment, lif, train) that round-trips losslessly. Each section's keys
+are the scalar fields of its settings dataclass, written and parsed by
+settings() and from_settings(), which checkpoint headers use too.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .attention import AttentionPlan
@@ -14,7 +15,7 @@ from .data import replacing
 from .errors import ConfigError, DatasetNotFound
 from .neuron import LIFConfig
 from .residual import JoinMode
-from .training import TABLE_DEFAULTS, TrainConfig, default_config
+from .training import TABLE_DEFAULTS, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -60,77 +61,71 @@ class ExperimentConfig:
             in_channels=self.in_channels, seed=self.seed)
 
 
-def experiment_defaults(dataset: str, arch: str, **overrides) -> ExperimentConfig:
-    if dataset in TABLE_DEFAULTS:
-        train = default_config(dataset, seed=overrides.get("seed", 0))
-    else:
-        train = TrainConfig(seed=overrides.get("seed", 0))
-    cfg = ExperimentConfig(dataset=dataset, arch=arch, train=train)
-    return replace(cfg, **overrides).validate()
+_SECTIONS = ("experiment", "lif", "train")
 
 
-_EXPERIMENT_KEYS = ("dataset", "arch", "join", "attention", "in_channels",
-                    "out_dir", "seed")
-_LIF_KEYS = ("tau", "u_threshold", "u_reset", "surrogate_alpha", "reset_mode",
-             "detach_reset")
-_TRAIN_KEYS = ("lr", "time_steps", "batch_size", "epochs", "optimizer", "loss",
-               "seed", "transforms", "patience", "strict_joins")
+def settings(obj) -> list[tuple[str, str]]:
+    """The (name, text) pairs of a settings dataclass's scalar fields, in
+    field order: a bool is lower-case, a tuple comma-joined, anything else
+    str (which is repr for a float, so floats keep their exact value)."""
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            continue
+        if isinstance(value, bool):
+            text = str(value).lower()
+        elif isinstance(value, tuple):
+            text = ",".join(value)
+        else:
+            text = str(value)
+        out.append((f.name, text))
+    return out
 
 
-def render_config(cfg: ExperimentConfig) -> str:
-    out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write(f"dataset = {cfg.dataset}\n")
-    out.write(f"arch = {cfg.arch}\n")
-    out.write(f"join = {cfg.join}\n")
-    out.write(f"attention = {cfg.attention}\n")
-    out.write(f"in_channels = {cfg.in_channels}\n")
-    out.write(f"out_dir = {cfg.out_dir}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write("\n[lif]\n")
-    out.write(f"tau = {cfg.lif.tau!r}\n")
-    out.write(f"u_threshold = {cfg.lif.u_threshold!r}\n")
-    out.write(f"u_reset = {cfg.lif.u_reset!r}\n")
-    out.write(f"surrogate_alpha = {cfg.lif.surrogate_alpha!r}\n")
-    out.write(f"reset_mode = {cfg.lif.reset_mode}\n")
-    out.write(f"detach_reset = {str(cfg.lif.detach_reset).lower()}\n")
-    out.write("\n[train]\n")
-    out.write(f"lr = {cfg.train.lr!r}\n")
-    out.write(f"time_steps = {cfg.train.time_steps}\n")
-    out.write(f"batch_size = {cfg.train.batch_size}\n")
-    out.write(f"epochs = {cfg.train.epochs}\n")
-    out.write(f"optimizer = {cfg.train.optimizer}\n")
-    out.write(f"loss = {cfg.train.loss}\n")
-    out.write(f"seed = {cfg.train.seed}\n")
-    out.write(f"transforms = {','.join(cfg.train.transforms)}\n")
-    out.write(f"patience = {cfg.train.patience}\n")
-    out.write(f"strict_joins = {str(cfg.train.strict_joins).lower()}\n")
-    return out.getvalue()
-
-
-def _require_keys(section: str, mapping, allowed) -> None:
-    for key in mapping:
-        if key not in allowed:
+def from_settings(cls, raw, section: str, base=None):
+    """Build `cls` from the text values of `raw` over `base` (default: the
+    field defaults). Each value parses like the base value it replaces; a
+    field with no default is required and kept as text. A key that is not
+    a scalar field of `cls` is refused."""
+    scalars = [f for f in fields(cls) if not is_dataclass(f.default_factory)]
+    names = {f.name for f in scalars}
+    for key in raw:
+        if key not in names:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-
-def _get(mapping, key, cast, default=None, section=""):
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {key!r} in section [{section}]")
-    raw = mapping[key]
+    values = {}
+    for f in scalars:
+        like = f.default if base is None else getattr(base, f.name)
+        if f.name not in raw:
+            if like is MISSING:
+                raise ConfigError(f"missing key {f.name!r} in section [{section}]")
+            continue
+        text = raw[f.name]
+        try:
+            values[f.name] = _parse_value(text, like)
+        except ConfigError:
+            raise
+        except ValueError as err:
+            raise ConfigError(f"bad value {text!r} for [{section}] {f.name}") from err
     try:
-        return cast(raw)
-    except ConfigError:
-        raise
-    except Exception as err:
-        raise ConfigError(f"bad value {raw!r} for [{section}] {key}") from err
+        return cls(**values) if base is None else replace(base, **values)
+    except ValueError as err:
+        raise ConfigError(f"bad [{section}] section: {err}") from err
 
 
-def _split_transforms(raw: str) -> tuple[str, ...]:
-    """Split a comma-joined transform list at top level only, so argument
-    commas inside parentheses (e.g. normalize(0.5,0.5)) stay intact."""
+def _parse_value(text: str, like):
+    if isinstance(like, bool):
+        return _parse_bool(text)
+    if isinstance(like, tuple):
+        return _split_top_level(text)
+    if isinstance(like, (int, float)):
+        return type(like)(text)
+    return text
+
+
+def _split_top_level(raw: str) -> tuple[str, ...]:
+    """Split a comma-joined list at top level only, so argument commas
+    inside parentheses (e.g. normalize(0.5,0.5)) stay intact."""
     parts = []
     depth = 0
     start = 0
@@ -155,57 +150,32 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def render_config(cfg: ExperimentConfig) -> str:
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in settings(obj))
+        for section, obj in zip(_SECTIONS, (cfg, cfg.lif, cfg.train)))
+
+
 def parse_config(text: str) -> ExperimentConfig:
+    """Parse a config file. [train] starts from the dataset's row of
+    TABLE_DEFAULTS (TrainConfig() for other datasets); keys in the file win."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}") from err
     for section in parser.sections():
-        if section not in ("experiment", "lif", "train"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
     if not parser.has_section("experiment"):
         raise ConfigError("missing section [experiment]")
-    exp = dict(parser.items("experiment"))
-    _require_keys("experiment", exp, _EXPERIMENT_KEYS)
-    lif_raw = dict(parser.items("lif")) if parser.has_section("lif") else {}
-    _require_keys("lif", lif_raw, _LIF_KEYS)
-    train_raw = dict(parser.items("train")) if parser.has_section("train") else {}
-    _require_keys("train", train_raw, _TRAIN_KEYS)
-    base_lif = LIFConfig()
-    try:
-        lif = LIFConfig(
-            tau=_get(lif_raw, "tau", float, base_lif.tau, "lif"),
-            u_threshold=_get(lif_raw, "u_threshold", float, base_lif.u_threshold, "lif"),
-            u_reset=_get(lif_raw, "u_reset", float, base_lif.u_reset, "lif"),
-            surrogate_alpha=_get(lif_raw, "surrogate_alpha", float, base_lif.surrogate_alpha, "lif"),
-            reset_mode=lif_raw.get("reset_mode", base_lif.reset_mode),
-            detach_reset=_get(lif_raw, "detach_reset", _parse_bool, base_lif.detach_reset, "lif"))
-    except ValueError as err:
-        raise ConfigError(f"bad [lif] section: {err}") from err
-    transforms = _split_transforms(train_raw.get("transforms", ""))
-    base_train = TrainConfig()
-    train = TrainConfig(
-        lr=_get(train_raw, "lr", float, base_train.lr, "train"),
-        time_steps=_get(train_raw, "time_steps", int, base_train.time_steps, "train"),
-        batch_size=_get(train_raw, "batch_size", int, base_train.batch_size, "train"),
-        epochs=_get(train_raw, "epochs", int, base_train.epochs, "train"),
-        optimizer=train_raw.get("optimizer", base_train.optimizer),
-        loss=train_raw.get("loss", base_train.loss),
-        seed=_get(train_raw, "seed", int, base_train.seed, "train"),
-        transforms=transforms,
-        patience=_get(train_raw, "patience", int, base_train.patience, "train"),
-        strict_joins=_get(train_raw, "strict_joins", _parse_bool, base_train.strict_joins, "train"))
-    cfg = ExperimentConfig(
-        dataset=_get(exp, "dataset", str, None, "experiment"),
-        arch=_get(exp, "arch", str, None, "experiment"),
-        join=exp.get("join", "OR"),
-        attention=exp.get("attention", "none"),
-        in_channels=_get(exp, "in_channels", int, 1, "experiment"),
-        out_dir=exp.get("out_dir", "runs/default"),
-        seed=_get(exp, "seed", int, 0, "experiment"),
-        lif=lif, train=train)
-    return cfg.validate()
+    raw = {s: dict(parser.items(s)) if parser.has_section(s) else {}
+           for s in _SECTIONS}
+    cfg = from_settings(ExperimentConfig, raw["experiment"], "experiment")
+    table = TrainConfig(**TABLE_DEFAULTS.get(cfg.dataset, {}))
+    return replace(cfg, lif=from_settings(LIFConfig, raw["lif"], "lif"),
+                   train=from_settings(TrainConfig, raw["train"], "train", table)
+                   ).validate()
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

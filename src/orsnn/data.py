@@ -285,10 +285,6 @@ class Transform:
     kind: str
     args: tuple[float, ...]
 
-    def render(self) -> str:
-        inner = ",".join(f"{a:g}" for a in self.args)
-        return f"{self.kind}({inner})"
-
 
 _TRANSFORM_RE = re.compile(r"^([a-z][a-z-]*)\(([^)]*)\)$")
 _TRANSFORM_ARITY = {"flip": (1, 1), "translate": (2, 2), "normalize": (1, 2)}
@@ -326,10 +322,6 @@ def parse_transforms(specs) -> tuple[Transform, ...]:
                 raise ConfigError(f"normalize std must be > 0, got {args[1]}")
         out.append(Transform(kind, args))
     return tuple(out)
-
-
-def render_transforms(transforms) -> tuple[str, ...]:
-    return tuple(t.render() for t in transforms)
 
 
 def _shift2d(batch: np.ndarray, i: int, dx: int, dy: int) -> None:

@@ -8,25 +8,22 @@ callers (and the CLI) can separate engine failures from programming bugs.
 class EngineError(Exception):
     """Base class for all engine-raised errors."""
 
-    kind = "EngineError"
+    @property
+    def kind(self) -> str:
+        """The class name, which the CLI prints before the message."""
+        return type(self).__name__
 
 
 class ShapeError(EngineError, ValueError):
     """Operand shapes or dtypes are incompatible with the requested op."""
 
-    kind = "ShapeError"
-
 
 class GraphError(EngineError, RuntimeError):
     """Autograd misuse, e.g. backward on a non-scalar without a seed."""
 
-    kind = "GraphError"
-
 
 class ArchError(EngineError, ValueError):
     """Malformed architecture string. Carries the byte offset of the fault."""
-
-    kind = "ArchError"
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
@@ -38,25 +35,17 @@ class ArchError(EngineError, ValueError):
 class BuildError(EngineError, ValueError):
     """Architecture parsed fine but the network cannot be assembled."""
 
-    kind = "BuildError"
-
 
 class AuditError(EngineError, RuntimeError):
     """Strict-mode spike-drivenness violation during a forward pass."""
-
-    kind = "AuditError"
 
 
 class NumericError(EngineError, FloatingPointError):
     """Non-finite value reached a neuron input or a loss."""
 
-    kind = "NumericError"
-
 
 class DivergenceError(NumericError):
     """Training loss became NaN; carries epoch/batch diagnostics."""
-
-    kind = "DivergenceError"
 
     def __init__(self, message: str, epoch: int | None = None,
                  batch: int | None = None):
@@ -68,46 +57,42 @@ class DivergenceError(NumericError):
 class DataFormatError(EngineError, ValueError):
     """Base class for on-disk format problems (IDX, events, checkpoints)."""
 
-    kind = "DataFormatError"
-
 
 class BadMagic(DataFormatError):
-    kind = "BadMagic"
+    pass
 
 
 class Truncated(DataFormatError):
-    kind = "Truncated"
+    pass
 
 
 class CountMismatch(DataFormatError):
-    kind = "CountMismatch"
+    pass
 
 
 class CheckpointError(DataFormatError):
-    kind = "CheckpointError"
+    pass
 
 
 class VersionMismatch(CheckpointError):
-    kind = "VersionMismatch"
+    pass
 
 
 class ArchMismatch(CheckpointError):
-    kind = "ArchMismatch"
+    pass
 
 
 class CorruptPayload(CheckpointError):
-    kind = "CorruptPayload"
+    pass
 
 
 class DatasetNotFound(EngineError, FileNotFoundError):
-    kind = "DatasetNotFound"
+    pass
 
 
 class ConfigError(EngineError, ValueError):
-    kind = "ConfigError"
+    pass
 
 
 class PruneRefused(EngineError, RuntimeError):
     """Pruning verification found spikes on a supposedly dead shortcut."""
-
-    kind = "PruneRefused"

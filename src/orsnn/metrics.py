@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EngineError, PruneRefused, ShapeError
+from .errors import EngineError, PruneRefused
 from .record import SPIKING_KINDS, SpikeRecord, instrumented_pass, layer_class
 from .residual import AUDIT_POLICY, JoinMode
 from .tensor import Tensor
@@ -25,22 +25,6 @@ from .tensor import Tensor
 class EnergyModel:
     e_mac_pj: float = 4.6
     e_ac_pj: float = 0.9
-
-
-def conv_flops(out_h: int, out_w: int, kernel: int, in_channels: int,
-               out_channels: int) -> int:
-    """Fused multiply-add positions of one conv, per sample per time step."""
-    dims = (out_h, out_w, kernel, in_channels, out_channels)
-    if any(d is None or d < 1 for d in dims):
-        raise ShapeError(f"conv_flops needs bound positive shapes, got {dims}")
-    return out_h * out_w * kernel * kernel * in_channels * out_channels
-
-
-def fc_flops(in_features: int, out_features: int) -> int:
-    if in_features is None or out_features is None or in_features < 1 or out_features < 1:
-        raise ShapeError(
-            f"fc_flops needs bound positive shapes, got {(in_features, out_features)}")
-    return in_features * out_features
 
 
 @dataclass

@@ -27,7 +27,7 @@ finite-difference checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,23 +70,6 @@ def _fire(v: np.ndarray, alpha: float, smooth: bool) -> np.ndarray:
     if smooth:
         return (np.arctan(np.pi * alpha * v / 2.0) / np.pi + 0.5).astype(v.dtype)
     return (v >= 0).astype(v.dtype)
-
-
-def _spike_node(v: Tensor, alpha: float, smooth: bool) -> Tensor:
-    def bwd(g):
-        accumulate_grad(v, g * surrogate_grad(v.data, alpha).astype(g.dtype, copy=False))
-
-    return make_node(_fire(v.data, alpha, smooth), (v,), bwd)
-
-
-def spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
-    """Heaviside step with step(0) = 1; arc-tangent surrogate backward."""
-    return _spike_node(v, alpha, smooth=False)
-
-
-def smooth_spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
-    """Surrogate primitive arctan(pi*alpha*v/2)/pi + 1/2 used in both passes."""
-    return _spike_node(v, alpha, smooth=True)
 
 
 @dataclass
@@ -174,26 +157,3 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
     state.membrane = make_node(h, (spikes,), membrane_bwd)
     state.steps += len(xs)
     return spikes
-
-
-@dataclass
-class LIFTrace:
-    """Per-step record of one neuron sequence (used by reference tests)."""
-
-    potentials: list[float] = field(default_factory=list)
-    spikes: list[float] = field(default_factory=list)
-    membranes: list[float] = field(default_factory=list)
-
-
-def lif_reference_trace(currents, cfg: LIFConfig) -> LIFTrace:
-    """Scalar pure-python rollout of the same recurrence, for cross-checks."""
-    trace = LIFTrace()
-    h = cfg.u_reset
-    for i in currents:
-        u = h + (i - (h - cfg.u_reset)) / cfg.tau
-        s = 1.0 if u >= cfg.u_threshold else 0.0
-        h = u * (1.0 - s)
-        trace.potentials.append(u)
-        trace.spikes.append(s)
-        trace.membranes.append(h)
-    return trace

@@ -82,18 +82,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -119,9 +107,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other, self))
 
 
 def _coerce(value, like: Tensor) -> Tensor:
@@ -277,20 +262,6 @@ def relu(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        accumulate_grad(a, g @ b.data.T)
-        accumulate_grad(b, a.data.T @ g)
-
-    return make_node(out_data, (a, b), bwd)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -474,32 +445,6 @@ def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int =
         _give_grad(x, dxp.reshape(x.shape))
 
     out_data = np.ascontiguousarray(out_data)
-    return make_node(out_data.reshape(x.shape[:-3] + out_data.shape[1:]), (x,), bwd)
-
-
-def avg_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Average pooling over [N, C, H, W] or [T, N, C, H, W]; padded zeros
-    count toward the divisor (window^2)."""
-    x4 = _fold(x, 3, "avg_pool2d")
-    stride = window if stride is None else stride
-    batch, ch, h, wid = x4.shape
-    out_h, out_w = _pool_geometry(h, wid, window, stride, padding)
-    xp = np.pad(x4, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_data = np.ascontiguousarray(win.mean(axis=(-2, -1)))
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        dxp = np.zeros_like(xp)
-        share = g.reshape(out_data.shape) / float(window * window)
-        for i in range(window):
-            for j in range(window):
-                dxp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += share
-        if padding:
-            dxp = dxp[:, :, padding:padding + h, padding:padding + wid]
-        _give_grad(x, dxp.reshape(x.shape))
-
     return make_node(out_data.reshape(x.shape[:-3] + out_data.shape[1:]), (x,), bwd)
 
 

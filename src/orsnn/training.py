@@ -6,7 +6,7 @@ natural-pruning detection.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,15 +58,6 @@ class TrainConfig:
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         return self
-
-
-def default_config(dataset: str, **overrides) -> TrainConfig:
-    """Per-dataset defaults; overrides win field by field."""
-    base = TABLE_DEFAULTS.get(dataset)
-    if base is None:
-        raise ConfigError(f"no default settings for dataset {dataset!r}; "
-                          f"known: {', '.join(sorted(TABLE_DEFAULTS))}")
-    return replace(TrainConfig(**base), **overrides).validate()
 
 
 class Adam:
@@ -126,9 +117,6 @@ class EpochStats:
 class TrainingLog:
     epochs: list[EpochStats] = field(default_factory=list)
     trace: FiringRateTrace = field(default_factory=FiringRateTrace)
-
-    def last_flagged(self) -> tuple[str, ...]:
-        return self.epochs[-1].flagged if self.epochs else ()
 
     def rows(self) -> list[dict]:
         return [{"epoch": e.epoch,

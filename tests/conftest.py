@@ -1,14 +1,17 @@
 """Shared test helpers: the central-finite-difference gradient oracle,
-small seeded input factories and a file that fails like a full disk.
+the LIF oracles (scalar rollout and per-step spike node), small seeded
+input factories and a file that fails like a full disk.
 """
 
 from __future__ import annotations
 
 import errno
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from orsnn.tensor import Tensor, backward, no_grad
+from orsnn.neuron import LIFConfig, _fire, surrogate_grad
+from orsnn.tensor import Tensor, accumulate_grad, backward, make_node, no_grad
 
 
 def numeric_gradient(fn, tensors, index: int, step: float = 1e-5) -> np.ndarray:
@@ -70,6 +73,46 @@ def distinct_random(rng: np.random.Generator, shape, min_gap: float = 1e-3
     vals = base + jitter
     rng.shuffle(vals)
     return vals.reshape(shape)
+
+
+def _spike_node(v: Tensor, alpha: float, smooth: bool) -> Tensor:
+    def bwd(g):
+        accumulate_grad(v, g * surrogate_grad(v.data, alpha).astype(g.dtype, copy=False))
+
+    return make_node(_fire(v.data, alpha, smooth), (v,), bwd)
+
+
+def spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
+    """Heaviside step with step(0) = 1; arc-tangent surrogate backward."""
+    return _spike_node(v, alpha, smooth=False)
+
+
+def smooth_spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
+    """Surrogate primitive arctan(pi*alpha*v/2)/pi + 1/2 used in both passes."""
+    return _spike_node(v, alpha, smooth=True)
+
+
+@dataclass
+class LIFTrace:
+    """Per-step record of one neuron sequence."""
+
+    potentials: list[float] = field(default_factory=list)
+    spikes: list[float] = field(default_factory=list)
+    membranes: list[float] = field(default_factory=list)
+
+
+def lif_reference_trace(currents, cfg: LIFConfig) -> LIFTrace:
+    """Scalar pure-python rollout of the LIF recurrence, for cross-checks."""
+    trace = LIFTrace()
+    h = cfg.u_reset
+    for i in currents:
+        u = h + (i - (h - cfg.u_reset)) / cfg.tau
+        s = 1.0 if u >= cfg.u_threshold else 0.0
+        h = u * (1.0 - s)
+        trace.potentials.append(u)
+        trace.spikes.append(s)
+        trace.membranes.append(h)
+    return trace
 
 
 class FullDisk:

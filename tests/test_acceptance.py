@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import orsnn.tensor as tz
-from conftest import distinct_random, gradcheck, margin_random
+from conftest import (distinct_random, gradcheck, lif_reference_trace, margin_random,
+                      smooth_spike_fn)
 from orsnn.attention import AttentionPlan, make_attention
 from orsnn.config import TrainConfig
 from orsnn.data import (load_idx_dir, save_idx_images, save_idx_labels,
@@ -23,8 +24,7 @@ from orsnn.layers import ForwardContext
 from orsnn.metrics import (FiringRateTrace, apply_pruning,
                            detect_natural_pruning, estimate_energy)
 from orsnn.network import build_network
-from orsnn.neuron import (LIFConfig, LIFState, lif_multistep, lif_reference_trace,
-                          lif_step, smooth_spike_fn)
+from orsnn.neuron import LIFConfig, LIFState, lif_multistep, lif_step
 from orsnn.record import SpikeRecord
 from orsnn.residual import JoinMode, audit_spike_drivenness, join
 from orsnn.tensor import Tensor
@@ -204,17 +204,18 @@ def _gradient_cases():
              lambda a, b: a * b),
         case("neg", lambda r: (n(r, 5),), lambda a: -a),
         case("relu", lambda r: (margin_random(r, (3, 4)),), tz.relu),
-        case("matmul", lambda r: (n(r, 3, 4), n(r, 4, 2)), tz.matmul),
         case("dense-bias", lambda r: (n(r, 3, 5), n(r, 2, 5), n(r, 2)),
              tz.dense),
         case("conv2d-s1p1", lambda r: (n(r, 2, 2, 5, 5), n(r, 3, 2, 3, 3)),
              lambda x, w: tz.conv2d(x, w, 1, 1)),
+        case("dense-time", lambda r: (n(r, 2, 3, 5), n(r, 4, 5), n(r, 4)),
+             tz.dense),
         case("conv2d-s2", lambda r: (n(r, 1, 2, 6, 6), n(r, 2, 2, 3, 3)),
              lambda x, w: tz.conv2d(x, w, 2, 0)),
+        case("conv2d-time-s2p1", lambda r: (n(r, 2, 2, 2, 5, 5), n(r, 3, 2, 3, 3)),
+             lambda x, w: tz.conv2d(x, w, 2, 1)),
         case("max-pool", lambda r: (distinct_random(r, (1, 2, 4, 4)),),
              lambda x: tz.max_pool2d(x, 2)),
-        case("avg-pool", lambda r: (n(r, 1, 2, 4, 4),),
-             lambda x: tz.avg_pool2d(x, 2)),
         case("global-avg-pool", lambda r: (n(r, 2, 3, 4, 4),),
              tz.global_avg_pool),
         case("adaptive-avg-pool", lambda r: (n(r, 1, 2, 6, 6),),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orsnn import checkpoint
+from orsnn.cli import main
 from orsnn.attention import AttentionPlan
 from orsnn.checkpoint import (
     CKPT_FORMAT,
@@ -21,8 +22,31 @@ from orsnn.errors import (
 )
 from orsnn.metrics import apply_pruning
 from orsnn.network import build_network
+from orsnn.neuron import LIFConfig
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
+
+# The header of SMALL with T/a attention, T=4, 2 input channels, seed 3,
+# saved at epoch 7.
+HEADER_TEXT = """\
+ORSNN-CKPT v1
+arch=c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4
+join=OR
+attention=T/a
+attention_reductions=4,16,7
+in_channels=2
+time_steps=4
+seed=3
+epoch=7
+pruned=
+lif_tau=2.0
+lif_u_threshold=1.0
+lif_u_reset=0.0
+lif_surrogate_alpha=2.0
+lif_reset_mode=hard
+lif_detach_reset=true
+
+"""
 
 
 def trained_like_net(seed=0, time_steps=2, **kwargs):
@@ -105,6 +129,20 @@ class TestRoundTrip:
         x = batch(time_steps=4)
         assert loaded.forward(x).data.tobytes() == net.forward(x).data.tobytes()
 
+    def test_header_text_is_pinned(self, tmp_path):
+        net = build_network(SMALL, attention=AttentionPlan.parse("T/a"),
+                            time_steps=4, in_channels=2, seed=3)
+        save_checkpoint(net, tmp_path / "run.ckpt", epoch=7)
+        head = (tmp_path / "run.ckpt").read_bytes().partition(b"\n\n")[0]
+        assert head.decode() + "\n\n" == HEADER_TEXT
+
+    def test_custom_lif_settings_survive(self, tmp_path):
+        lif = LIFConfig(tau=2.5, u_threshold=0.75, u_reset=0.1,
+                        surrogate_alpha=4.0, detach_reset=False)
+        save_checkpoint(trained_like_net(lif=lif), tmp_path / "run.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "run.ckpt")
+        assert loaded.lif_cfg == lif
+
     def test_pruned_network_round_trips_as_pruned(self, tmp_path):
         net = build_network(SMALL, time_steps=2, in_channels=1, seed=8)
         params = dict(net.named_params())
@@ -182,6 +220,16 @@ class TestGuards:
         tamper_header(p, lambda ls: [l for l in ls if not l.startswith("lif_tau=")])
         with pytest.raises(CorruptPayload, match="missing keys"):
             load_checkpoint(p)
+
+    def test_bad_detach_reset_value_is_refused(self, tmp_path, capsys):
+        p = self.save_one(tmp_path)
+        tamper_header(p, lambda ls: [
+            "lif_detach_reset=maybe" if l.startswith("lif_detach_reset=") else l
+            for l in ls])
+        with pytest.raises(CorruptPayload, match="expected a boolean, got 'maybe'"):
+            load_checkpoint(p)
+        assert main(["eval", "--ckpt", str(p), "--data", "synth:moving-bar:4:2:12:12"]) == 2
+        assert "ERROR CorruptPayload:" in capsys.readouterr().err
 
     def test_payload_ends_early(self, tmp_path):
         p = self.save_one(tmp_path)

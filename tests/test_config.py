@@ -1,11 +1,11 @@
-"""Experiment configuration: lossless INI round-trips, defaults, and
-strict rejection of unknown sections, keys, and bad values."""
+"""Experiment configuration: lossless INI round-trips, the exact rendered
+text, per-dataset training defaults, and strict rejection of unknown
+sections, keys, and bad values."""
 
 import pytest
 
 from orsnn.config import (
     ExperimentConfig,
-    experiment_defaults,
     load_config,
     parse_config,
     render_config,
@@ -14,9 +14,45 @@ from orsnn.config import (
 from orsnn.errors import ConfigError, DatasetNotFound
 from orsnn.neuron import LIFConfig
 from orsnn.residual import JoinMode
-from orsnn.training import TrainConfig
+from orsnn.training import TABLE_DEFAULTS, TrainConfig
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
+
+
+CUSTOM_TEXT = """\
+[experiment]
+dataset = synth:moving-bar
+arch = c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4
+join = ADD
+attention = none
+in_channels = 2
+out_dir = runs/exp7
+seed = 3
+
+[lif]
+tau = 2.5
+u_threshold = 0.75
+u_reset = 0.1
+surrogate_alpha = 4.0
+reset_mode = hard
+detach_reset = false
+
+[train]
+lr = 0.3333333333333333
+time_steps = 8
+batch_size = 32
+epochs = 12
+optimizer = adam
+loss = cross-entropy
+seed = 11
+transforms = flip(0.5),normalize(0.5,0.5)
+patience = 3
+strict_joins = false
+"""
+
+
+def minimal(dataset, extra=""):
+    return parse_config(f"[experiment]\ndataset = {dataset}\narch = {SMALL}\n{extra}")
 
 
 def custom_config():
@@ -49,6 +85,9 @@ class TestRoundTrip:
         assert back.lif.detach_reset is False
         assert back.train.transforms == ("flip(0.5)", "normalize(0.5,0.5)")
 
+    def test_rendered_text_is_pinned(self):
+        assert render_config(custom_config()) == CUSTOM_TEXT
+
     def test_render_is_stable(self):
         cfg = custom_config()
         once = render_config(cfg)
@@ -74,22 +113,44 @@ class TestRoundTrip:
 
 class TestDefaults:
     def test_known_dataset_pulls_training_defaults(self):
-        cfg = experiment_defaults("mnist", SMALL)
+        cfg = minimal("mnist")
         assert cfg.train.lr == 1e-2
         assert cfg.train.time_steps == 16
         assert cfg.train.batch_size == 128
         assert cfg.train.epochs == 100
 
+    def test_dvs_gesture_without_train_section_gets_its_table_row(self):
+        train = minimal("dvs-gesture").train
+        assert (train.lr, train.time_steps, train.batch_size, train.epochs) == (
+            1e-4, 32, 32, 1000)
+        assert train == TrainConfig(**TABLE_DEFAULTS["dvs-gesture"])
+
+    def test_fashion_mnist_gets_its_transforms(self):
+        assert minimal("fashion-mnist").train.transforms == (
+            "flip(0.5)", "normalize(0.5,0.5)")
+
+    def test_explicit_keys_override_the_table(self):
+        train = minimal("dvs-gesture", "[train]\nlr = 0.5\ntransforms =\n").train
+        assert train.lr == 0.5
+        assert train.transforms == ()
+        assert train.time_steps == 32
+        assert minimal("cifar10-dvs", "[train]\nlr = 0.5\n").train.epochs == 500
+
     def test_unknown_dataset_gets_generic_training_settings(self):
-        cfg = experiment_defaults("synth:moving-bar", SMALL)
-        assert cfg.train == TrainConfig()
+        assert minimal("synth:moving-bar:8:4:8:8").train == TrainConfig()
+        assert minimal("runs/set.evt").train == TrainConfig()
+
+    def test_table_filled_config_round_trips(self):
+        for dataset in TABLE_DEFAULTS:
+            cfg = minimal(dataset, "[train]\nseed = 4\n")
+            assert parse_config(render_config(cfg)) == cfg
+            assert cfg.train.seed == 4
 
     def test_overrides_apply_to_experiment_fields(self):
-        cfg = experiment_defaults("mnist", SMALL, join="ADD", seed=5,
-                                  out_dir="runs/x")
+        cfg = minimal("mnist", "join = ADD\nseed = 5\nout_dir = runs/x\n")
         assert cfg.join == "ADD"
         assert cfg.seed == 5
-        assert cfg.train.seed == 5
+        assert cfg.train == TrainConfig(**TABLE_DEFAULTS["mnist"])
         assert cfg.out_dir == "runs/x"
 
     def test_minimal_ini_fills_defaults(self):
@@ -141,6 +202,11 @@ class TestParseErrors:
             parse_config(self.BASE + "color = red\n")
         with pytest.raises(ConfigError, match=r"unknown key 'momentum' in section \[train\]"):
             parse_config(self.BASE + "[train]\nmomentum = 0.9\n")
+
+    def test_section_name_is_not_a_key(self):
+        for key in ("train", "lif"):
+            with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[experiment\]"):
+                parse_config(self.BASE + f"{key} = x\n")
 
     def test_missing_experiment_section(self):
         with pytest.raises(ConfigError, match=r"missing section \[experiment\]"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import orsnn.data
-from orsnn.config import experiment_defaults, save_config
+from orsnn.config import ExperimentConfig, parse_config, render_config, save_config
 from orsnn.data import (
     FramedEventSet,
     IdxDataset,
@@ -21,7 +21,6 @@ from orsnn.data import (
     load_idx_labels,
     parse_transforms,
     read_csv,
-    render_transforms,
     save_events,
     save_idx_images,
     save_idx_labels,
@@ -37,6 +36,7 @@ from orsnn.errors import (
     ShapeError,
     Truncated,
 )
+from orsnn.training import TrainConfig
 
 from conftest import FullDisk
 
@@ -266,10 +266,13 @@ class TestTransformParsing:
         assert norm.args == (0.5, 0.5)
 
     def test_render_round_trip(self):
+        """Transform specs survive a config file's text unchanged."""
         specs = ("flip(0.5)", "translate(0.0195,0.0391)", "normalize(0.5,0.5)")
-        transforms = parse_transforms(specs)
-        assert render_transforms(transforms) == specs
-        assert parse_transforms(render_transforms(transforms)) == transforms
+        cfg = ExperimentConfig(dataset="mnist", arch="AP-FC2",
+                               train=TrainConfig(transforms=specs))
+        back = parse_config(render_config(cfg)).train.transforms
+        assert back == specs
+        assert parse_transforms(back) == parse_transforms(specs)
 
     def test_blank_entries_are_skipped(self):
         assert parse_transforms(("", "  ")) == ()
@@ -403,9 +406,8 @@ class TestCsv:
                            lambda p: save_idx_images(p, sample_images(n=6, seed=1))),
             "labels.idx": (lambda p: save_idx_labels(p, np.arange(4)),
                            lambda p: save_idx_labels(p, np.arange(6))),
-            "exp.cfg": (lambda p: save_config(p, experiment_defaults("mnist", arch)),
-                        lambda p: save_config(p, experiment_defaults("mnist", arch,
-                                                                     seed=9))),
+            "exp.cfg": (lambda p: save_config(p, ExperimentConfig("mnist", arch)),
+                        lambda p: save_config(p, ExperimentConfig("mnist", arch, seed=9))),
         }
         for name, (first, second) in writers.items():
             directory = tmp_path / name.replace(".", "_")

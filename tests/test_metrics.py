@@ -4,15 +4,14 @@ and natural-pruning detection and application."""
 import numpy as np
 import pytest
 
-from orsnn.errors import EngineError, PruneRefused, ShapeError
+from orsnn.errors import EngineError, PruneRefused
+from orsnn.layers import ConvLayer, DenseLayer, ForwardContext
 from orsnn.metrics import (
     EnergyModel,
     FiringRateTrace,
     apply_pruning,
-    conv_flops,
     detect_natural_pruning,
     estimate_energy,
-    fc_flops,
 )
 from orsnn.network import build_network
 from orsnn.record import SpikeRecord
@@ -40,20 +39,15 @@ def rated(total, nonzero):
 
 class TestFlopHelpers:
     def test_conv_flops_value(self):
-        assert conv_flops(12, 10, 3, 4, 8) == 12 * 10 * 9 * 4 * 8
+        conv = ConvLayer("c", 4, 8, 3, rng=np.random.default_rng(0))
+        assert conv.flops_per_step(12, 10) == 12 * 10 * 9 * 4 * 8
 
     def test_fc_flops_value(self):
-        assert fc_flops(512, 10) == 5120
-
-    def test_unbound_shapes_rejected(self):
-        with pytest.raises(ShapeError):
-            conv_flops(None, 10, 3, 4, 8)
-        with pytest.raises(ShapeError):
-            conv_flops(12, 10, 0, 4, 8)
-        with pytest.raises(ShapeError):
-            fc_flops(None, 10)
-        with pytest.raises(ShapeError):
-            fc_flops(512, 0)
+        fc = DenseLayer("fc", 512, 10, rng=np.random.default_rng(0))
+        rec = SpikeRecord()
+        fc.forward(Tensor(np.ones((2, 3, 512), dtype=np.float32)),
+                   ForwardContext(record=rec))
+        assert rec.layers["fc"].total_flops == 5120 * 2 * 3
 
 
 class TestEnergyOracle:
@@ -154,7 +148,7 @@ class TestQuiescentNetwork:
         rec = SpikeRecord()
         net.forward(np.zeros((2, 3, 1, 12, 12), dtype=np.float32), record=rec)
         report = estimate_energy(net, rec)
-        encoder_pj = 4.6 * 2 * conv_flops(12, 12, 3, 1, 8)
+        encoder_pj = 4.6 * 2 * (12 * 12 * 3 * 3 * 1 * 8)
         assert report.energy_pj_per_sample == pytest.approx(encoder_pj, rel=1e-9)
         for line in report.lines:
             if line.name != "encoder":

@@ -13,11 +13,11 @@ import orsnn.neuron as nrn
 import orsnn.tensor as tz
 from orsnn.errors import NumericError, ShapeError
 from orsnn.layers import ForwardContext, LIFLayer
-from orsnn.neuron import (LIFConfig, LIFState, lif_multistep, lif_reference_trace,
-                          lif_step, smooth_spike_fn, spike_fn, surrogate_grad)
+from orsnn.neuron import LIFConfig, LIFState, lif_multistep, lif_step, surrogate_grad
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node
 
-from conftest import gradcheck, margin_random
+from conftest import (gradcheck, lif_reference_trace, margin_random, smooth_spike_fn,
+                      spike_fn)
 
 # Hand-computed 10-step rollout with tau=2, threshold=1, hard reset to 0:
 #   U[t] = (H[t-1] + I[t]) / 2,  S[t] = [U >= 1],  H[t] = U * (1 - S)
@@ -220,7 +220,7 @@ def _per_step_rollout(steps, h0, cfg, smooth):
     for x_t in steps:
         u = h + (x_t - (h - cfg.u_reset)) * (1.0 / cfg.tau)
         s = fire(u - cfg.u_threshold, cfg.surrogate_alpha)
-        h = u * (1.0 - (s.detach() if cfg.detach_reset else s))
+        h = u * (1.0 - (Tensor(s.data) if cfg.detach_reset else s))
         outs.append(s)
     return _stack(outs), h
 

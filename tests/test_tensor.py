@@ -107,10 +107,11 @@ def test_first_gradient_is_one_fresh_copy(g):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_matmul_gradient(seed):
+    """The one matrix product, dense without a bias, over [T, N, F]."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2))
-    gradcheck(lambda x, y: tz.reduce_mean(tz.matmul(x, y), (0, 1)), a, b)
+    a = rng.standard_normal((2, 3, 4))
+    b = rng.standard_normal((2, 4))
+    gradcheck(lambda x, y: tz.reduce_mean(tz.dense(x, y), (0, 1, 2)), a, b)
 
 
 def test_dense_identity_and_sum_fixture():
@@ -353,13 +354,12 @@ def test_strided_conv_backward_transient_memory():
                                    Tensor(rng.standard_normal(3), requires_grad=True),
                                    np.zeros(3), np.ones(3), training=False), (2, 3, 3, 4, 5)),
     (lambda a, rng: tz.max_pool2d(a, 3, 2, 1), (2, 3, 2, 6, 6)),
-    (lambda a, rng: tz.avg_pool2d(a, 2, 2, 1), (2, 3, 2, 5, 5)),
     (lambda a, rng: tz.adaptive_avg_pool2d(a, 2), (2, 3, 2, 6, 6)),
     (lambda a, rng: tz.adaptive_avg_pool2d(a, 3), (2, 3, 2, 5, 7)),
     (lambda a, rng: tz.global_avg_pool(a), (2, 3, 2, 5, 5)),
     (lambda a, rng: tz.dense(a, Tensor(rng.standard_normal((4, 5)), requires_grad=True),
                              Tensor(rng.standard_normal(4), requires_grad=True)), (2, 3, 5)),
-], ids=["conv", "bn-train", "bn-eval", "maxpool", "avgpool", "adaptive", "adaptive-uneven",
+], ids=["conv", "bn-train", "bn-eval", "maxpool", "adaptive", "adaptive-uneven",
         "global", "dense"])
 def test_leading_time_axis_is_folded_into_the_batch(op, shape):
     """An op on [T, N, ...] gives, bit for bit, the [T, N] reshape of the op
@@ -424,16 +424,9 @@ def test_max_pool_routes_gradient_to_first_argmax():
 
 def test_avg_pool_distributes_uniformly():
     x = t(np.ones((1, 1, 4, 4)), requires_grad=True)
-    out = tz.avg_pool2d(x, 2)
+    out = tz.adaptive_avg_pool2d(x, 2)
     backward(out, seed=np.ones((1, 1, 2, 2)))
     assert np.allclose(x.grad, 0.25)
-
-
-def test_avg_pool_padding_counts_in_divisor():
-    x = t(np.ones((1, 1, 2, 2)))
-    out = tz.avg_pool2d(x, 2, stride=2, padding=1)
-    # each window sees a single 1 among 4 slots
-    assert np.allclose(out.data, 0.25)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -441,7 +434,7 @@ def test_pool_gradients(seed):
     rng = np.random.default_rng(seed)
     x = distinct_random(rng, (2, 2, 4, 4))
     gradcheck(lambda a: tz.reduce_mean(tz.max_pool2d(a, 2), (0, 1, 2, 3)), x)
-    gradcheck(lambda a: tz.reduce_mean(tz.avg_pool2d(a, 2), (0, 1, 2, 3)), x)
+    gradcheck(lambda a: tz.reduce_mean(tz.adaptive_avg_pool2d(a, 2), (0, 1, 2, 3)), x)
     gradcheck(lambda a: tz.reduce_mean(tz.global_avg_pool(a), (0, 1)), x)
     gradcheck(lambda a: tz.reduce_mean(tz.adaptive_avg_pool2d(a, 3), (0, 1, 2, 3)), x)
 
@@ -451,7 +444,7 @@ def test_adaptive_pool_identity_and_window_match():
     same = tz.adaptive_avg_pool2d(t(x), 6)
     assert np.allclose(same.data, x)
     halved = tz.adaptive_avg_pool2d(t(x), 3)
-    assert np.allclose(halved.data, tz.avg_pool2d(t(x), 2).data)
+    assert np.allclose(halved.data, x.reshape(1, 2, 3, 2, 3, 2).mean(axis=(3, 5)))
 
 
 # ---------------------------------------------------------------------------

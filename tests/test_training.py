@@ -9,6 +9,7 @@ import pytest
 
 from orsnn import tensor as tz
 from orsnn.attention import AttentionPlan
+from orsnn.config import parse_config
 from orsnn.errors import ConfigError, DivergenceError, ShapeError
 from orsnn.network import build_network
 from orsnn.tensor import Tensor
@@ -17,7 +18,6 @@ from orsnn.training import (
     Adam,
     TrainConfig,
     TrainingLog,
-    default_config,
     evaluate,
     train,
 )
@@ -54,15 +54,12 @@ class TestDefaults:
             transforms=("flip(0.5)", "normalize(0.5,0.5)"))
 
     def test_default_config_applies_overrides(self):
-        cfg = default_config("mnist", epochs=3, batch_size=16)
-        assert cfg.lr == 1e-2
-        assert cfg.time_steps == 16
+        cfg = parse_config("[experiment]\ndataset = dvs-gesture\narch = " + SMALL +
+                           "\n[train]\nepochs = 3\nbatch_size = 16\n").train
+        assert cfg.lr == 1e-4
+        assert cfg.time_steps == 32
         assert cfg.epochs == 3
         assert cfg.batch_size == 16
-
-    def test_unknown_dataset_rejected(self):
-        with pytest.raises(ConfigError, match="no default settings"):
-            default_config("imagenet")
 
     @pytest.mark.parametrize("field,value,match", [
         ("lr", -0.1, "lr"),
@@ -298,7 +295,7 @@ def test_silent_shortcut_is_flagged_after_patience_epochs():
     assert log.epochs[0].flagged == ()
     assert log.epochs[1].flagged == ("block1.shortcut_lif",)
     assert log.epochs[2].flagged == ("block1.shortcut_lif",)
-    assert log.last_flagged() == ("block1.shortcut_lif",)
+    assert log.epochs[-1].flagged == ("block1.shortcut_lif",)
 
 
 def test_log_rows_are_csv_ready():
