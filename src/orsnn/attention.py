@@ -80,21 +80,25 @@ def _reduced_extent(name: str, what: str, extent: int, reduction: int) -> int:
 def apply_attention(x: Tensor, weights: Tensor) -> Tensor:
     """Broadcast-multiply a gate mask onto an activation.
 
-    Missing trailing axes of the mask are treated as size-1 and
-    replicated; any other extent mismatch raises.
+    The mask's first two axes meet the activation's first two ([T, N]) and
+    its remaining axes the activation's last ones, so on channels-last
+    [T, N, H, W, C] a [T, N] mask acts per sample and step, a [T, N, C] one
+    per channel and a [T, N, H, W, 1] one per pixel. The axes a mask lacks
+    are size 1 and replicated; any other extent mismatch raises.
     """
     if weights.ndim > x.ndim:
         raise ShapeError(
             f"attention weights rank {weights.shape} exceeds activation {x.shape}")
-    view = weights
-    if view.ndim < x.ndim:
-        view = tz.reshape(view, view.shape + (1,) * (x.ndim - view.ndim))
-    for axis, (wx, xx) in enumerate(zip(view.shape, x.shape)):
+    lead, missing = min(2, weights.ndim), x.ndim - weights.ndim
+    for axis, wx in enumerate(weights.shape):
+        xx = x.shape[axis if axis < lead else axis + missing]
         if wx != xx and wx != 1:
             raise ShapeError(
                 f"attention weights {weights.shape} do not broadcast onto {x.shape} "
-                f"(axis {axis}: {wx} vs {xx})")
-    return tz.mul(x, view)
+                f"(weights axis {axis}: {wx} vs {xx})")
+    if missing:
+        weights = tz.reshape(weights, weights.shape[:lead] + (1,) * missing + weights.shape[lead:])
+    return tz.mul(x, weights)
 
 
 class AttentionGate(Module):
@@ -144,7 +148,7 @@ class TemporalAttention(AttentionGate):
 
     def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         if x.ndim != 5:
-            raise ShapeError(f"{self.name} expects [T, N, C, H, W], got {x.shape}")
+            raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
         if x.shape[0] != self.time_steps:
             raise ShapeError(
                 f"{self.name} built for T={self.time_steps}, activation has T={x.shape[0]}")
@@ -181,12 +185,12 @@ class ChannelAttention(AttentionGate):
 
     def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         if x.ndim != 5:
-            raise ShapeError(f"{self.name} expects [T, N, C, H, W], got {x.shape}")
-        if x.shape[2] != self.channels:
+            raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
+        if x.shape[4] != self.channels:
             raise ShapeError(
-                f"{self.name} built for C={self.channels}, activation has C={x.shape[2]}")
-        avg = tz.reduce_mean(x, (3, 4))
-        mx = tz.reduce_max(x, (3, 4))
+                f"{self.name} built for C={self.channels}, activation has C={x.shape[4]}")
+        avg = tz.reduce_mean(x, (2, 3))
+        mx = tz.reduce_max(x, (2, 3))
         drive = self._mlp(avg) + self._mlp(mx)
         if ctx.record is not None:
             t, n = x.shape[0], x.shape[1]
@@ -200,7 +204,7 @@ class ChannelAttention(AttentionGate):
 
 class SpatialAttention(AttentionGate):
     """Gate over pixels: channel-max and channel-mean maps stacked into a
-    2-channel image, one small odd-kernel convolution, mask [T, N, 1, H, W]."""
+    2-channel image, one small odd-kernel convolution, mask [T, N, H, W, 1]."""
 
     def __init__(self, name: str, role: str, kernel: int, lif_cfg: LIFConfig, *,
                  rng: np.random.Generator, dtype=np.float32):
@@ -215,13 +219,13 @@ class SpatialAttention(AttentionGate):
 
     def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         if x.ndim != 5:
-            raise ShapeError(f"{self.name} expects [T, N, C, H, W], got {x.shape}")
-        mx = tz.reduce_max(x, (2,), keepdims=True)
-        avg = tz.reduce_mean(x, (2,), keepdims=True)
-        stacked = tz.concat([mx, avg], axis=2)
+            raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
+        mx = tz.reduce_max(x, (4,), keepdims=True)
+        avg = tz.reduce_mean(x, (4,), keepdims=True)
+        stacked = tz.concat([mx, avg], axis=4)
         drive = tz.conv2d(stacked, self.weight, stride=1, padding=(self.kernel - 1) // 2)
         if ctx.record is not None:
-            t, n, _, h, w = x.shape
+            t, n, h, w, _ = x.shape
             ctx.record.note_input(
                 self.name, "attn_conv", stacked.data, stacked.data,
                 flops=t * n * h * w * self.kernel * self.kernel * 2)

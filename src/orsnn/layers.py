@@ -1,4 +1,6 @@
-"""Layer toolkit operating on the canonical [T, N, C, H, W] activation layout.
+"""Layer toolkit operating on the channels-last [T, N, H, W, C] activation
+layout, C-contiguous. Network.forward transposes its [T, N, C, H, W] input
+into it once; no layer changes the layout.
 
 Every layer hands its [T, N, ...] activation straight to one tensor op:
 conv, BN, the pools and the classifier fold T into the batch as a view
@@ -73,7 +75,7 @@ class Module:
 
 def _require_5d(x: Tensor, who: str) -> tuple[int, ...]:
     if x.ndim != 5:
-        raise ShapeError(f"{who} expects [T, N, C, H, W] input, got {x.shape}")
+        raise ShapeError(f"{who} expects [T, N, H, W, C] input, got {x.shape}")
     return x.shape
 
 
@@ -101,7 +103,7 @@ class ConvLayer(Module):
         return out_h * out_w * self.kernel * self.kernel * self.in_channels * self.out_channels
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        t, n, c, h, w = _require_5d(x, self.name)
+        t, n, h, w, c = _require_5d(x, self.name)
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} channels, got {c}")
         out = tz.conv2d(x, self.weight, self.stride, self.padding)
@@ -109,7 +111,7 @@ class ConvLayer(Module):
             ref = ctx.audit_ref if ctx.audit_ref is not None else x.data
             ctx.record.note_input(
                 self.name, self.stat_kind, x.data, ref,
-                flops=self.flops_per_step(out.shape[3], out.shape[4]) * t * n,
+                flops=self.flops_per_step(out.shape[2], out.shape[3]) * t * n,
                 is_encoder=self.is_encoder)
         ctx.audit_ref = out.data
         return out
@@ -194,7 +196,7 @@ class AdaptiveAvgPoolLayer(Module):
 
 
 class GlobalAvgPoolLayer(Module):
-    """[T, N, C, H, W] -> [T, N, C]. Transparent to the audit reference:
+    """[T, N, H, W, C] -> [T, N, C]. Transparent to the audit reference:
     averaging is linear, so the binarity that matters for the following
     classifier is that of the spike map entering this pool."""
 

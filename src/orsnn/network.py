@@ -1,8 +1,10 @@
 """Assemble full networks from architecture tokens.
 
-A network is an ordered list of modules over the [T, N, C, H, W] layout,
-ending in a global-average-pool plus classifier head whose per-step
-outputs are averaged over time into the logits. The first convolution is
+A network takes [T, N, C, H, W] input and transposes it once, at entry,
+to the C-contiguous channels-last [T, N, H, W, C] layout that every module
+inside runs on. The modules are an ordered list ending in a
+global-average-pool plus classifier head whose per-step outputs are
+averaged over time into the logits. The first convolution is
 the encoder stage (real-valued input, MAC class by definition); the
 spiking neuron after it performs the actual spike encoding.
 """
@@ -85,12 +87,12 @@ class Network(Module):
                 f"network built for {self.in_channels} input channels, got {x.shape[2]}")
         if reset:
             self.reset_state()
+        h = tz.permute(x, (0, 1, 3, 4, 2))  # the one layout change
         ctx = ForwardContext(training=training, record=record, strict=strict,
-                             audit_ref=x.data)
+                             audit_ref=h.data)
         if record is not None:
             record.samples += x.shape[1]
             record.time_steps = x.shape[0]
-        h = x
         for node in self.nodes:
             h = node.forward(h, ctx)
         logits = tz.reduce_mean(h, (0,))

@@ -12,8 +12,10 @@ then the array itself becomes .grad (_give_grad). No global list holds
 nodes, so reference counting frees a graph as soon as the tensors that
 reach it are dropped. Conv, BN, the pools and dense take [N, ...] or
 [T, N, ...] inputs and fold T into the batch inside their own node.
-Training runs in float32 by default; tests build float64 tensors for
-finite-difference comparisons.
+Images are channels-last, [N, H, W, C] or [T, N, H, W, C], so conv's GEMMs
+read and write them without transposing copies and BN works on whole
+H*W*C rows; conv kernels stay [Cout, Cin, k, k]. Training runs in float32
+by default; tests build float64 tensors for finite-difference comparisons.
 """
 
 from __future__ import annotations
@@ -327,27 +329,30 @@ def _phases(extent: int, k: int, stride: int, padding: int):
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with square kernel and symmetric zero padding.
 
-    x is [N, C, H, W] or [T, N, C, H, W]; T and N are folded into one batch
-    axis inside the node. Output extent is floor((H + 2p - k) / s) + 1; an
-    extent below 1 raises. NCHW at the boundary, NHWC inside. All three
-    directions are chunked im2col GEMMs (_correlate):
-      forward  y = corr_s(pad_p(x), W);
+    x is channels-last [N, H, W, C] or [T, N, H, W, C]; T and N are folded
+    into one batch axis inside the node. w is [Cout, Cin, k, k] and the
+    output is [..., H', W', Cout], extent floor((H + 2p - k) / s) + 1; an
+    extent below 1 raises. All three directions are chunked im2col GEMMs
+    (_correlate) that read and write the channels-last arrays in place:
+      forward  y = corr_s(pad_p(x), W), each chunk's GEMM written into y;
       dX       polyphase: padded row q = s*m + r receives
                sum_a g[m - a] W[s*a + r] (columns alike), so each of the s^2
                input phases dx[d::s, e::s] is corr_1 of g, zero-padded by
                ceil(k/s) - 1 rows ahead, with the flipped sub-kernel
                W[r::s, c::s], r = (d + p) % s and c = (e + p) % s. No multiply
                touches a zero inserted between gradient rows, and stride 1 is
-               the one-phase case. A phase whose sub-kernel is empty (k < s)
-               and input rows the forward never reads get exactly 0;
+               the one-phase case, whose GEMMs write into dx. A phase whose
+               sub-kernel is empty (k < s) and input rows the forward never
+               reads get exactly 0;
       dW       sum over chunks of cols^T g.
     Output dtype is result_type(x, w). No input copy is kept: backward
-    rebuilds pad_p(x). dX is skipped for a frozen input, dW for a frozen kernel.
+    rebuilds pad_p(x), which is x itself when p = 0. dX is skipped for a
+    frozen input, dW for a frozen kernel.
     """
     if w.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-D kernel, got {w.shape}")
     x4 = _fold(x, 3, "conv2d")
-    batch, cin, h, wid = x4.shape
+    batch, h, wid, cin = x4.shape
     cout, cin_k, k, kw = w.shape
     if k != kw:
         raise ShapeError(f"conv2d kernel must be square, got {w.shape}")
@@ -363,8 +368,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             f"stride={stride}, padding={padding}")
 
     def padded():
+        if not padding:
+            return np.ascontiguousarray(x4)
         xp = np.zeros((batch, h + 2 * padding, wid + 2 * padding, cin), dtype=x.data.dtype)
-        xp[:, padding:padding + h, padding:padding + wid] = x4.transpose(0, 2, 3, 1)
+        xp[:, padding:padding + h, padding:padding + wid] = x4
         return xp
 
     out = np.empty((batch, out_h, out_w, cout), dtype=np.result_type(x.data, w.data))
@@ -373,10 +380,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         np.matmul(cols, wm, out=out[samples].reshape(-1, cout))
 
     def bwd(g):
-        g4 = g.reshape(batch, cout, out_h, out_w).transpose(0, 2, 3, 1)
+        g4 = g.reshape(batch, out_h, out_w, cout)
         if w.requires_grad:
-            g4c = np.ascontiguousarray(g4)
-            dw = sum((cols.T @ g4c[samples].reshape(-1, cout) for samples, cols in
+            dw = sum((cols.T @ g4[samples].reshape(-1, cout) for samples, cols in
                       _correlate(padded(), k, k, stride, out_h, out_w)),
                      np.zeros((k * k * cin, cout), dtype=g.dtype))
             accumulate_grad(w, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
@@ -388,24 +394,24 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                    for n, axis in ((out_h, along_h), (out_w, along_w))]
             gp = np.zeros((batch, *ext, cout), dtype=g.dtype)
             gp[:, lo:lo + out_h, lo:lo + out_w] = g4
-            dx = np.empty((batch, cin, h, wid), dtype=np.result_type(g, w.data))
+            dx = np.empty((batch, h, wid, cin), dtype=np.result_type(g, w.data))
             for d, r, kr, m0, mh in along_h:
                 for e, c, kc, n0, mw in along_w:
-                    phase = (slice(None), slice(None), slice(d, None, stride),
-                             slice(e, None, stride))
+                    phase = dx[:, d::stride, e::stride]
                     if not (kr and kc):  # k < s: no tap reads these rows
-                        dx[phase] = 0
+                        phase[...] = 0
                         continue
                     sub = w.data[:, :, r::stride, c::stride][:, :, ::-1, ::-1]
                     sub = sub.transpose(2, 3, 0, 1).reshape(-1, cin)
                     view = gp[:, m0 + lo - kr + 1:, n0 + lo - kc + 1:]
                     for samples, taps in _correlate(view, kr, kc, 1, mh, mw):
-                        part = (taps @ sub).reshape(-1, mh, mw, cin)
-                        dx[(samples,) + phase[1:]] = part.transpose(0, 3, 1, 2)
+                        if stride == 1:  # the one phase is dx itself
+                            np.matmul(taps, sub, out=dx[samples].reshape(-1, cin))
+                        else:
+                            phase[samples] = (taps @ sub).reshape(-1, mh, mw, cin)
             _give_grad(x, dx.reshape(x.shape))
 
-    out_data = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    return make_node(out_data.reshape(x.shape[:-3] + out_data.shape[1:]), (x, w), bwd)
+    return make_node(out.reshape(x.shape[:-3] + out.shape[1:]), (x, w), bwd)
 
 
 def _pool_geometry(h: int, wid: int, window: int, stride: int, padding: int):
@@ -419,17 +425,17 @@ def _pool_geometry(h: int, wid: int, window: int, stride: int, padding: int):
 
 
 def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Max pooling over [N, C, H, W] or [T, N, C, H, W]; ties resolve to the
-    first (lowest linear index) element."""
+    """Max pooling over channels-last [N, H, W, C] or [T, N, H, W, C]; ties
+    resolve to the first (lowest linear index) element of the window."""
     x4 = _fold(x, 3, "max_pool2d")
     stride = window if stride is None else stride
-    batch, ch, h, wid = x4.shape
+    batch, h, wid, ch = x4.shape
     out_h, out_w = _pool_geometry(h, wid, window, stride, padding)
     fill = np.array(-np.inf, dtype=x.data.dtype)
-    xp = np.pad(x4, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+    xp = np.pad(x4, ((0, 0), (padding, padding), (padding, padding), (0, 0)),
                 constant_values=fill)
-    win = sliding_window_view(xp, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(batch, ch, out_h, out_w, window * window)
+    win = sliding_window_view(xp, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+    flat = win.reshape(batch, out_h, out_w, ch, window * window)
     arg = flat.argmax(axis=-1)
     out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
@@ -438,10 +444,10 @@ def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int =
             return
         dxp = np.zeros_like(xp)
         wi, wj = arg // window, arg % window
-        bi, ci, oi, oj = np.indices(arg.shape, sparse=True)
-        np.add.at(dxp, (bi, ci, oi * stride + wi, oj * stride + wj), g.reshape(arg.shape))
+        bi, oi, oj, ci = np.indices(arg.shape, sparse=True)
+        np.add.at(dxp, (bi, oi * stride + wi, oj * stride + wj, ci), g.reshape(arg.shape))
         if padding:
-            dxp = dxp[:, :, padding:padding + h, padding:padding + wid]
+            dxp = dxp[:, padding:padding + h, padding:padding + wid]
         _give_grad(x, dxp.reshape(x.shape))
 
     out_data = np.ascontiguousarray(out_data)
@@ -449,19 +455,19 @@ def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int =
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """[N, C, H, W] -> [N, C] (or [T, N, ...] -> [T, N, C]) spatial mean."""
+    """[N, H, W, C] -> [N, C] (or [T, N, ...] -> [T, N, C]) spatial mean."""
     x4 = _fold(x, 3, "global_avg_pool")
-    h, wid = x4.shape[2:]
-    out_data = x4.mean(axis=(2, 3))
+    batch, h, wid, ch = x4.shape
+    out_data = x4.reshape(batch, h * wid, ch).mean(axis=1)
 
     def bwd(g):
-        accumulate_grad(x, np.broadcast_to(g[..., None, None] / (h * wid), x.shape))
+        accumulate_grad(x, np.broadcast_to((g / (h * wid))[..., None, None, :], x.shape))
 
-    return make_node(out_data.reshape(x.shape[:-2]), (x,), bwd)
+    return make_node(out_data.reshape(x.shape[:-3] + (ch,)), (x,), bwd)
 
 
 def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
-    """Average-pool [N, C, H, W] or [T, N, C, H, W] to a fixed
+    """Average-pool channels-last [N, H, W, C] or [T, N, H, W, C] to a fixed
     [out_size, out_size] spatial extent.
 
     Bin i covers rows floor(i*H/out) .. ceil((i+1)*H/out), the usual
@@ -470,29 +476,29 @@ def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
     x4 = _fold(x, 3, "adaptive_avg_pool2d")
     if out_size < 1:
         raise ShapeError(f"adaptive_avg_pool2d output extent must be >= 1, got {out_size}")
-    batch, ch, h, wid = x4.shape
-    out_shape = x.shape[:-2] + (out_size, out_size)
+    batch, h, wid, ch = x4.shape
+    out_shape = x.shape[:-3] + (out_size, out_size, ch)
     if h % out_size == 0 and wid % out_size == 0:
         bh, bw = h // out_size, wid // out_size
-        view = x4.reshape(batch, ch, out_size, bh, out_size, bw)
-        out_data = np.ascontiguousarray(view.mean(axis=(3, 5)))
+        view = x4.reshape(batch, out_size, bh, out_size, bw, ch)
+        out_data = np.ascontiguousarray(view.mean(axis=(2, 4)))
 
         def bwd_fast(g):
             if not x.requires_grad:
                 return
             g4 = g.reshape(out_data.shape)
-            dx = np.broadcast_to(g4[:, :, :, None, :, None] / (bh * bw),
-                                 (batch, ch, out_size, bh, out_size, bw))
+            dx = np.broadcast_to(g4[:, :, None, :, None] / (bh * bw),
+                                 (batch, out_size, bh, out_size, bw, ch))
             accumulate_grad(x, dx.reshape(x.shape))
 
         return make_node(out_data.reshape(out_shape), (x,), bwd_fast)
 
     bounds_h = [(i * h // out_size, -(-((i + 1) * h) // out_size)) for i in range(out_size)]
     bounds_w = [(j * wid // out_size, -(-((j + 1) * wid) // out_size)) for j in range(out_size)]
-    out_data = np.empty((batch, ch, out_size, out_size), dtype=x.data.dtype)
+    out_data = np.empty((batch, out_size, out_size, ch), dtype=x.data.dtype)
     for i, (h0, h1) in enumerate(bounds_h):
         for j, (w0, w1) in enumerate(bounds_w):
-            out_data[:, :, i, j] = x4[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
+            out_data[:, i, j] = x4[:, h0:h1, w0:w1].mean(axis=(1, 2))
 
     def bwd(g):
         if not x.requires_grad:
@@ -501,8 +507,7 @@ def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
         dx = np.zeros_like(x4)
         for i, (h0, h1) in enumerate(bounds_h):
             for j, (w0, w1) in enumerate(bounds_w):
-                dx[:, :, h0:h1, w0:w1] += (g4[:, :, i, j] /
-                                           ((h1 - h0) * (w1 - w0)))[:, :, None, None]
+                dx[:, h0:h1, w0:w1] += (g4[:, i, j] / ((h1 - h0) * (w1 - w0)))[:, None, None]
         _give_grad(x, dx.reshape(x.shape))
 
     return make_node(out_data.reshape(out_shape), (x,), bwd)
@@ -515,32 +520,44 @@ def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
                 training: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
-    """Per-channel batch normalization over [N, C, H, W] or [T, N, C, H, W]
-    (statistics pool T, N, H and W).
+    """Per-channel batch normalization over channels-last [N, H, W, C] or
+    [T, N, H, W, C] (statistics pool T, N, H and W).
 
-    Training mode normalizes with biased batch statistics and updates the
-    running buffers in place (unbiased variance, torch convention).
-    Backward, with s = gamma / sqrt(var + eps), m the pooled count and sums
-    over everything but C: dbeta = sum g, dgamma = sum g*xhat, and
+    x is viewed as B rows of H*W*C floats, and a per-channel vector v acts
+    on a row as tile(v, H*W). Every per-channel sum is
+
+        S(a) = (ones(B) @ a).reshape(H*W, C).sum(axis=0)
+
+    one matvec over the batch, then a sum over the H*W positions; m = B*H*W
+    is the pooled count. Training mode normalizes with the biased batch
+    statistics mean = S(x) / m and var = S((x - mean)^2) / m, and updates
+    the running buffers in place (unbiased variance, torch convention).
+    Backward, with s = gamma / sqrt(var + eps): dbeta = S(g),
+    dgamma = S(g*xhat), and
 
         dx = s * (g - dbeta/m - xhat * dgamma/m)     (training)
         dx = s * g                                   (eval)
 
-    two reductions and one fused pass.
+    two sums and one fused pass, all over whole rows.
     """
-    x3 = _fold(x, 3, "batchnorm2d")
-    ch = x3.shape[1]
+    x4 = _fold(x, 3, "batchnorm2d")
+    batch, h, wid, ch = x4.shape
     if gamma.shape != (ch,) or beta.shape != (ch,):
         raise ShapeError(
             f"batchnorm2d parameter shapes {gamma.shape}/{beta.shape} do not match C={ch}")
-    x3 = x3.reshape(x3.shape[0], ch, -1)  # [B, C, H*W]: per-channel ops broadcast [C, 1]
-    n = x3.shape[0] * x3.shape[2]
-    out3 = np.empty(x3.shape, np.result_type(x3, gamma.data, beta.data))
+    rows = x4.reshape(batch, -1)
+    hw, n = h * wid, batch * h * wid
+    ones = np.ones(batch, dtype=rows.dtype)
+
+    def channel_sum(a):
+        return (ones @ a).reshape(hw, ch).sum(axis=0)
+
+    out = np.empty(rows.shape, np.result_type(rows, gamma.data, beta.data))
     if training:
-        mean = x3.mean(axis=(0, 2))
-        xhat = np.subtract(x3, mean[:, None])
-        sq = out3 if out3.dtype == xhat.dtype else None  # squares in x's dtype, as x.var
-        var = np.multiply(xhat, xhat, out=sq).mean(axis=(0, 2))
+        mean = channel_sum(rows) / n
+        xhat = np.subtract(rows, np.tile(mean, hw))
+        sq = out if out.dtype == xhat.dtype else None  # squares in x's dtype
+        var = channel_sum(np.multiply(xhat, xhat, out=sq)) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         unbiased = var * (n / (n - 1)) if n > 1 else var
@@ -549,30 +566,30 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         mean = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
-        xhat = np.subtract(x3, mean[:, None])
+        xhat = np.subtract(rows, np.tile(mean, hw))
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[:, None]
-    np.multiply(gamma.data[:, None], xhat, out=out3)
-    out3 += beta.data[:, None]
+    xhat *= np.tile(inv_std, hw)
+    np.multiply(np.tile(gamma.data, hw), xhat, out=out)
+    out += np.tile(beta.data, hw)
 
     def bwd(g):
-        g3 = g.reshape(x3.shape)
-        gx = g3 * xhat
-        sum_g, sum_gx = g3.sum(axis=(0, 2)), gx.sum(axis=(0, 2))
+        g2 = g.reshape(rows.shape)
+        gx = g2 * xhat
+        sum_g, sum_gx = channel_sum(g2), channel_sum(gx)
         accumulate_grad(gamma, sum_gx)
         accumulate_grad(beta, sum_g)
         if not x.requires_grad:
             return
-        scale = (gamma.data * inv_std)[:, None]
+        scale = np.tile(gamma.data * inv_std, hw)
         if training:
-            dx = np.subtract(g3, (sum_g / n)[:, None])
-            dx -= np.multiply(xhat, (sum_gx / n)[:, None], out=gx)
+            dx = np.subtract(g2, np.tile(sum_g / n, hw))
+            dx -= np.multiply(xhat, np.tile(sum_gx / n, hw), out=gx)
             dx *= scale
         else:
-            dx = g3 * scale
+            dx = g2 * scale
         _give_grad(x, dx.reshape(x.shape))
 
-    return make_node(out3.reshape(x.shape), (x, gamma, beta), bwd)
+    return make_node(out.reshape(x.shape), (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
+from .data import augment, parse_transforms
 from .errors import ConfigError, DivergenceError, NumericError, ShapeError
 from .metrics import FiringRateTrace, detect_natural_pruning
 from .network import encode_static, frames_to_input
@@ -57,6 +58,7 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        parse_transforms(self.transforms)
         return self
 
 
@@ -188,7 +190,6 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
     aborts with the epoch and batch index.
     """
     cfg.validate()
-    from .data import augment, parse_transforms
     x, y = _as_arrays(train_data)
     transforms = parse_transforms(cfg.transforms)
     rng_shuffle = np.random.default_rng(cfg.seed + 1)

@@ -1,6 +1,8 @@
 """Shared test helpers: the central-finite-difference gradient oracle,
 the LIF oracles (scalar rollout and per-step spike node), small seeded
-input factories and a file that fails like a full disk.
+input factories, the layout converters between the oracles' [..., C, H, W]
+and the engine's channels-last [..., H, W, C], and a file that fails like
+a full disk.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ def gradcheck(fn, *arrays, rel: float = 1e-4, step: float = 1e-5,
         assert worst <= rel, (
             f"input {idx}: worst relative gradient error {worst:.3e} > {rel:.0e}\n"
             f"analytic:\n{analytic}\nnumeric:\n{numeric}")
+
+
+def nhwc(a) -> np.ndarray:
+    """A [..., C, H, W] array as a C-contiguous channels-last [..., H, W, C]."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(a), -3, -1))
+
+
+def nchw(a) -> np.ndarray:
+    """A channels-last [..., H, W, C] array as a C-contiguous [..., C, H, W]."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(a), -1, -3))
 
 
 def margin_random(rng: np.random.Generator, shape, margin: float = 1e-2,

@@ -15,7 +15,7 @@ import pytest
 
 import orsnn.tensor as tz
 from conftest import (distinct_random, gradcheck, lif_reference_trace, margin_random,
-                      smooth_spike_fn)
+                      nhwc, smooth_spike_fn)
 from orsnn.attention import AttentionPlan, make_attention
 from orsnn.config import TrainConfig
 from orsnn.data import (load_idx_dir, save_idx_images, save_idx_labels,
@@ -206,21 +206,21 @@ def _gradient_cases():
         case("relu", lambda r: (margin_random(r, (3, 4)),), tz.relu),
         case("dense-bias", lambda r: (n(r, 3, 5), n(r, 2, 5), n(r, 2)),
              tz.dense),
-        case("conv2d-s1p1", lambda r: (n(r, 2, 2, 5, 5), n(r, 3, 2, 3, 3)),
+        case("conv2d-s1p1", lambda r: (nhwc(n(r, 2, 2, 5, 5)), n(r, 3, 2, 3, 3)),
              lambda x, w: tz.conv2d(x, w, 1, 1)),
         case("dense-time", lambda r: (n(r, 2, 3, 5), n(r, 4, 5), n(r, 4)),
              tz.dense),
-        case("conv2d-s2", lambda r: (n(r, 1, 2, 6, 6), n(r, 2, 2, 3, 3)),
+        case("conv2d-s2", lambda r: (nhwc(n(r, 1, 2, 6, 6)), n(r, 2, 2, 3, 3)),
              lambda x, w: tz.conv2d(x, w, 2, 0)),
-        case("conv2d-time-s2p1", lambda r: (n(r, 2, 2, 2, 5, 5), n(r, 3, 2, 3, 3)),
+        case("conv2d-time-s2p1", lambda r: (nhwc(n(r, 2, 2, 2, 5, 5)), n(r, 3, 2, 3, 3)),
              lambda x, w: tz.conv2d(x, w, 2, 1)),
-        case("max-pool", lambda r: (distinct_random(r, (1, 2, 4, 4)),),
+        case("max-pool", lambda r: (nhwc(distinct_random(r, (1, 2, 4, 4))),),
              lambda x: tz.max_pool2d(x, 2)),
-        case("global-avg-pool", lambda r: (n(r, 2, 3, 4, 4),),
+        case("global-avg-pool", lambda r: (nhwc(n(r, 2, 3, 4, 4)),),
              tz.global_avg_pool),
-        case("adaptive-avg-pool", lambda r: (n(r, 1, 2, 6, 6),),
+        case("adaptive-avg-pool", lambda r: (nhwc(n(r, 1, 2, 6, 6)),),
              lambda x: tz.adaptive_avg_pool2d(x, 3)),
-        case("batchnorm", lambda r: (n(r, 3, 2, 3, 3), n(r, 2), n(r, 2)),
+        case("batchnorm", lambda r: (nhwc(n(r, 3, 2, 3, 3)), n(r, 2), n(r, 2)),
              lambda x, g, b: tz.batchnorm2d(x, g, b, *running(2), True)),
         case("reshape", lambda r: (n(r, 2, 6),),
              lambda x: tz.reshape(x, (3, 4))),
@@ -260,7 +260,7 @@ def _gradient_cases():
                 feats = pooled if feats is None else feats + pooled
             return tz.softmax_cross_entropy(tz.dense(feats, w2), labels)
 
-        gradcheck(fn, 0.8 * n(rng, 2, 1, 6, 6), 0.4 * n(rng, 4, 1, 3, 3),
+        gradcheck(fn, nhwc(0.8 * n(rng, 2, 1, 6, 6)), 0.4 * n(rng, 4, 1, 3, 3),
                   0.5 * n(rng, 3, 4))
     cases.append(("spiking-net-smooth-twin", smooth_twin))
     return cases
@@ -461,7 +461,7 @@ def test_09_attention_binarity_and_placement_layouts():
                                       f"g{flavor}{role}", channels=8,
                                       time_steps=4, lif_cfg=lif_cfg, rng=rng)
                 x = rng.normal(0.0, 2.0, size=(4, 3, 8, 5, 5)).astype(np.float32)
-                mask = gate.weights(Tensor(x), ForwardContext()).data
+                mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
                 if not np.all((mask == 0.0) | (mask == 1.0)):
                     failures.append(f"{flavor}/{role} seed {seed}: "
                                     "non-binary gate values")

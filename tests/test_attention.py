@@ -1,5 +1,6 @@
 """Attention gates: loop-oracle checks of the three mask computations,
-binarity of gated outputs, broadcast rules, and plan parsing."""
+binarity of gated outputs, broadcast rules, and plan parsing. The oracles
+take [T, N, C, H, W]; the gates run on channels-last [T, N, H, W, C]."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from orsnn.layers import ForwardContext
 from orsnn.neuron import LIFConfig
 from orsnn.record import SpikeRecord
 from orsnn.tensor import Tensor
+
+from conftest import nchw, nhwc
 
 
 CFG = LIFConfig()
@@ -91,7 +94,7 @@ class TestTemporal:
         gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
                                  lif_cfg=CFG, rng=rng)
         x = random_activation((4, 2, 3, 5, 5), seed=11)
-        mask = gate.weights(Tensor(x), ForwardContext()).data
+        mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
         expected = temporal_oracle(x.astype(np.float64), gate)
         assert mask.shape == (4, 2)
         np.testing.assert_array_equal(mask.astype(np.float64), expected)
@@ -103,7 +106,7 @@ class TestTemporal:
         seen = set()
         for seed in range(6):
             x = random_activation((8, 2, 4, 6, 6), seed=seed, scale=6.0)
-            mask = gate.weights(Tensor(x), ForwardContext()).data
+            mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
             assert set(np.unique(mask)) <= {0.0, 1.0}
             seen |= set(np.unique(mask).tolist())
         assert seen == {0.0, 1.0}
@@ -113,7 +116,7 @@ class TestTemporal:
         gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
                                  lif_cfg=CFG, rng=rng)
         with pytest.raises(ShapeError, match="built for T=4"):
-            gate.weights(Tensor(random_activation((3, 2, 3, 5, 5), 0)), ForwardContext())
+            gate.weights(Tensor(nhwc(random_activation((3, 2, 3, 5, 5), 0))), ForwardContext())
 
     def test_rank_mismatch_raises(self):
         rng = np.random.default_rng(0)
@@ -129,7 +132,7 @@ class TestChannel:
         gate = ChannelAttention("g", "promote", channels=8, reduction=4,
                                 lif_cfg=CFG, rng=rng)
         x = random_activation((3, 2, 8, 4, 4), seed=23)
-        mask = gate.weights(Tensor(x), ForwardContext()).data
+        mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
         expected = channel_oracle(x.astype(np.float64), gate)
         assert mask.shape == (3, 2, 8)
         np.testing.assert_array_equal(mask.astype(np.float64), expected)
@@ -139,7 +142,7 @@ class TestChannel:
         gate = ChannelAttention("g", "promote", channels=8, reduction=4,
                                 lif_cfg=CFG, rng=rng)
         with pytest.raises(ShapeError, match="built for C=8"):
-            gate.weights(Tensor(random_activation((3, 2, 4, 4, 4), 0)), ForwardContext())
+            gate.weights(Tensor(nhwc(random_activation((3, 2, 4, 4, 4), 0))), ForwardContext())
 
 
 class TestSpatial:
@@ -147,7 +150,7 @@ class TestSpatial:
         rng = np.random.default_rng(29)
         gate = SpatialAttention("g", "promote", kernel=3, lif_cfg=CFG, rng=rng)
         x = random_activation((2, 2, 3, 5, 5), seed=31)
-        mask = gate.weights(Tensor(x), ForwardContext()).data
+        mask = nchw(gate.weights(Tensor(nhwc(x)), ForwardContext()).data)
         expected = spatial_oracle(x.astype(np.float64), gate)
         assert mask.shape == (2, 2, 1, 5, 5)
         np.testing.assert_array_equal(mask.astype(np.float64), expected)
@@ -172,13 +175,14 @@ def test_gated_binary_input_stays_binary(flavor):
     gate = make_attention(plan, "promote", "g", channels=4, time_steps=4,
                           lif_cfg=CFG, rng=rng)
     spikes = (np.random.default_rng(43).random((4, 2, 4, 5, 5)) < 0.5)
-    x = Tensor(spikes.astype(np.float32))
+    x = Tensor(nhwc(spikes.astype(np.float32)))
     ctx = ForwardContext()
     out = gate.forward(x, ctx)
     assert set(np.unique(out.data)) <= {0.0, 1.0}
     mask = gate.weights(x, ForwardContext()).data
+    mask = nchw(mask) if mask.ndim == 5 else mask
     view = mask.reshape(mask.shape + (1,) * (5 - mask.ndim))
-    np.testing.assert_array_equal(out.data, x.data * view)
+    np.testing.assert_array_equal(nchw(out.data), spikes * view)
     assert ctx.audit_ref is not None
     np.testing.assert_array_equal(ctx.audit_ref, out.data)
 
@@ -192,7 +196,7 @@ def test_gate_gradients_reach_parameters(flavor):
                          spatial_kernel=3)
     gate = make_attention(plan, "promote", "g", channels=4, time_steps=4,
                           lif_cfg=CFG, rng=rng)
-    x = Tensor(random_activation((4, 2, 4, 5, 5), seed=53), requires_grad=True)
+    x = Tensor(nhwc(random_activation((4, 2, 4, 5, 5), seed=53)), requires_grad=True)
     out = gate.forward(x, ForwardContext())
     loss = tz.reduce_mean(out, tuple(range(out.ndim)))
     tz.backward(loss)
@@ -220,6 +224,12 @@ class TestApplyAttention:
         w = Tensor(np.ones((3, 2, 1, 5, 5), dtype=np.float32) * 0.5)
         out = apply_attention(x, w)
         np.testing.assert_allclose(out.data, x.data * 0.5, rtol=1e-6)
+
+    def test_channel_mask_meets_the_last_axis(self):
+        x = Tensor(random_activation((3, 2, 5, 5, 4), 62))
+        w = Tensor(np.arange(24, dtype=np.float32).reshape(3, 2, 4))
+        out = apply_attention(x, w)
+        np.testing.assert_array_equal(out.data, x.data * w.data[:, :, None, None, :])
 
     def test_rank_excess_rejected(self):
         x = Tensor(np.zeros((3, 2), dtype=np.float32))
@@ -331,7 +341,7 @@ def test_gate_records_spikes_and_arithmetic():
                             lif_cfg=CFG, rng=rng)
     record = SpikeRecord(samples=2, time_steps=3)
     ctx = ForwardContext(record=record)
-    x = Tensor(random_activation((3, 2, 4, 4, 4), seed=71))
+    x = Tensor(nhwc(random_activation((3, 2, 4, 4, 4), seed=71)))
     out = gate.forward(x, ctx)
     assert "blk.ma1.gate" in record.layers
     assert "blk.ma1" in record.layers

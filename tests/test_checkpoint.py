@@ -1,6 +1,8 @@
 """Checkpoint container: bit-exact round trips, header guards, and
 corruption detection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from orsnn.network import build_network
 from orsnn.neuron import LIFConfig
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
+CONV_ARCH = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c32))-AP-FC4"
+PAYLOAD_SHA256 = "1f8c06134529f10cfbaa25b748fcd7291458694aeadbc496d82825f7ed7f5f6c"
 
 # The header of SMALL with T/a attention, T=4, 2 input channels, seed 3,
 # saved at epoch 7.
@@ -135,6 +139,17 @@ class TestRoundTrip:
         save_checkpoint(net, tmp_path / "run.ckpt", epoch=7)
         head = (tmp_path / "run.ckpt").read_bytes().partition(b"\n\n")[0]
         assert head.decode() + "\n\n" == HEADER_TEXT
+
+    def test_payload_bytes_are_pinned(self, tmp_path):
+        """The blocks after the header hold kernels as [Cout, Cin, k, k] and
+        every other tensor as built, whatever layout the activations use
+        inside the network: the digest of the seeded train-conv network
+        with T/a gates is fixed."""
+        net = build_network(CONV_ARCH, attention=AttentionPlan.parse("T/a"),
+                            time_steps=8, in_channels=2, seed=0)
+        save_checkpoint(net, tmp_path / "run.ckpt")
+        payload = (tmp_path / "run.ckpt").read_bytes().partition(b"\n\n")[2]
+        assert hashlib.sha256(payload).hexdigest() == PAYLOAD_SHA256
 
     def test_custom_lif_settings_survive(self, tmp_path):
         lif = LIFConfig(tau=2.5, u_threshold=0.75, u_reset=0.1,

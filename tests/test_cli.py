@@ -93,6 +93,13 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "ERROR DatasetNotFound:" in capsys.readouterr().err
 
+    def test_bad_transform_is_rejected_before_any_write(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run")
+        cfg.write_text(cfg.read_text() + "transforms = rotate(3)\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "ERROR ConfigError: unknown transform 'rotate'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_extends_the_same_log(self, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", str(write_config(tmp_path / "a.cfg", out,

@@ -50,6 +50,24 @@ class TestFlopHelpers:
         assert rec.layers["fc"].total_flops == 5120 * 2 * 3
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_input_nonzero_count_matches_count_nonzero(dtype):
+    """in_nonzero counts what np.count_nonzero counts on the float input:
+    -0.0 is zero; NaN, infinities and subnormals are not."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 1.0, -2.5],
+                       dtype=dtype)
+    rng = np.random.default_rng(0)
+    literal = rng.choice(special, size=(4, 3, 5, 5, 2))
+    rec = SpikeRecord()
+    rec.note_input("conv1", "conv", literal, rated(8, 3), flops=1)
+    rec.note_input("conv1", "conv", special, rated(8, 3), flops=1)
+    st = rec.layers["conv1"]
+    assert st.in_nonzero == np.count_nonzero(literal) + np.count_nonzero(special)
+    assert st.in_nonzero == np.count_nonzero(literal) + 7
+    assert st.in_total == literal.size + special.size
+
+
 class TestEnergyOracle:
     def build_record(self):
         # 2 samples; hand-chosen flops and input rates:

@@ -199,11 +199,11 @@ class TestGraphs:
 
 
     @pytest.mark.parametrize("make,shape", [
-        (lambda rng: ConvLayer("conv", 3, 4, 3, 2, 1, rng=rng), (2, 3, 3, 7, 7)),
-        (lambda rng: BatchNormLayer("bn", 3), (2, 3, 3, 7, 7)),
-        (lambda rng: MaxPoolLayer("mp", 3, 2, 1), (2, 3, 3, 7, 7)),
-        (lambda rng: AdaptiveAvgPoolLayer("ap", 2), (2, 3, 3, 7, 7)),
-        (lambda rng: GlobalAvgPoolLayer("gap"), (2, 3, 3, 7, 7)),
+        (lambda rng: ConvLayer("conv", 3, 4, 3, 2, 1, rng=rng), (2, 3, 7, 7, 3)),
+        (lambda rng: BatchNormLayer("bn", 3), (2, 3, 7, 7, 3)),
+        (lambda rng: MaxPoolLayer("mp", 3, 2, 1), (2, 3, 7, 7, 3)),
+        (lambda rng: AdaptiveAvgPoolLayer("ap", 2), (2, 3, 7, 7, 3)),
+        (lambda rng: GlobalAvgPoolLayer("gap"), (2, 3, 7, 7, 3)),
         (lambda rng: DenseLayer("fc", 5, 4, rng=rng), (2, 3, 5)),
     ], ids=["conv", "bn", "maxpool", "adaptive-pool", "global-pool", "fc"])
     def test_each_layer_forward_adds_one_node(self, make, shape):
@@ -353,6 +353,46 @@ class TestAudit:
         assert fc.input_rate > 0
         report = audit_spike_drivenness(net, batch, mode="strict")
         assert {e.name: e.klass for e in report.entries}["fc"] == "AC"
+
+
+class TestLayout:
+    """[T, N, C, H, W] at the boundary, channels-last [T, N, H, W, C] inside."""
+
+    def test_boundaries_take_and_give_channels_first(self):
+        frames = binary_batch((3, 2, 2, 5, 7), seed=2)  # [N, T, C, H, W]
+        x = frames_to_input(frames)
+        assert x.shape == (2, 3, 2, 5, 7)
+        assert encode_static(frames[:, 0], 2).shape == (2, 3, 2, 5, 7)
+        net = build_network("c4k3s1p1-BN-LIF-AP-FC3", time_steps=2, in_channels=2, seed=0)
+        assert net.forward(x).shape == (3, 3)
+        with pytest.raises(ShapeError, match="2 input channels, got 5"):
+            net.forward(np.ascontiguousarray(x.transpose(0, 1, 3, 4, 2)))
+
+    def test_every_stage_output_is_c_contiguous_channels_last(self, monkeypatch):
+        net = build_network(
+            "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c32))-AP-FC4",
+            attention=AttentionPlan.parse("T/a"), time_steps=4, in_channels=2, seed=0)
+        seen = []
+        for cls in (ConvLayer, BatchNormLayer, LIFLayer):
+            def forward(layer, x, ctx, original=cls.forward):
+                out = original(layer, x, ctx)
+                seen.append((layer, x.shape, out.data))
+                return out
+            monkeypatch.setattr(cls, "forward", forward)
+        net.forward(binary_batch((4, 3, 2, 16, 12), seed=1), training=True)
+        stages = [m for m in net.walk() if isinstance(m, (ConvLayer, BatchNormLayer, LIFLayer))]
+        assert len(seen) == len(stages) == 33
+        for layer, (_, _, h, w, c), out in seen:
+            assert out.flags.c_contiguous, layer.name
+            if isinstance(layer, ConvLayer):
+                assert c == layer.in_channels, layer.name
+                oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
+                ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
+                assert out.shape == (4, 3, oh, ow, layer.out_channels), layer.name
+            else:
+                assert out.shape == (4, 3, h, w, c), layer.name
+                if isinstance(layer, BatchNormLayer):
+                    assert c == layer.channels, layer.name
 
 
 class TestEncoding:

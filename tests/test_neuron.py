@@ -172,7 +172,7 @@ def test_smooth_twin_two_layer_net_gradient(seed):
     b2 = rng.standard_normal(2) * 0.1
 
     def fn(xt, w1t, w2t, b2t):
-        c = tz.conv2d(tz.reshape(xt, (3, 1, 4, 4)), w1t, 1, 0)
+        c = tz.conv2d(tz.reshape(xt, (3, 4, 4, 1)), w1t, 1, 0)  # channels-last, C = 1
         sp1 = lif_multistep(LIFState(), tz.reshape(c, (3, 1, 2, 2, 2)), cfg, smooth=True)
         d = tz.dense(tz.reshape(sp1, (3, 8)), w2t, b2t)
         sp2 = lif_multistep(LIFState(), tz.reshape(d, (3, 1, 2)), cfg, smooth=True)

@@ -18,7 +18,7 @@ from orsnn.residual import (BlockTopology, JoinMode, ResidualBlock, build_block,
                             join)
 from orsnn.tensor import Tensor
 
-from conftest import gradcheck
+from conftest import gradcheck, nchw, nhwc
 
 BITS = [0.0, 1.0]
 
@@ -115,10 +115,13 @@ def spikes(shape, seed=0, density=0.4):
 
 
 def run_block(block, x, training=False, strict=True, record=None):
+    """Forward [T, N, C, H, W] spikes through a block, which runs on
+    channels-last data; the output comes back as [T, N, C, H, W]."""
     block.reset_state()
+    x = nhwc(x)
     ctx = ForwardContext(training=training, record=record, strict=strict,
                          audit_ref=x)
-    return block.forward(Tensor(x), ctx)
+    return Tensor(nchw(block.forward(Tensor(x), ctx).data))
 
 
 def test_or_block_layout_without_attention():
