@@ -19,7 +19,8 @@ class ShapeError(EngineError, ValueError):
 
 
 class GraphError(EngineError, RuntimeError):
-    """Autograd misuse, e.g. backward on a non-scalar without a seed."""
+    """Autograd misuse: backward on a non-scalar without a seed, or a
+    backward that reaches a graph an earlier backward consumed."""
 
 
 class ArchError(EngineError, ValueError):

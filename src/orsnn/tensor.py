@@ -8,9 +8,13 @@ in descending creation index, so each node's gradient is complete before
 it is passed on; gradients accumulate, never overwrite. A tensor's first
 gradient is a copy of what its consumer passed (accumulate_grad), except
 where the consumer's backward has just allocated that array and drops it:
-then the array itself becomes .grad (_give_grad). No global list holds
-nodes, so reference counting frees a graph as soon as the tensors that
-reach it are dropped. Conv, BN, the pools and dense take [N, ...] or
+then the array itself becomes .grad (_give_grad). backward consumes the
+graph as it goes: a node that has run drops its gradient, backward
+function and parents, so what it and its backward saved is freed before
+the nodes below it run. Only leaves keep .grad, and a backward that
+reaches a consumed node raises GraphError. No global list holds nodes, so
+reference counting frees a graph that is dropped without a backward as
+well. Conv, BN, the pools and dense take [N, ...] or
 [T, N, ...] inputs and fold T into the batch inside their own node.
 Images are channels-last, [N, H, W, C] or [T, N, H, W, C], so conv's GEMMs
 read and write them without transposing copies and BN works on whole
@@ -168,7 +172,18 @@ def _fold(x: Tensor, core: int, who: str) -> np.ndarray:
 
 
 def backward(root: Tensor, seed=None) -> None:
-    """Accumulate d(root)/d(ancestor) into every reachable tensor's .grad."""
+    """Accumulate d(root)/d(ancestor) into every reachable leaf's .grad,
+    consuming the graph.
+
+    Nodes run in descending creation index. Once a node's backward_fn has
+    run (or the node never received a gradient), its grad, backward_fn and
+    parents are cleared and the walk drops it, so an interior node that no
+    caller holds is freed, with its data and the arrays its backward saved,
+    before the nodes below it run. Leaves (index 0) keep their .grad.
+    Reaching a consumed node, by a second backward over the same graph or
+    over a graph that shares nodes with an earlier root's, raises
+    GraphError before any gradient moves.
+    """
     if seed is None:
         if root.data.size != 1:
             raise GraphError(
@@ -184,12 +199,19 @@ def backward(root: Tensor, seed=None) -> None:
     while stack:
         node = stack.pop()
         if id(node) not in graph:
+            if node.index and node.backward_fn is None:
+                raise GraphError(
+                    f"backward reached a node {node.shape} that an earlier backward consumed")
             graph[id(node)] = node
             stack.extend(node.parents)
+    order = sorted(graph.values(), key=lambda n: n.index)
+    del graph
     accumulate_grad(root, seed)
-    for node in sorted(graph.values(), key=lambda n: n.index, reverse=True):
-        if node.backward_fn is not None and node.grad is not None:
+    while order and order[-1].index:
+        node = order.pop()
+        if node.grad is not None:
             node.backward_fn(node.grad)
+        node.grad, node.backward_fn, node.parents = None, None, ()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -231,7 +231,6 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
             opt.step()
             loss_sum += float(loss.data) * xb.shape[0]
             hits += int((logits.data.argmax(axis=1) == yb).sum())
-            del logits, loss  # they reach this step's graph: free it before the next
         rec = SpikeRecord()
         val_loss, val_acc = evaluate(network, rate_data,
                                      batch_size=cfg.batch_size,

@@ -384,8 +384,10 @@ def test_leading_time_axis_is_folded_into_the_batch(op, shape):
 def test_gradients_handed_over_without_copy_share_no_memory(monkeypatch):
     """A join input that feeds BN and a mask multiply, and a tensor used
     twice by one mul, receive gradients from backwards that hand their fresh
-    arrays over: every .grad is its own array, with the values that
-    copying every gradient gives."""
+    arrays over: every gradient is its own array, with the values that
+    copying every gradient gives. backward clears an interior node's .grad
+    once the node has run, so each interior gradient is captured as it is
+    passed to the node's backward."""
     rng = np.random.default_rng(4)
     a = nhwc(rng.standard_normal((2, 3, 3, 4, 4)))
     b = (rng.random(a.shape) < 0.5).astype(np.float64)
@@ -398,11 +400,18 @@ def test_gradients_handed_over_without_copy_share_no_memory(monkeypatch):
         normed = tz.batchnorm2d(joined, gamma, beta, np.zeros(3), np.ones(3), training=True)
         gated = tz.mul(joined, Tensor(mask))
         out = tz.mul(normed, normed) + gated
+        handed = {}
+        for node in (joined, normed, gated, out):
+            def capture(g, node=node, fn=node.backward_fn):
+                handed[id(node)] = g
+                fn(g)
+            node.backward_fn = capture
         backward(out, seed=np.ones(out.shape))
-        tensors = [x, y, gamma, beta, joined, normed, gated, out]
-        return [t.grad for t in tensors]
+        interior = [handed[id(t)] for t in (joined, normed, gated, out)]
+        return [t.grad for t in (x, y, gamma, beta)] + interior
 
     grads = run()
+    assert all(g is not None for g in grads)
     for i, gi in enumerate(grads):
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
@@ -662,6 +671,51 @@ def test_no_grad_suppresses_graph():
     assert not out.requires_grad
     backward(out, seed=np.ones(1))
     assert a.grad is None and out.grad is None
+
+
+def test_second_backward_over_a_consumed_graph_raises():
+    a = t([1.0, 2.0], requires_grad=True)
+    loss = tz.reduce_mean(tz.mul(a, a), (0,))
+    backward(loss)
+    first = a.grad.copy()
+    with pytest.raises(GraphError, match="consumed"):
+        backward(loss)
+    assert np.array_equal(a.grad, first)
+
+
+def test_backward_of_a_root_sharing_a_consumed_subgraph_raises():
+    """A second root built on nodes that an earlier backward consumed fails
+    before any gradient moves, instead of silently adding nothing."""
+    a = t([1.0, 2.0], requires_grad=True)
+    b = t([3.0, -1.0], requires_grad=True)
+    shared = tz.mul(a, b)
+    backward(tz.reduce_mean(shared, (0,)))
+    first = a.grad.copy()
+    other = tz.reduce_mean(tz.add(shared, b), (0,))
+    with pytest.raises(GraphError, match="consumed"):
+        backward(other)
+    assert np.array_equal(a.grad, first) and np.array_equal(b.grad, [0.5, 1.0])
+
+
+def test_backward_consumes_interior_nodes_and_leaves_keep_grads():
+    """After backward no interior node holds a gradient, parents or a
+    backward function, a node that never received a gradient included;
+    leaves keep their gradients and a constant leaf keeps none."""
+    a = t([1.0, -2.0, 3.0], requires_grad=True)
+    w = t([0.5, 0.25, 2.0], requires_grad=True)
+    const = t([1.0, 1.0, 1.0])
+    hidden = tz.relu(tz.mul(a, w))
+    starved = tz.mul(a, const)
+    stop = tz.make_node(starved.data.copy(), (starved,), lambda g: None)
+    loss = tz.reduce_mean(tz.add(hidden, tz.mul(hidden, hidden)), (0,))
+    backward(loss + tz.reduce_mean(stop, (0,)))
+    for node in (hidden, starved, stop, loss):
+        assert node.index > 0
+        assert node.grad is None and node.backward_fn is None and node.parents == ()
+    h = np.maximum(a.data * w.data, 0.0)
+    dh = (1.0 + 2.0 * h) / 3.0 * (h > 0)
+    assert np.allclose(a.grad, dh * w.data) and np.allclose(w.grad, dh * a.data)
+    assert const.grad is None
 
 
 def test_backward_replay_is_bit_deterministic():

@@ -1,17 +1,27 @@
 """Training loop: per-dataset defaults, the Adam reference math, zero-lr
-invariance, single-batch overfit, gradient flow, divergence reporting,
-and seed determinism."""
+invariance, single-batch overfit, gradient flow, a train step's memory
+and page faults, divergence reporting, and seed determinism."""
 
+import gc
+import hashlib
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orsnn
 from orsnn import tensor as tz
 from orsnn.attention import AttentionPlan
 from orsnn.config import parse_config
+from orsnn.data import synth_events
 from orsnn.errors import ConfigError, DivergenceError, ShapeError
-from orsnn.network import build_network
+from orsnn.network import build_network, frames_to_input
 from orsnn.tensor import Tensor
 from orsnn.training import (
     TABLE_DEFAULTS,
@@ -23,6 +33,11 @@ from orsnn.training import (
 )
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
+CONV_ARCH = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c32))-AP-FC4"
+LONG_T_ARCH = "c4k3s1p1-BN-LIF-(OR-SEW Block(c8))-AP-FC2"
+# arch, synth kind, height = width, T and batch of the two benchmark train networks
+TRAIN_NETS = {"train-conv": (CONV_ARCH, "moving-bar", 16, 8, 32),
+              "train-longT": (LONG_T_ARCH, "two-class-motion", 8, 32, 8)}
 
 
 def tiny_dataset(n=8, classes=4, hw=8, seed=0):
@@ -38,6 +53,16 @@ def tiny_net(seed=0, time_steps=2, arch=SMALL):
 
 def param_bytes(net):
     return {name: p.data.tobytes() for name, p in net.named_params()}
+
+
+def train_net_batch(which: str, seed: int = 901):
+    """A benchmark train network (T/a gates, init seed 0), one seeded batch
+    as time-major input, and its labels."""
+    arch, kind, hw, t, batch = TRAIN_NETS[which]
+    net = build_network(arch, attention=AttentionPlan.parse("T/a"), time_steps=t,
+                        in_channels=2, seed=0)
+    x, y = synth_events(kind, batch, t, hw, hw, seed=seed).xy()
+    return net, frames_to_input(x), y
 
 
 class TestDefaults:
@@ -193,8 +218,7 @@ def test_second_step_does_not_hold_the_first_steps_graph():
     """At train-conv's shapes (two OR-SEW blocks, T=8, batch 32, 2x16x16
     events) a step that still held its predecessor's graph peaked 1.38x as
     high as the first step."""
-    net = build_network("c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c32))-AP-FC4",
-                        time_steps=8, in_channels=2, seed=0)
+    net = build_network(CONV_ARCH, time_steps=8, in_channels=2, seed=0)
     rng = np.random.default_rng(0)
     x = (rng.random((64, 8, 2, 16, 16)) < 0.2).astype(np.float32)
     y = np.arange(64) % 4
@@ -214,6 +238,93 @@ def test_second_step_does_not_hold_the_first_steps_graph():
         tracemalloc.stop()
     first, second = peaks[1], peaks[2]  # the steps; peaks[2] is read at validation
     assert second <= 1.1 * first, (first, second)
+
+
+class TestTrainStepMemory:
+    # sha256 of one step's logits and of every (name, gradient) in
+    # named_params order, taken before backward consumed the graph
+    DIGESTS = {
+        "train-conv": ("076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+                       "357f48af7a9fe3820f5caf2d827b7ac1ffe751ae2c0c5922a17ed320d5704f6a"),
+        "train-longT": ("44ee419ee062e3119d4238e56d5d4933666cd79c2f3a7657e1ec2408fe9bbc3a",
+                        "866f9aadfcbb3e741072f27a1906639a8181f786a80266c9a3bf46ae04562240"),
+    }
+    # the numeric stack they were taken on: GEMM and reduction rounding
+    # depend on the BLAS build and numpy's SIMD loops
+    DIGEST_STACK = ("x86_64", "2.4.6", "scipy-openblas 0.3.31.188.0")
+
+    def test_backward_peak_stays_near_the_forwards_bytes(self):
+        """At train-conv's shapes, backward frees each node's data and saved
+        arrays once it has run, so its traced peak stays within 1.15x of
+        what the forward keeps; a backward that held every interior
+        gradient until it returned peaked at 1.68x."""
+        net, inp, y = train_net_batch("train-conv")
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = tz.softmax_cross_entropy(net.forward(inp, training=True), y)
+            kept = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tz.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak <= 1.15 * kept, (peak, kept)
+
+    @pytest.mark.parametrize("which", sorted(TRAIN_NETS))
+    def test_one_step_matches_pinned_digests(self, which):
+        # machine and numpy first: show_config(mode=) exists from numpy 1.26 on
+        stack = (platform.machine(), np.__version__)
+        if stack == self.DIGEST_STACK[:2]:
+            blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+            stack += (f"{blas.get('name')} {blas.get('version')}",)
+        if stack != self.DIGEST_STACK:
+            pytest.skip(f"digests were taken on {self.DIGEST_STACK}, this is {stack}")
+        net, inp, y = train_net_batch(which)
+        logits = net.forward(inp, training=True)
+        tz.backward(tz.softmax_cross_entropy(logits, y))
+        grads = hashlib.sha256()
+        for name, p in net.named_params():
+            grads.update(name.encode())
+            grads.update(p.grad.tobytes())
+        digests = (hashlib.sha256(logits.data.tobytes()).hexdigest(), grads.hexdigest())
+        assert digests == self.DIGESTS[which]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is glibc's")
+    def test_train_steps_take_no_page_faults_under_the_cli_allocator_policy(self):
+        """Under cli.keep_freed_memory a train-conv step reuses the memory
+        the previous step freed. Without it each step took about 12,000
+        minor faults: glibc returned the freed activations to the kernel
+        and the next step faulted them in again."""
+        code = textwrap.dedent(f"""
+            import resource, sys
+            sys.path.insert(0, {str(Path(__file__).parent)!r})
+            from orsnn import cli, tensor as tz
+            from orsnn.training import Adam
+            from test_training import train_net_batch
+            cli.keep_freed_memory()
+            net, inp, y = train_net_batch("train-conv")
+            opt = Adam(net.named_params(), lr=0.01)
+            def step():
+                opt.zero_grad()
+                tz.backward(tz.softmax_cross_entropy(net.forward(inp, training=True), y))
+                opt.step()
+            for _ in range(3):
+                step()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                step()
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+        """)
+        src = str(Path(orsnn.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) <= 100, run.stdout
 
 
 def test_divergence_error_reports_epoch_and_batch():
