@@ -24,7 +24,7 @@ from .metrics import (EnergyModel, EnergyReport, FiringRateTrace,
 from .network import Network, build_network, encode_static, frames_to_input
 from .neuron import LIFConfig, LIFState, lif_multistep, lif_step, surrogate_grad
 from .record import SpikeRecord, instrumented_pass
-from .residual import (AuditReport, BlockTopology, JoinMode, ResidualBlock,
+from .residual import (AuditReport, JoinMode, ResidualBlock,
                        audit_spike_drivenness, build_block, join)
 from .tensor import Tensor, backward, no_grad
 from .training import (Adam, EpochStats, TABLE_DEFAULTS, TrainConfig,

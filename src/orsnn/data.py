@@ -46,7 +46,7 @@ class IdxDataset:
         return self.images, self.labels
 
     def subset(self, n: int, seed: int = 0) -> "IdxDataset":
-        """Class-stratified first-n subset, shuffled deterministically."""
+        """A random n-sample subset drawn with `seed`, kept in file order."""
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(self))
         picked = sorted(order[:n].tolist())

@@ -8,8 +8,11 @@ inside their own autograd node, so each of these layers adds exactly one
 node; a spiking layer hands the whole [T, ...] input to the fused LIF op,
 which threads the membrane step to step inside one node (see neuron.py).
 A ForwardContext carries the training flag, the optional SpikeRecord, and
-the audit reference (the tensor whose binarity decides MAC-vs-AC for the
-next arithmetic layer; linear pooling chains are transparent to it).
+the audit reference: the array whose binarity decides MAC-vs-AC for the
+classifier. A conv is audited on its own input; the classifier is audited
+on the spike map entering the global average pool, because averaging is
+linear. The pool is the one layer that sets the reference, and the
+classifier the one that reads it.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class ConvLayer(Module):
 
     def __init__(self, name: str, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, *, rng: np.random.Generator,
-                 dtype=np.float32, is_encoder: bool = False, stat_kind: str = "conv"):
+                 dtype=np.float32, is_encoder: bool = False):
         super().__init__(name)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -92,7 +95,6 @@ class ConvLayer(Module):
         self.stride = stride
         self.padding = padding
         self.is_encoder = is_encoder
-        self.stat_kind = stat_kind
         self.weight = he_uniform(rng, (out_channels, in_channels, kernel, kernel),
                                  in_channels * kernel * kernel, dtype)
 
@@ -108,12 +110,10 @@ class ConvLayer(Module):
             raise ShapeError(f"{self.name}: expected {self.in_channels} channels, got {c}")
         out = tz.conv2d(x, self.weight, self.stride, self.padding)
         if ctx.record is not None:
-            ref = ctx.audit_ref if ctx.audit_ref is not None else x.data
             ctx.record.note_input(
-                self.name, self.stat_kind, x.data, ref,
+                self.name, "conv", x.data, x.data,
                 flops=self.flops_per_step(out.shape[2], out.shape[3]) * t * n,
                 is_encoder=self.is_encoder)
-        ctx.audit_ref = out.data
         return out
 
 
@@ -140,11 +140,9 @@ class BatchNormLayer(Module):
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        out = tz.batchnorm2d(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training=ctx.training,
-                             eps=self.eps, momentum=self.momentum)
-        ctx.audit_ref = out.data
-        return out
+        return tz.batchnorm2d(x, self.gamma, self.beta, self.running_mean,
+                              self.running_var, training=ctx.training,
+                              eps=self.eps, momentum=self.momentum)
 
 
 class LIFLayer(Module):
@@ -165,7 +163,6 @@ class LIFLayer(Module):
             raise NumericError(f"{self.name}: {err}") from None
         if ctx.record is not None:
             ctx.record.note_spikes(self.name, "lif", out.data)
-        ctx.audit_ref = out.data
         return out
 
 
@@ -178,9 +175,7 @@ class MaxPoolLayer(Module):
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        out = tz.max_pool2d(x, self.window, self.stride, self.padding)
-        ctx.audit_ref = out.data
-        return out
+        return tz.max_pool2d(x, self.window, self.stride, self.padding)
 
 
 class AdaptiveAvgPoolLayer(Module):
@@ -190,21 +185,20 @@ class AdaptiveAvgPoolLayer(Module):
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        out = tz.adaptive_avg_pool2d(x, self.out_size)
-        ctx.audit_ref = out.data
-        return out
+        return tz.adaptive_avg_pool2d(x, self.out_size)
 
 
 class GlobalAvgPoolLayer(Module):
-    """[T, N, H, W, C] -> [T, N, C]. Transparent to the audit reference:
-    averaging is linear, so the binarity that matters for the following
-    classifier is that of the spike map entering this pool."""
+    """[T, N, H, W, C] -> [T, N, C]. Averaging is linear, so the binarity
+    that matters for the following classifier is that of the spike map
+    entering this pool: it becomes the audit reference."""
 
     def __init__(self, name: str):
         super().__init__(name)
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
+        ctx.audit_ref = x.data
         return tz.global_avg_pool(x)
 
 
@@ -236,5 +230,4 @@ class DenseLayer(Module):
             ctx.record.note_input(
                 self.name, "fc", x.data, ref,
                 flops=self.in_features * self.out_features * x.shape[0] * x.shape[1])
-        ctx.audit_ref = out.data
         return out

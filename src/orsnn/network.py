@@ -22,7 +22,7 @@ from .layers import (AdaptiveAvgPoolLayer, BatchNormLayer, ConvLayer, DenseLayer
                      Module)
 from .neuron import LIFConfig
 from .record import SpikeRecord
-from .residual import BlockTopology, JoinMode, ResidualBlock, build_block
+from .residual import JoinMode, ResidualBlock, build_block
 from .tensor import Tensor
 
 
@@ -53,11 +53,7 @@ class Network(Module):
         return [b.name for b in self.blocks() if b.pruned]
 
     def shortcut_lif_names(self) -> list[str]:
-        names = []
-        for b in self.blocks():
-            if not b.pruned and b.shortcut_lif_name:
-                names.append(b.shortcut_lif_name)
-        return names
+        return [b.shortcut_lif_name for b in self.blocks() if not b.pruned]
 
     def arithmetic_stat_names(self) -> list[str]:
         """Stat keys of every op-counted layer, in execution order."""
@@ -88,8 +84,7 @@ class Network(Module):
         if reset:
             self.reset_state()
         h = tz.permute(x, (0, 1, 3, 4, 2))  # the one layout change
-        ctx = ForwardContext(training=training, record=record, strict=strict,
-                             audit_ref=h.data)
+        ctx = ForwardContext(training=training, record=record, strict=strict)
         if record is not None:
             record.samples += x.shape[1]
             record.time_steps = x.shape[0]
@@ -107,9 +102,9 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
                   dtype=np.float32) -> Network:
     """Construct a parameterized network from an architecture string.
 
-    Blocks take the bitwise-join topology when join is OR and the
-    selectable-join topology otherwise; attention requires the OR join.
-    Identical seeds produce bit-identical parameters.
+    Every block joins its backbone and shortcut spikes by `join`;
+    attention requires the OR join. Identical seeds produce bit-identical
+    parameters.
     """
     tokens = parse_arch(arch) if isinstance(arch, str) else list(arch)
     if lif is None:
@@ -119,7 +114,6 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
     if attention is not None and join is not JoinMode.OR:
         raise BuildError(
             f"SynA attention requires the OR join, got {join.value}")
-    topology = BlockTopology.OR_SEW if join is JoinMode.OR else BlockTopology.SEW
     rng = np.random.default_rng(seed)
     nodes: list[Module] = []
     channels = in_channels
@@ -183,7 +177,7 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
                 raise BuildError(f"residual block before any convolution{off}")
             out = tok.args[0]
             nodes.append(build_block(
-                topology, channels, out, 2, join, attention, lif, time_steps,
+                channels, out, join, attention, lif, time_steps,
                 rng=rng, dtype=dtype, name=f"block{bump('block')}"))
             channels = out
         else:

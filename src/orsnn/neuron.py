@@ -77,11 +77,9 @@ class LIFState:
     """Membrane trace between steps. H is None until the first step binds it."""
 
     membrane: Tensor | None = None
-    steps: int = 0
 
     def reset(self) -> None:
         self.membrane = None
-        self.steps = 0
 
 
 def lif_multistep(state: LIFState, x: Tensor, cfg: LIFConfig,
@@ -155,5 +153,4 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
             spikes.grad = np.zeros_like(spikes.data)
 
     state.membrane = make_node(h, (spikes,), membrane_bwd)
-    state.steps += len(xs)
     return spikes

@@ -1,13 +1,13 @@
-"""Element-wise residual joins, the four block topologies, and the
+"""Element-wise residual joins, the residual block, and the
 spike-drivenness auditor.
 
 The bitwise joins are differentiated through their arithmetic forms
 (e.g. d/dx of the OR join is 1 - y), which is what training backpropagates
-through. A block is two backbone conv stages, a shortcut (projection when
-downsampling, identity otherwise), the join, and two post-join conv
-stages; topologies differ in where the spiking neurons sit relative to
-the join. The auditor classifies every arithmetic layer MAC or AC from
-the binarity of its audited input.
+through. A block is two backbone conv stages, a stride-2 projection
+shortcut that ends in its own spiking neuron, the join of the two spike
+maps, and two post-join conv stages. The join mode (OR, ADD, AND or IAND)
+is the only thing that varies. The auditor classifies every arithmetic
+layer MAC or AC from the binarity of its input.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class JoinMode(enum.Enum):
                              f"{[m.value for m in cls]}") from None
 
 
-class BlockTopology(enum.Enum):
-    VANILLA = "vanilla"
-    MS = "ms"
-    SEW = "sew"
-    OR_SEW = "or-sew"
-
-
 BITWISE_MODES = (JoinMode.AND, JoinMode.IAND, JoinMode.OR)
 
 
@@ -77,39 +70,30 @@ def join(x: Tensor, y: Tensor, mode: JoinMode, *, strict: bool = False,
 
 
 class ResidualBlock(Module):
-    """One downsampling (or identity-shortcut) residual unit."""
+    """One downsampling residual unit: a stride-2 backbone and a stride-2
+    projection shortcut that both end in spikes, their join, then two
+    post-join stages."""
 
-    def __init__(self, name: str, topology: BlockTopology, in_channels: int,
-                 channels: int, stride: int, join_mode: JoinMode,
-                 backbone: list[Module], shortcut: list[Module],
-                 join_act: Module | None, post: list[Module]):
+    def __init__(self, name: str, in_channels: int, channels: int,
+                 join_mode: JoinMode, backbone: list[Module],
+                 shortcut: list[Module], post: list[Module]):
         super().__init__(name)
-        self.topology = topology
         self.in_channels = in_channels
         self.channels = channels
-        self.stride = stride
         self.join_mode = join_mode
         self.backbone = backbone
         self.shortcut = shortcut
-        self.join_act = join_act
         self.post = post
         self.pruned = False
 
     def children(self) -> list[Module]:
-        kids = list(self.backbone)
-        if not self.pruned:
-            kids.extend(self.shortcut)
-        if self.join_act is not None:
-            kids.append(self.join_act)
-        kids.extend(self.post)
-        return kids
+        if self.pruned:
+            return self.backbone + self.post
+        return self.backbone + self.shortcut + self.post
 
     @property
-    def shortcut_lif_name(self) -> str | None:
-        for mod in self.shortcut:
-            if isinstance(mod, LIFLayer):
-                return mod.name
-        return None
+    def shortcut_lif_name(self) -> str:
+        return self.shortcut[-1].name
 
     def prune(self) -> None:
         if self.join_mode not in (JoinMode.OR, JoinMode.ADD):
@@ -119,24 +103,15 @@ class ResidualBlock(Module):
         self.pruned = True
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        entry_ref = ctx.audit_ref
-        y = x
+        out = x
         for mod in self.backbone:
-            y = mod.forward(y, ctx)
-        if self.pruned:
-            out = y
-        else:
-            backbone_ref = ctx.audit_ref
-            ctx.audit_ref = entry_ref
+            out = mod.forward(out, ctx)
+        if not self.pruned:
             s = x
             for mod in self.shortcut:
                 s = mod.forward(s, ctx)
-            ctx.audit_ref = backbone_ref
-            out = join(y, s, self.join_mode, strict=ctx.strict,
+            out = join(out, s, self.join_mode, strict=ctx.strict,
                        name=f"{self.name}.join", record=ctx.record)
-            ctx.audit_ref = out.data
-        if self.join_act is not None:
-            out = self.join_act.forward(out, ctx)
         for mod in self.post:
             out = mod.forward(out, ctx)
         return out
@@ -155,39 +130,22 @@ class ResidualBlock(Module):
                 return mod.role
             return mod.__class__.__name__
 
-        backbone = "-".join(token(m) for m in self.backbone)
-        if self.pruned:
-            shortcut = "pruned"
-        elif not self.shortcut:
-            shortcut = "identity"
-        else:
-            shortcut = "-".join(token(m) for m in self.shortcut)
-        post_mods = ([self.join_act] if self.join_act is not None else []) + self.post
-        post = "-".join(token(m) for m in post_mods)
-        return f"{backbone} | {shortcut} | {post}"
+        def tokens(mods: list[Module]) -> str:
+            return "-".join(token(m) for m in mods)
+
+        shortcut = "pruned" if self.pruned else tokens(self.shortcut)
+        return f"{tokens(self.backbone)} | {shortcut} | {tokens(self.post)}"
 
 
-def build_block(topology: BlockTopology, in_channels: int, channels: int,
-                stride: int, join_mode: JoinMode,
+def build_block(in_channels: int, channels: int, join_mode: JoinMode,
                 attention_plan: AttentionPlan | None, lif_cfg: LIFConfig,
                 time_steps: int, *, rng: np.random.Generator,
                 dtype=np.float32, name: str = "block") -> ResidualBlock:
     if channels <= 0:
         raise BuildError(f"{name}: channels must be positive, got {channels}")
-    if attention_plan is not None and topology is not BlockTopology.OR_SEW:
+    if attention_plan is not None and join_mode is not JoinMode.OR:
         raise BuildError(
-            f"{name}: SynA attention is only defined for the OR-join topology, "
-            f"not {topology.value}")
-    if topology is BlockTopology.OR_SEW and join_mode is not JoinMode.OR:
-        raise BuildError(f"{name}: the OR topology requires the OR join, got "
-                         f"{join_mode.value}")
-    if topology in (BlockTopology.VANILLA, BlockTopology.MS) and join_mode is not JoinMode.ADD:
-        raise BuildError(f"{name}: topology {topology.value} joins by addition only")
-    identity_shortcut = stride == 1 and in_channels == channels
-    if stride == 1 and in_channels != channels:
-        raise BuildError(
-            f"{name}: stride-1 block needs matching channels for an identity "
-            f"shortcut ({in_channels} vs {channels})")
+            f"{name}: SynA attention requires the OR join, got {join_mode.value}")
 
     def conv(cin: int, k: int, s: int, p: int, label: str) -> ConvLayer:
         return ConvLayer(f"{name}.{label}", cin, channels, k, s, p, rng=rng, dtype=dtype)
@@ -221,40 +179,16 @@ def build_block(topology: BlockTopology, in_channels: int, channels: int,
         mods.append(lif(lif_label))
         return mods
 
-    if topology in (BlockTopology.SEW, BlockTopology.OR_SEW):
-        backbone = (stage("conv1", "bn1", "lif1", "ma1", "backbone1",
-                          in_channels, 3, stride, 1) +
-                    stage("conv2", "bn2", "lif2", "ma2", "backbone2",
-                          channels, 3, 1, 1))
-        if identity_shortcut:
-            shortcut: list[Module] = []
-            if attention_plan is not None:
-                shortcut.append(gate("ia", "IA"))
-        else:
-            shortcut = [conv(in_channels, 1, stride, 0, "shortcut_conv"),
-                        bn("shortcut_bn")]
-            if attention_plan is not None:
-                shortcut.append(gate("ia", "IA"))
-            shortcut.append(lif("shortcut_lif"))
-        join_act = None
-    elif topology is BlockTopology.VANILLA:
-        backbone = [conv(in_channels, 3, stride, 1, "conv1"), bn("bn1"),
-                    lif("lif1"), conv(channels, 3, 1, 1, "conv2"), bn("bn2")]
-        shortcut = [] if identity_shortcut else [
-            conv(in_channels, 1, stride, 0, "shortcut_conv"), bn("shortcut_bn")]
-        join_act = lif("join_lif")
-    else:  # MS: pre-activation, real-valued block output
-        backbone = [lif("lif0"), conv(in_channels, 3, stride, 1, "conv1"),
-                    bn("bn1"), lif("lif1"), conv(channels, 3, 1, 1, "conv2"),
-                    bn("bn2")]
-        shortcut = [] if identity_shortcut else [
-            conv(in_channels, 1, stride, 0, "shortcut_conv"), bn("shortcut_bn")]
-        join_act = None
-
+    backbone = (stage("conv1", "bn1", "lif1", "ma1", "backbone1", in_channels, 3, 2, 1) +
+                stage("conv2", "bn2", "lif2", "ma2", "backbone2", channels, 3, 1, 1))
+    shortcut = [conv(in_channels, 1, 2, 0, "shortcut_conv"), bn("shortcut_bn")]
+    if attention_plan is not None:
+        shortcut.append(gate("ia", "IA"))
+    shortcut.append(lif("shortcut_lif"))
     post = (stage("conv3", "bn3", "lif3", "ma3", "post1", channels, 3, 1, 1) +
             stage("conv4", "bn4", "lif4", "ma4", "post2", channels, 3, 1, 1))
-    return ResidualBlock(name, topology, in_channels, channels, stride,
-                         join_mode, backbone, shortcut, join_act, post)
+    return ResidualBlock(name, in_channels, channels, join_mode, backbone,
+                         shortcut, post)
 
 
 # ---------------------------------------------------------------------------

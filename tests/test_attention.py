@@ -176,15 +176,12 @@ def test_gated_binary_input_stays_binary(flavor):
                           lif_cfg=CFG, rng=rng)
     spikes = (np.random.default_rng(43).random((4, 2, 4, 5, 5)) < 0.5)
     x = Tensor(nhwc(spikes.astype(np.float32)))
-    ctx = ForwardContext()
-    out = gate.forward(x, ctx)
+    out = gate.forward(x, ForwardContext())
     assert set(np.unique(out.data)) <= {0.0, 1.0}
     mask = gate.weights(x, ForwardContext()).data
     mask = nchw(mask) if mask.ndim == 5 else mask
     view = mask.reshape(mask.shape + (1,) * (5 - mask.ndim))
     np.testing.assert_array_equal(nchw(out.data), spikes * view)
-    assert ctx.audit_ref is not None
-    np.testing.assert_array_equal(ctx.audit_ref, out.data)
 
 
 @pytest.mark.parametrize("flavor", ["T", "C", "S"])

@@ -354,6 +354,44 @@ class TestAudit:
         report = audit_spike_drivenness(net, batch, mode="strict")
         assert {e.name: e.klass for e in report.entries}["fc"] == "AC"
 
+    @pytest.mark.parametrize("arch,fc_class", [
+        ("c8k3s1p1-BN-LIF-AP-FC4", "AC"),
+        ("c8k3s1p1-BN-LIF-c8k3s1p1-BN-AP-FC4", "MAC"),
+    ])
+    def test_fc_is_audited_on_the_map_entering_the_pool(self, arch, fc_class):
+        """Spikes entering the pool make the head AC although the pooled
+        features are fractions; BN output entering it makes the head MAC."""
+        net = build_network(arch, time_steps=3, in_channels=1, seed=11)
+        push_beta(net, (".bn1.beta",))
+        report = audit_spike_drivenness(
+            net, binary_batch((3, 4, 1, 12, 12), seed=17), mode="permissive")
+        by_name = {e.name: e for e in report.entries}
+        assert by_name["fc"].klass == fc_class
+        assert by_name["fc"].input_rate > 0
+        assert all(e.klass == "AC" for e in report.feature_entries
+                   if e.name not in ("encoder", "fc"))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("join,plan", [(mode, "none") for mode in JoinMode] +
+                             [(JoinMode.OR, "T/a")])
+    def test_every_block_downsamples_with_a_spiking_projection_shortcut(
+            self, join, plan):
+        net = build_network(
+            "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c32))-AP-FC4",
+            join=join, attention=AttentionPlan.parse(plan),
+            time_steps=4, in_channels=2, seed=0)
+        blocks = net.blocks()
+        assert [b.name for b in blocks] == ["block1", "block2"]
+        for block in blocks:
+            conv1, shortcut_conv = block.backbone[0], block.shortcut[0]
+            assert conv1.name == f"{block.name}.conv1" and conv1.stride == 2
+            assert shortcut_conv.name == f"{block.name}.shortcut_conv"
+            assert (shortcut_conv.kernel, shortcut_conv.stride) == (1, 2)
+            assert isinstance(block.shortcut[-1], LIFLayer)
+            assert block.shortcut_lif_name == f"{block.name}.shortcut_lif"
+        assert net.shortcut_lif_names() == ["block1.shortcut_lif", "block2.shortcut_lif"]
+
 
 class TestLayout:
     """[T, N, C, H, W] at the boundary, channels-last [T, N, H, W, C] inside."""

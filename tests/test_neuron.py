@@ -124,9 +124,9 @@ def test_nonfinite_current_raises():
 def test_reset_clears_membrane():
     state = LIFState()
     lif_step(state, Tensor(np.ones(2)), LIFConfig())
-    assert state.membrane is not None and state.steps == 1
+    assert state.membrane is not None
     state.reset()
-    assert state.membrane is None and state.steps == 0
+    assert state.membrane is None
 
 
 def test_config_validation():
@@ -201,7 +201,6 @@ def test_multistep_matches_reference_trace_per_column(cfg):
         state = LIFState()
         lif_multistep(state, Tensor(currents[:steps]), cfg)
         assert state.membrane.data.tolist() == [tr.membranes[steps - 1] for tr in traces]
-        assert state.steps == steps
 
 
 def _stack(parts):
@@ -289,7 +288,6 @@ def test_split_forward_carries_state_and_gradient(detach):
     two = tz.concat([layer.forward(h, ctx) for h in halves], axis=0)
     backward(tz.reduce_mean(two * w, (0, 1, 2, 3, 4)))
 
-    assert layer.state.steps == 8
     assert np.array_equal(one.data, two.data)
     assert np.array_equal(whole.grad, np.concatenate([h.grad for h in halves]))
 

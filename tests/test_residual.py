@@ -14,8 +14,7 @@ from orsnn.errors import AuditError, BuildError, ShapeError
 from orsnn.layers import ForwardContext
 from orsnn.neuron import LIFConfig
 from orsnn.record import SpikeRecord
-from orsnn.residual import (BlockTopology, JoinMode, ResidualBlock, build_block,
-                            join)
+from orsnn.residual import JoinMode, build_block, join
 from orsnn.tensor import Tensor
 
 from conftest import gradcheck, nchw, nhwc
@@ -101,12 +100,10 @@ def test_strict_mode_rejects_nonbinary_operand():
 # Block assembly
 
 
-def make_block(topology=BlockTopology.OR_SEW, join_mode=JoinMode.OR,
-               in_channels=4, channels=8, stride=2, plan=None, t=4, seed=0,
-               name="block"):
-    return build_block(topology, in_channels, channels, stride, join_mode,
-                       plan, LIFConfig(), t, rng=np.random.default_rng(seed),
-                       name=name)
+def make_block(join_mode=JoinMode.OR, in_channels=4, channels=8, plan=None,
+               t=4, seed=0, name="block"):
+    return build_block(in_channels, channels, join_mode, plan, LIFConfig(), t,
+                       rng=np.random.default_rng(seed), name=name)
 
 
 def spikes(shape, seed=0, density=0.4):
@@ -119,8 +116,7 @@ def run_block(block, x, training=False, strict=True, record=None):
     channels-last data; the output comes back as [T, N, C, H, W]."""
     block.reset_state()
     x = nhwc(x)
-    ctx = ForwardContext(training=training, record=record, strict=strict,
-                         audit_ref=x)
+    ctx = ForwardContext(training=training, record=record, strict=strict)
     return Tensor(nchw(block.forward(Tensor(x), ctx).data))
 
 
@@ -156,29 +152,11 @@ def test_spatial_flavor_is_inhibitory_only():
         "c8k3s1p1-BN-LIF-c8k3s1p1-BN-LIF")
 
 
-def test_identity_shortcut_when_stride_one():
-    block = make_block(in_channels=8, channels=8, stride=1)
-    assert "| identity |" in block.render_layout()
-    assert block.shortcut_lif_name is None
-
-
-def test_identity_shortcut_gets_inhibitory_gate_with_plan():
-    block = make_block(in_channels=8, channels=8, stride=1,
-                       plan=AttentionPlan.parse("T/b"))
-    assert "| IA |" in block.render_layout()
-
-
 def test_build_rejects_bad_configurations():
-    with pytest.raises(BuildError):
-        make_block(in_channels=4, channels=8, stride=1)
-    with pytest.raises(BuildError):
-        make_block(topology=BlockTopology.SEW, join_mode=JoinMode.ADD,
-                   plan=AttentionPlan.parse("T/b"))
-    with pytest.raises(BuildError):
-        make_block(topology=BlockTopology.OR_SEW, join_mode=JoinMode.ADD)
-    with pytest.raises(BuildError):
-        make_block(topology=BlockTopology.VANILLA, join_mode=JoinMode.OR)
-    with pytest.raises(BuildError):
+    for mode in (JoinMode.ADD, JoinMode.AND, JoinMode.IAND):
+        with pytest.raises(BuildError, match="requires the OR join"):
+            make_block(join_mode=mode, plan=AttentionPlan.parse("T/b"))
+    with pytest.raises(BuildError, match="channels must be positive"):
         make_block(channels=0)
 
 
@@ -189,27 +167,6 @@ def test_or_block_output_is_binary_and_active():
     assert set(np.unique(out.data)).issubset({0.0, 1.0})
     assert out.data.sum() > 0
     assert out.shape == (4, 2, 8, 5, 5)
-
-
-def test_ms_block_is_preactivation():
-    from orsnn.layers import LIFLayer
-    block = make_block(topology=BlockTopology.MS, join_mode=JoinMode.ADD)
-    # pre-activation: neuron first, join on real conv-BN outputs, no join LIF
-    assert isinstance(block.backbone[0], LIFLayer)
-    assert block.join_act is None
-    assert block.render_layout().startswith("LIF-c8k3s2p1-BN-")
-    x = spikes((4, 2, 4, 10, 10), seed=5)
-    out = run_block(block, x, training=True, strict=False)
-    assert out.shape == (4, 2, 8, 5, 5)
-
-
-def test_vanilla_block_applies_neuron_after_join():
-    from orsnn.layers import LIFLayer
-    block = make_block(topology=BlockTopology.VANILLA, join_mode=JoinMode.ADD)
-    assert isinstance(block.join_act, LIFLayer)
-    x = spikes((4, 2, 4, 10, 10), seed=6)
-    out = run_block(block, x, training=True, strict=False)
-    assert set(np.unique(out.data)).issubset({0.0, 1.0})
 
 
 def test_block_forward_is_deterministic():
@@ -253,19 +210,19 @@ def test_pruned_block_drops_shortcut_parameters():
 
 def test_prune_refuses_nonabsorbing_joins():
     for mode in (JoinMode.AND, JoinMode.IAND):
-        block = make_block(topology=BlockTopology.SEW, join_mode=mode)
+        block = make_block(join_mode=mode)
         with pytest.raises(BuildError):
             block.prune()
 
 
 def test_add_join_block_prunes():
-    block = make_block(topology=BlockTopology.SEW, join_mode=JoinMode.ADD)
+    block = make_block(join_mode=JoinMode.ADD)
     block.prune()
     assert block.pruned
 
 
 def test_strict_block_flags_real_shortcut_operand():
-    # MS-style real join output fed into a bitwise join must trip the audit
+    # a real-valued operand fed into a bitwise join must trip the audit
     x = Tensor(np.array([[0.3, 1.0]]))
     y = Tensor(np.array([[1.0, 0.0]]))
     with pytest.raises(AuditError):
