@@ -4,8 +4,7 @@ energy estimation, and natural shortcut pruning.
 """
 
 from .attention import (AttentionGate, AttentionPlan, ChannelAttention,
-                        SpatialAttention, TemporalAttention, apply_attention,
-                        make_attention)
+                        SpatialAttention, TemporalAttention, make_attention)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, load_config, parse_config, render_config,
                      save_config)

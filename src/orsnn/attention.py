@@ -1,10 +1,20 @@
 """Synergistic attention gates: binary masks produced by spiking neurons.
 
-Three flavors share one recipe: pool the activation into a descriptor,
-push it through a small shared transform (two reduction matrices, or one
-small convolution for the spatial flavor), sum the average-pool and
-max-pool branches, and fire a spiking neuron on the summed drive. The
-result is a binary mask broadcast-multiplied onto the activation.
+Every flavor pools the activation into a descriptor, pushes its mean and
+max branches through a shared transform (a conv for S, a two-matrix MLP
+for T and C), sums them, fires a fresh spiking neuron and multiplies the
+binary mask on. A T or C gate is one autograd node over (x, W0, W1): it
+pools axis 2 of x viewed as [T, N, H*W*C, 1] (T: MLP rows [N, T]) or
+[T, N, H*W, C] (C: rows [T*N, C]). With rows a (mean), m (max) and
+R_b = relu(b W0^T), U = u_reset + (R_a + R_m) W1^T / tau and
+out = x * step(U - u_threshold). The backward, for sg the surrogate slope
+and L the pooled length, replays the op order of the composed graph it
+replaced, so both passes are bit-identical to it:
+
+    gdrive = (g * x summed over H, then W, then C for T) * sg / tau
+    b = m, then a:  gR = (gdrive W1) [R_b > 0],  gW1 += gdrive^T R_b,
+                    gdesc_b = gR W0,             gW0 += gR^T b
+    dx = g * mask,  dx[first argmax] += gdesc_m,  dx += gdesc_a / L
 
 A promoting gate on a backbone path and an inhibitory gate on a shortcut
 path are distinct parameter instances of the same math; the role only
@@ -20,8 +30,9 @@ import numpy as np
 from . import tensor as tz
 from .errors import BuildError, ShapeError
 from .layers import ForwardContext, Module, he_uniform
-from .neuron import LIFConfig, LIFState, lif_step
-from .tensor import Tensor
+from .neuron import LIFConfig, LIFState, _fire, lif_step, surrogate_grad
+from .tensor import (Tensor, _give_grad, _unbroadcast, accumulate_grad, assert_finite,
+                     make_node)
 
 FLAVORS = ("T", "C", "S")
 PLACEMENTS = ("a", "b", "c", "d")
@@ -67,137 +78,129 @@ class AttentionPlan:
                    spatial_kernel=spatial_kernel)
 
 
-def _reduced_extent(name: str, what: str, extent: int, reduction: int) -> int:
-    """Hidden width extent // reduction, clamped to >= 1; a reduction that
-    neither divides the extent nor exceeds it is a config mistake."""
-    if reduction < 1:
-        raise BuildError(f"{name}: {what} must be >= 1, got {reduction}")
-    if reduction < extent and extent % reduction != 0:
-        raise BuildError(f"{name}: {what} {reduction} must divide {extent}")
-    return max(1, extent // reduction)
-
-
-def apply_attention(x: Tensor, weights: Tensor) -> Tensor:
-    """Broadcast-multiply a gate mask onto an activation.
-
-    The mask's first two axes meet the activation's first two ([T, N]) and
-    its remaining axes the activation's last ones, so on channels-last
-    [T, N, H, W, C] a [T, N] mask acts per sample and step, a [T, N, C] one
-    per channel and a [T, N, H, W, 1] one per pixel. The axes a mask lacks
-    are size 1 and replicated; any other extent mismatch raises.
-    """
-    if weights.ndim > x.ndim:
-        raise ShapeError(
-            f"attention weights rank {weights.shape} exceeds activation {x.shape}")
-    lead, missing = min(2, weights.ndim), x.ndim - weights.ndim
-    for axis, wx in enumerate(weights.shape):
-        xx = x.shape[axis if axis < lead else axis + missing]
-        if wx != xx and wx != 1:
-            raise ShapeError(
-                f"attention weights {weights.shape} do not broadcast onto {x.shape} "
-                f"(weights axis {axis}: {wx} vs {xx})")
-    if missing:
-        weights = tz.reshape(weights, weights.shape[:lead] + (1,) * missing + weights.shape[lead:])
-    return tz.mul(x, weights)
-
-
 class AttentionGate(Module):
-    """Common plumbing: drive -> fresh spiking neuron -> binary mask."""
+    """Common plumbing: every flavor runs through apply, which checks the
+    layout, gates x by the flavor's _gate and records the pooling and the
+    mask's spikes."""
 
     def __init__(self, name: str, role: str, lif_cfg: LIFConfig):
         super().__init__(name)
         self.role = role
         self.lif_cfg = lif_cfg
 
-    def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        raise NotImplementedError
-
-    def _fire(self, drive: Tensor, ctx: ForwardContext) -> Tensor:
-        mask = lif_step(LIFState(), drive, self.lif_cfg)
+    def apply(self, x: Tensor, ctx: ForwardContext) -> tuple[Tensor, np.ndarray]:
+        """x multiplied by this gate's binary mask, and the mask: [T, N, 1]
+        for T, [T, N, C] for C and [T, N, H, W, 1] for S."""
+        if x.ndim != 5:
+            raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
+        out, mask = self._gate(x, ctx)
         if ctx.record is not None:
-            ctx.record.note_spikes(f"{self.name}.gate", "gate", mask.data)
-        return mask
+            ctx.record.note_input(f"{self.name}.pool", "attn_pool", x.data, x.data,
+                                  flops=2 * x.size)
+            ctx.record.note_spikes(f"{self.name}.gate", "gate", mask)
+        return out, mask
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        return apply_attention(x, self.weights(x, ctx))
+        return self.apply(x, ctx)[0]
 
 
-class TemporalAttention(AttentionGate):
-    """Gate over time steps: descriptor [T, N], mask [T, N]."""
+class _PooledGate(AttentionGate):
+    """The T and C recipe of the module docstring. `axis` is where the
+    MLP's features lie, in x and in the descriptor: 0 for T, -1 for C."""
+
+    def __init__(self, name: str, role: str, extent: int, reduction: int,
+                 lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype):
+        super().__init__(name, role, lif_cfg)
+        what = f"{'channel' if self.axis else 'temporal'} reduction"
+        if reduction < 1:
+            raise BuildError(f"{name}: {what} must be >= 1, got {reduction}")
+        if reduction < extent and extent % reduction != 0:
+            raise BuildError(f"{name}: {what} {reduction} must divide {extent}")
+        hidden = max(1, extent // reduction)
+        self.extent = extent
+        self.w0 = he_uniform(rng, (hidden, extent), extent, dtype)
+        self.w1 = he_uniform(rng, (extent, hidden), hidden, dtype)
+
+    def named_params(self):
+        return [(f"{self.name}.w0", self.w0), (f"{self.name}.w1", self.w1)]
+
+    def _gate(self, x, ctx):
+        t, n = x.shape[:2]
+        if x.shape[self.axis] != self.extent:
+            raise ShapeError(f"{self.name} built for {self.letter}={self.extent}, "
+                             f"activation has {self.letter}={x.shape[self.axis]}")
+        kept = x.shape[4] if self.axis else 1
+        view = x.data.reshape(t, n, -1, kept)
+        w0, w1, cfg, axis = self.w0, self.w1, self.lif_cfg, self.axis
+        avg = view.mean(axis=2)
+        # flat index of each first maximum in view
+        first = (np.arange(t * n).reshape(t, n, 1) * view.shape[2] + view.argmax(axis=2)) * kept
+        first += np.arange(kept)
+        moved = avg.swapaxes(axis, -1).shape
+
+        def rows(desc):
+            return np.ascontiguousarray(desc.swapaxes(axis, -1)).reshape(-1, self.extent)
+
+        def unrows(r):
+            return r.reshape(moved).swapaxes(-1, axis)
+
+        branches = []  # max first, the order backward takes them in
+        for desc in (view.reshape(-1)[first], avg):
+            r = rows(desc)
+            hid = r @ w0.data.T
+            pos = hid > 0
+            branches.append((r, pos, hid * pos))
+        drive = branches[1][2] @ w1.data.T + branches[0][2] @ w1.data.T
+        assert_finite(drive, "neuron input current")
+        reset, thr, k = (np.asarray(c, dtype=drive.dtype)
+                         for c in (cfg.u_reset, cfg.u_threshold, 1.0 / cfg.tau))
+        u = reset + drive * k
+        mask = unrows(_fire(u - thr, cfg.surrogate_alpha, False))
+        mask5 = mask.reshape(t, n, 1, 1, kept)
+        if ctx.record is not None:
+            ctx.record.note_input(self.name, "attn_fc", avg, avg,
+                                  flops=4 * avg.size * w0.shape[0])
+
+        def bwd(g):
+            gmask = rows(_unbroadcast(g * x.data, mask5.shape).reshape(mask.shape))
+            sg = surrogate_grad(u - thr, cfg.surrogate_alpha).astype(g.dtype, copy=False)
+            gdrive = (gmask * sg + 0.0) * k  # lif_step's + gH (1 - S), gH = 0: -0 to +0
+            gdesc = []
+            for r, pos, hid in branches:
+                ghid = (gdrive @ w1.data) * pos
+                accumulate_grad(w1, gdrive.T @ hid)
+                gdesc.append(unrows(ghid @ w0.data))
+                accumulate_grad(w0, ghid.T @ r)
+            if x.requires_grad:
+                dx = g * mask5
+                dx.reshape(-1)[first] += gdesc[0]
+                dxv = dx.reshape(view.shape)
+                dxv += (gdesc[1] / view.shape[2])[:, :, None]
+                _give_grad(x, dx)
+
+        return make_node(x.data * mask5, (x, w0, w1), bwd), mask
+
+
+class TemporalAttention(_PooledGate):
+    """Gate over time steps: descriptor and mask [T, N, 1]."""
+
+    axis, letter = 0, "T"
 
     def __init__(self, name: str, role: str, time_steps: int, reduction: int,
                  lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype=np.float32):
-        super().__init__(name, role, lif_cfg)
         if time_steps < 1:
             raise BuildError(f"{name}: time_steps must be >= 1, got {time_steps}")
-        hidden = _reduced_extent(name, "temporal reduction", time_steps, reduction)
-        self.time_steps = time_steps
-        self.reduction = reduction
-        self.w0 = he_uniform(rng, (hidden, time_steps), time_steps, dtype)
-        self.w1 = he_uniform(rng, (time_steps, hidden), hidden, dtype)
-
-    def named_params(self):
-        return [(f"{self.name}.w0", self.w0), (f"{self.name}.w1", self.w1)]
-
-    def _mlp(self, descriptor: Tensor) -> Tensor:
-        rows = tz.permute(descriptor, (1, 0))
-        hid = tz.relu(tz.dense(rows, self.w0))
-        return tz.permute(tz.dense(hid, self.w1), (1, 0))
-
-    def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        if x.ndim != 5:
-            raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
-        if x.shape[0] != self.time_steps:
-            raise ShapeError(
-                f"{self.name} built for T={self.time_steps}, activation has T={x.shape[0]}")
-        avg = tz.reduce_mean(x, (2, 3, 4))
-        mx = tz.reduce_max(x, (2, 3, 4))
-        drive = self._mlp(avg) + self._mlp(mx)
-        if ctx.record is not None:
-            t, n = x.shape[0], x.shape[1]
-            hidden = self.w0.shape[0]
-            ctx.record.note_input(self.name, "attn_fc", avg.data, avg.data,
-                                  flops=4 * n * t * hidden)
-            ctx.record.note_input(f"{self.name}.pool", "attn_pool", x.data, x.data,
-                                  flops=2 * x.size)
-        return self._fire(drive, ctx)
+        super().__init__(name, role, time_steps, reduction, lif_cfg, rng=rng, dtype=dtype)
 
 
-class ChannelAttention(AttentionGate):
-    """Gate over channels: descriptor [T, N, C], mask [T, N, C]."""
+class ChannelAttention(_PooledGate):
+    """Gate over channels: descriptor and mask [T, N, C]."""
+
+    axis, letter = -1, "C"
 
     def __init__(self, name: str, role: str, channels: int, reduction: int,
                  lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype=np.float32):
-        super().__init__(name, role, lif_cfg)
-        hidden = _reduced_extent(name, "channel reduction", channels, reduction)
-        self.channels = channels
-        self.reduction = reduction
-        self.w0 = he_uniform(rng, (hidden, channels), channels, dtype)
-        self.w1 = he_uniform(rng, (channels, hidden), hidden, dtype)
-
-    def named_params(self):
-        return [(f"{self.name}.w0", self.w0), (f"{self.name}.w1", self.w1)]
-
-    def _mlp(self, descriptor: Tensor) -> Tensor:
-        return tz.dense(tz.relu(tz.dense(descriptor, self.w0)), self.w1)
-
-    def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        if x.ndim != 5:
-            raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
-        if x.shape[4] != self.channels:
-            raise ShapeError(
-                f"{self.name} built for C={self.channels}, activation has C={x.shape[4]}")
-        avg = tz.reduce_mean(x, (2, 3))
-        mx = tz.reduce_max(x, (2, 3))
-        drive = self._mlp(avg) + self._mlp(mx)
-        if ctx.record is not None:
-            t, n = x.shape[0], x.shape[1]
-            hidden = self.w0.shape[0]
-            ctx.record.note_input(self.name, "attn_fc", avg.data, avg.data,
-                                  flops=4 * t * n * self.channels * hidden)
-            ctx.record.note_input(f"{self.name}.pool", "attn_pool", x.data, x.data,
-                                  flops=2 * x.size)
-        return self._fire(drive, ctx)
+        super().__init__(name, role, channels, reduction, lif_cfg, rng=rng, dtype=dtype)
 
 
 class SpatialAttention(AttentionGate):
@@ -215,21 +218,16 @@ class SpatialAttention(AttentionGate):
     def named_params(self):
         return [(f"{self.name}.weight", self.weight)]
 
-    def weights(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        if x.ndim != 5:
-            raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
+    def _gate(self, x, ctx):
         mx = tz.reduce_max(x, (4,), keepdims=True)
         avg = tz.reduce_mean(x, (4,), keepdims=True)
         stacked = tz.concat([mx, avg], axis=4)
         drive = tz.conv2d(stacked, self.weight, stride=1, padding=(self.kernel - 1) // 2)
-        if ctx.record is not None:
-            t, n, h, w, _ = x.shape
-            ctx.record.note_input(
-                self.name, "attn_conv", stacked.data, stacked.data,
-                flops=t * n * h * w * self.kernel * self.kernel * 2)
-            ctx.record.note_input(f"{self.name}.pool", "attn_pool", x.data, x.data,
-                                  flops=2 * x.size)
-        return self._fire(drive, ctx)
+        if ctx.record is not None:  # 2 k^2 per pixel of every step and sample
+            ctx.record.note_input(self.name, "attn_conv", stacked.data, stacked.data,
+                                  flops=2 * self.kernel ** 2 * (x.size // x.shape[4]))
+        mask = lif_step(LIFState(), drive, self.lif_cfg)
+        return tz.mul(x, mask), mask.data
 
 
 def make_attention(plan: AttentionPlan, role: str, name: str, channels: int,

@@ -1,13 +1,15 @@
 """Element-wise residual joins, the residual block, and the
 spike-drivenness auditor.
 
-The bitwise joins are differentiated through their arithmetic forms
-(e.g. d/dx of the OR join is 1 - y), which is what training backpropagates
-through. A block is two backbone conv stages, a stride-2 projection
-shortcut that ends in its own spiking neuron, the join of the two spike
-maps, and two post-join conv stages. The join mode (OR, ADD, AND or IAND)
-is the only thing that varies. The auditor classifies every arithmetic
-layer MAC or AC from the binarity of its input.
+The bitwise joins are differentiated through their arithmetic forms,
+which is what training backpropagates through. The OR join x + y - x*y is
+one autograd node with gx = g - g*y = g(1 - y) and gy = g - g*x, rounded as
+its composed add, mul and sub nodes rounded them. A block is two backbone
+conv stages, a stride-2 projection shortcut that ends in its own spiking
+neuron, the join of the two spike maps, and two post-join conv stages. The
+join mode (OR, ADD, AND or IAND) is the only thing that varies. The
+auditor classifies every arithmetic layer MAC or AC from the binarity of
+its input.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import AuditError, BuildError, ShapeError
 from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module)
 from .neuron import LIFConfig
 from .record import SpikeRecord, binarity, instrumented_pass, layer_class
-from .tensor import Tensor
+from .tensor import Tensor, _give_grad, make_node
 
 
 class JoinMode(enum.Enum):
@@ -66,7 +68,15 @@ def join(x: Tensor, y: Tensor, mode: JoinMode, *, strict: bool = False,
         return x * y
     if mode is JoinMode.IAND:
         return (1.0 - x) * y
-    return (x + y) - (x * y)
+    out = x.data + y.data  # OR, as one node
+    out -= x.data * y.data
+
+    def bwd(g):
+        for operand, other in ((x, y), (y, x)):
+            gi = g * other.data
+            _give_grad(operand, np.subtract(g, gi, out=gi))
+
+    return make_node(out, (x, y), bwd)
 
 
 class ResidualBlock(Module):

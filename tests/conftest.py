@@ -1,5 +1,6 @@
 """Shared test helpers: the central-finite-difference gradient oracle,
-the LIF oracles (scalar rollout and per-step spike node), small seeded
+the LIF oracles (scalar rollout and per-step spike node), the T and C
+attention gates as the composed graph their fused node replaced, small seeded
 input factories, the layout converters between the oracles' [..., C, H, W]
 and the engine's channels-last [..., H, W, C], and a file that fails like
 a full disk.
@@ -12,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from orsnn.neuron import LIFConfig, _fire, surrogate_grad
+from orsnn import tensor as tz
+from orsnn.attention import TemporalAttention
+from orsnn.neuron import LIFConfig, LIFState, _fire, lif_step, surrogate_grad
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node, no_grad
 
 
@@ -125,6 +128,28 @@ def lif_reference_trace(currents, cfg: LIFConfig) -> LIFTrace:
         trace.spikes.append(s)
         trace.membranes.append(h)
     return trace
+
+
+def composed_gate(gate, x: Tensor) -> tuple[Tensor, Tensor]:
+    """A T or C gate's (output, mask) built from generic ops: reduce_mean
+    and reduce_max over the pooled axes, the MLP as dense and relu (with
+    permutes to [N, T] rows for T), the branch sum, a fresh lif_step, the
+    mask reshaped to [T, N, 1, 1, 1 or C] and a broadcast mul. The fused
+    node must match it bit for bit."""
+    temporal = isinstance(gate, TemporalAttention)
+    axes = (2, 3, 4) if temporal else (2, 3)
+
+    def mlp(desc):
+        if temporal:
+            rows = tz.permute(desc, (1, 0))
+            return tz.permute(tz.dense(tz.relu(tz.dense(rows, gate.w0)), gate.w1), (1, 0))
+        return tz.dense(tz.relu(tz.dense(desc, gate.w0)), gate.w1)
+
+    avg = tz.reduce_mean(x, axes)
+    mx = tz.reduce_max(x, axes)
+    mask = lif_step(LIFState(), mlp(avg) + mlp(mx), gate.lif_cfg)
+    lead = mask.shape[:2]
+    return tz.mul(x, tz.reshape(mask, lead + (1, 1) + (mask.shape[2:] or (1,)))), mask
 
 
 class FullDisk:

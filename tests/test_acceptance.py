@@ -461,7 +461,7 @@ def test_09_attention_binarity_and_placement_layouts():
                                       f"g{flavor}{role}", channels=8,
                                       time_steps=4, lif_cfg=lif_cfg, rng=rng)
                 x = rng.normal(0.0, 2.0, size=(4, 3, 8, 5, 5)).astype(np.float32)
-                mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
+                mask = gate.apply(Tensor(nhwc(x)), ForwardContext())[1]
                 if not np.all((mask == 0.0) | (mask == 1.0)):
                     failures.append(f"{flavor}/{role} seed {seed}: "
                                     "non-binary gate values")

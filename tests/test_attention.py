@@ -1,6 +1,7 @@
 """Attention gates: loop-oracle checks of the three mask computations,
-binarity of gated outputs, broadcast rules, and plan parsing. The oracles
-take [T, N, C, H, W]; the gates run on channels-last [T, N, H, W, C]."""
+the fused T and C node against the composed graph it replaced, binarity
+of gated outputs, and plan parsing. The oracles take [T, N, C, H, W]; the
+gates run on channels-last [T, N, H, W, C]."""
 
 import numpy as np
 import pytest
@@ -10,16 +11,16 @@ from orsnn.attention import (
     ChannelAttention,
     SpatialAttention,
     TemporalAttention,
-    apply_attention,
     make_attention,
 )
 from orsnn.errors import BuildError, ShapeError
 from orsnn.layers import ForwardContext
 from orsnn.neuron import LIFConfig
 from orsnn.record import SpikeRecord
+from orsnn import tensor as tz
 from orsnn.tensor import Tensor
 
-from conftest import nchw, nhwc
+from conftest import composed_gate, nchw, nhwc
 
 
 CFG = LIFConfig()
@@ -94,10 +95,10 @@ class TestTemporal:
         gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
                                  lif_cfg=CFG, rng=rng)
         x = random_activation((4, 2, 3, 5, 5), seed=11)
-        mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
+        mask = gate.apply(Tensor(nhwc(x)), ForwardContext())[1]
         expected = temporal_oracle(x.astype(np.float64), gate)
-        assert mask.shape == (4, 2)
-        np.testing.assert_array_equal(mask.astype(np.float64), expected)
+        assert mask.shape == (4, 2, 1)
+        np.testing.assert_array_equal(mask[..., 0].astype(np.float64), expected)
 
     def test_mask_is_binary_and_not_degenerate(self):
         rng = np.random.default_rng(3)
@@ -106,7 +107,7 @@ class TestTemporal:
         seen = set()
         for seed in range(6):
             x = random_activation((8, 2, 4, 6, 6), seed=seed, scale=6.0)
-            mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
+            mask = gate.apply(Tensor(nhwc(x)), ForwardContext())[1]
             assert set(np.unique(mask)) <= {0.0, 1.0}
             seen |= set(np.unique(mask).tolist())
         assert seen == {0.0, 1.0}
@@ -116,14 +117,14 @@ class TestTemporal:
         gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
                                  lif_cfg=CFG, rng=rng)
         with pytest.raises(ShapeError, match="built for T=4"):
-            gate.weights(Tensor(nhwc(random_activation((3, 2, 3, 5, 5), 0))), ForwardContext())
+            gate.forward(Tensor(nhwc(random_activation((3, 2, 3, 5, 5), 0))), ForwardContext())
 
     def test_rank_mismatch_raises(self):
         rng = np.random.default_rng(0)
         gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
                                  lif_cfg=CFG, rng=rng)
         with pytest.raises(ShapeError, match="expects"):
-            gate.weights(Tensor(np.zeros((4, 2, 3, 5), dtype=np.float32)), ForwardContext())
+            gate.forward(Tensor(np.zeros((4, 2, 3, 5), dtype=np.float32)), ForwardContext())
 
 
 class TestChannel:
@@ -132,7 +133,7 @@ class TestChannel:
         gate = ChannelAttention("g", "promote", channels=8, reduction=4,
                                 lif_cfg=CFG, rng=rng)
         x = random_activation((3, 2, 8, 4, 4), seed=23)
-        mask = gate.weights(Tensor(nhwc(x)), ForwardContext()).data
+        mask = gate.apply(Tensor(nhwc(x)), ForwardContext())[1]
         expected = channel_oracle(x.astype(np.float64), gate)
         assert mask.shape == (3, 2, 8)
         np.testing.assert_array_equal(mask.astype(np.float64), expected)
@@ -142,7 +143,7 @@ class TestChannel:
         gate = ChannelAttention("g", "promote", channels=8, reduction=4,
                                 lif_cfg=CFG, rng=rng)
         with pytest.raises(ShapeError, match="built for C=8"):
-            gate.weights(Tensor(nhwc(random_activation((3, 2, 4, 4, 4), 0))), ForwardContext())
+            gate.forward(Tensor(nhwc(random_activation((3, 2, 4, 4, 4), 0))), ForwardContext())
 
 
 class TestSpatial:
@@ -150,7 +151,7 @@ class TestSpatial:
         rng = np.random.default_rng(29)
         gate = SpatialAttention("g", "promote", kernel=3, lif_cfg=CFG, rng=rng)
         x = random_activation((2, 2, 3, 5, 5), seed=31)
-        mask = nchw(gate.weights(Tensor(nhwc(x)), ForwardContext()).data)
+        mask = nchw(gate.apply(Tensor(nhwc(x)), ForwardContext())[1])
         expected = spatial_oracle(x.astype(np.float64), gate)
         assert mask.shape == (2, 2, 1, 5, 5)
         np.testing.assert_array_equal(mask.astype(np.float64), expected)
@@ -176,9 +177,8 @@ def test_gated_binary_input_stays_binary(flavor):
                           lif_cfg=CFG, rng=rng)
     spikes = (np.random.default_rng(43).random((4, 2, 4, 5, 5)) < 0.5)
     x = Tensor(nhwc(spikes.astype(np.float32)))
-    out = gate.forward(x, ForwardContext())
+    out, mask = gate.apply(x, ForwardContext())
     assert set(np.unique(out.data)) <= {0.0, 1.0}
-    mask = gate.weights(x, ForwardContext()).data
     mask = nchw(mask) if mask.ndim == 5 else mask
     view = mask.reshape(mask.shape + (1,) * (5 - mask.ndim))
     np.testing.assert_array_equal(nchw(out.data), spikes * view)
@@ -186,8 +186,6 @@ def test_gated_binary_input_stays_binary(flavor):
 
 @pytest.mark.parametrize("flavor", ["T", "C", "S"])
 def test_gate_gradients_reach_parameters(flavor):
-    from orsnn import tensor as tz
-
     rng = np.random.default_rng(47)
     plan = AttentionPlan(flavor=flavor, temporal_reduction=2, channel_reduction=2,
                          spatial_kernel=3)
@@ -204,41 +202,46 @@ def test_gate_gradients_reach_parameters(flavor):
 
 
 # ---------------------------------------------------------------------------
-# Broadcast application
+# The fused T and C node against the composed graph
 # ---------------------------------------------------------------------------
 
+# (gate init seed, activation scale, open-fraction band): the activation is
+# N(0, 1) * scale, and the drive scales with it, so a small scale keeps
+# every mask bit closed and a large one opens about half of them
+OPENNESS = {"closed": (0, 0.01, (0.0, 0.0)),
+            "partly_open": (1, 1.0, (0.05, 0.3)),
+            "half_open": (0, 10.0, (0.3, 0.6))}
 
-class TestApplyAttention:
-    def test_trailing_axes_are_replicated(self):
-        x = Tensor(random_activation((3, 2, 4, 5, 5), 59))
-        w = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
-        out = apply_attention(x, w)
-        expected = x.data * w.data[:, :, None, None, None]
-        np.testing.assert_array_equal(out.data, expected)
 
-    def test_singleton_axes_broadcast(self):
-        x = Tensor(random_activation((3, 2, 4, 5, 5), 61))
-        w = Tensor(np.ones((3, 2, 1, 5, 5), dtype=np.float32) * 0.5)
-        out = apply_attention(x, w)
-        np.testing.assert_allclose(out.data, x.data * 0.5, rtol=1e-6)
-
-    def test_channel_mask_meets_the_last_axis(self):
-        x = Tensor(random_activation((3, 2, 5, 5, 4), 62))
-        w = Tensor(np.arange(24, dtype=np.float32).reshape(3, 2, 4))
-        out = apply_attention(x, w)
-        np.testing.assert_array_equal(out.data, x.data * w.data[:, :, None, None, :])
-
-    def test_rank_excess_rejected(self):
-        x = Tensor(np.zeros((3, 2), dtype=np.float32))
-        w = Tensor(np.zeros((3, 2, 1), dtype=np.float32))
-        with pytest.raises(ShapeError, match="rank"):
-            apply_attention(x, w)
-
-    def test_extent_mismatch_rejected(self):
-        x = Tensor(np.zeros((3, 2, 4, 5, 5), dtype=np.float32))
-        w = Tensor(np.zeros((3, 2, 3), dtype=np.float32))
-        with pytest.raises(ShapeError, match="axis 2"):
-            apply_attention(x, w)
+@pytest.mark.parametrize("openness", sorted(OPENNESS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 32, 8, 8, 16), (8, 32, 4, 4, 32), (32, 8, 4, 4, 8)])
+@pytest.mark.parametrize("flavor", ["T", "C"])
+def test_fused_gate_is_bit_identical_to_the_composed_graph(flavor, shape, dtype, openness):
+    """Output, mask, x.grad, w0.grad and w1.grad are array_equal to the
+    reduce/dense/relu/lif_step/mul graph of conftest.composed_gate."""
+    seed, scale, (lo, hi) = OPENNESS[openness]
+    t, _, _, _, c = shape
+    x_data = (np.random.default_rng(seed + 100).normal(size=shape) * scale).astype(dtype)
+    g_out = np.random.default_rng(seed + 200).normal(size=shape).astype(dtype)
+    results = []
+    for fused in (True, False):
+        plan = AttentionPlan(flavor=flavor)
+        gate = make_attention(plan, "MA", "g", channels=c, time_steps=t, lif_cfg=CFG,
+                              rng=np.random.default_rng(seed), dtype=dtype)
+        x = Tensor(x_data.copy(), requires_grad=True)
+        if fused:
+            out, mask = gate.apply(x, ForwardContext())
+            assert out.parents == (x, gate.w0, gate.w1)
+        else:
+            out, mask = composed_gate(gate, x)
+            mask = mask.data.reshape(t, shape[1], -1)
+        tz.backward(out, seed=g_out)
+        results.append((out.data, mask, x.grad, gate.w0.grad, gate.w1.grad))
+    assert lo <= results[0][1].mean() <= hi
+    for what, got, want in zip(("out", "mask", "x.grad", "w0.grad", "w1.grad"), *results):
+        assert got.dtype == want.dtype, what
+        np.testing.assert_array_equal(got, want, err_msg=what)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +347,7 @@ def test_gate_records_spikes_and_arithmetic():
     assert "blk.ma1" in record.layers
     assert "blk.ma1.pool" in record.layers
     gate_stats = record.layers["blk.ma1.gate"]
-    mask = gate.weights(x, ForwardContext()).data
+    mask = gate.apply(x, ForwardContext())[1]
     assert gate_stats.out_spikes == pytest.approx(float(mask.sum()))
     assert record.layers["blk.ma1"].kind == "attn_fc"
     assert record.layers["blk.ma1.pool"].kind == "attn_pool"

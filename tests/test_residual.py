@@ -75,6 +75,26 @@ def test_or_join_gradient_values():
     assert np.allclose(b.grad, [0.75])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_or_join_matches_the_arithmetic_form_on_binary_operands(dtype):
+    """The one-node OR join gives the output and gradients of the composed
+    (x + y) - x*y graph, bit for bit, on spike operands."""
+    rng = np.random.default_rng(13)
+    a, b = ((rng.random((4, 3, 5, 5, 8)) < 0.5).astype(dtype) for _ in range(2))
+    g = rng.normal(size=a.shape).astype(dtype)
+    results = []
+    for fused in (True, False):
+        x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = join(x, y, JoinMode.OR) if fused else (x + y) - (x * y)
+        if fused:
+            assert out.parents == (x, y)
+        tz.backward(out, seed=g)
+        results.append((out.data, x.grad, y.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_join_shape_mismatch():
     with pytest.raises(ShapeError):
         join(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))), JoinMode.OR)

@@ -17,7 +17,8 @@ import pytest
 
 import orsnn
 from orsnn import tensor as tz
-from orsnn.attention import AttentionPlan
+from orsnn import residual
+from orsnn.attention import AttentionGate, AttentionPlan
 from orsnn.config import parse_config
 from orsnn.data import synth_events
 from orsnn.errors import ConfigError, DivergenceError, ShapeError
@@ -238,6 +239,40 @@ def test_second_step_does_not_hold_the_first_steps_graph():
         tracemalloc.stop()
     first, second = peaks[1], peaks[2]  # the steps; peaks[2] is read at validation
     assert second <= 1.1 * first, (first, second)
+
+
+def test_train_conv_step_has_one_node_per_gate_and_per_join(monkeypatch):
+    """One train-conv step (T/a gates, batch 32) reaches at most 50 nodes
+    from the loss, and each of its six gates and two OR joins is a single
+    node whose parents are its inputs; the composed graph had 139 nodes,
+    16 per gate and 3 per join."""
+    made = []  # (output, the inputs it must hang from directly)
+    apply, join = AttentionGate.apply, residual.join
+
+    def recorded_apply(gate, x, ctx):
+        out, mask = apply(gate, x, ctx)
+        made.append((out, (x, *(p for _, p in gate.named_params()))))
+        return out, mask
+
+    def recorded_join(x, y, *args, **kwargs):
+        out = join(x, y, *args, **kwargs)
+        made.append((out, (x, y)))
+        return out
+
+    monkeypatch.setattr(AttentionGate, "apply", recorded_apply)
+    monkeypatch.setattr(residual, "join", recorded_join)
+    net, inp, y = train_net_batch("train-conv")
+    loss = tz.softmax_cross_entropy(net.forward(inp, training=True), y)
+    assert len(made) == 8
+    for out, inputs in made:
+        assert out.parents == inputs
+    seen, todo = {}, [loss]
+    while todo:
+        node = todo.pop()
+        if node.index and id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node.parents)
+    assert len(seen) <= 50, len(seen)
 
 
 class TestTrainStepMemory:
