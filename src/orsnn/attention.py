@@ -130,7 +130,8 @@ class _PooledGate(AttentionGate):
             raise ShapeError(f"{self.name} built for {self.letter}={self.extent}, "
                              f"activation has {self.letter}={x.shape[self.axis]}")
         kept = x.shape[4] if self.axis else 1
-        view = x.data.reshape(t, n, -1, kept)
+        xd = x.data
+        view = xd.reshape(t, n, -1, kept)
         w0, w1, cfg, axis = self.w0, self.w1, self.lif_cfg, self.axis
         avg = view.mean(axis=2)
         # flat index of each first maximum in view
@@ -162,7 +163,7 @@ class _PooledGate(AttentionGate):
                                   flops=4 * avg.size * w0.shape[0])
 
         def bwd(g):
-            gmask = rows(_unbroadcast(g * x.data, mask5.shape).reshape(mask.shape))
+            gmask = rows(_unbroadcast(g * xd, mask5.shape).reshape(mask.shape))
             sg = surrogate_grad(u - thr, cfg.surrogate_alpha).astype(g.dtype, copy=False)
             gdrive = (gmask * sg + 0.0) * k  # lif_step's + gH (1 - S), gH = 0: -0 to +0
             gdesc = []
@@ -178,7 +179,7 @@ class _PooledGate(AttentionGate):
                 dxv += (gdesc[1] / view.shape[2])[:, :, None]
                 _give_grad(x, dx)
 
-        return make_node(x.data * mask5, (x, w0, w1), bwd), mask
+        return make_node(xd * mask5, (x, w0, w1), bwd), mask
 
 
 class TemporalAttention(_PooledGate):

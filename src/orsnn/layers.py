@@ -12,7 +12,9 @@ the audit reference: the array whose binarity decides MAC-vs-AC for the
 classifier. A conv is audited on its own input; the classifier is audited
 on the spike map entering the global average pool, because averaging is
 linear. The pool is the one layer that sets the reference, and the
-classifier the one that reads it.
+classifier the one that reads it. Network and ResidualBlock run their
+modules through forward_chain, which releases each activation once its
+consumer's forward has returned; a layer called directly keeps its output.
 """
 
 from __future__ import annotations
@@ -34,6 +36,20 @@ class ForwardContext:
     record: SpikeRecord | None = None
     strict: bool = False
     audit_ref: np.ndarray | None = None
+
+
+def forward_chain(x: Tensor, mods: list["Module"], ctx: ForwardContext) -> Tensor:
+    """x through mods in order. Each activation the chain produced is
+    released (tz.release) as soon as the module it feeds has returned, since
+    no backward reads it; x itself is the caller's. The chain holds no
+    activation past its consumer, so an unreleased (no-grad) one is freed
+    there too unless the caller holds it."""
+    for i, mod in enumerate(mods):
+        out = mod.forward(x, ctx)
+        if i:
+            tz.release(x)
+        x = out
+    return x
 
 
 def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,

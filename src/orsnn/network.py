@@ -19,7 +19,7 @@ from .attention import AttentionGate, AttentionPlan, make_attention
 from .errors import BuildError, ShapeError
 from .layers import (AdaptiveAvgPoolLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      ForwardContext, GlobalAvgPoolLayer, LIFLayer, MaxPoolLayer,
-                     Module)
+                     Module, forward_chain)
 from .neuron import LIFConfig
 from .record import SpikeRecord
 from .residual import JoinMode, ResidualBlock, build_block
@@ -83,13 +83,12 @@ class Network(Module):
                 f"network built for {self.in_channels} input channels, got {x.shape[2]}")
         if reset:
             self.reset_state()
-        h = tz.permute(x, (0, 1, 3, 4, 2))  # the one layout change
         ctx = ForwardContext(training=training, record=record, strict=strict)
         if record is not None:
             record.samples += x.shape[1]
             record.time_steps = x.shape[0]
-        for node in self.nodes:
-            h = node.forward(h, ctx)
+        # the one layout change, held by the chain alone
+        h = forward_chain(tz.permute(x, (0, 1, 3, 4, 2)), self.nodes, ctx)
         logits = tz.reduce_mean(h, (0,))
         tz.assert_finite(logits.data, "logits")
         return logits

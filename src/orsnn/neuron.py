@@ -127,9 +127,10 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
         s_all[t] = _fire(u - thr, cfg.surrogate_alpha, smooth)
         h = u * (one - s_all[t])
     h_grad = []  # gH[T-1], handed over by the membrane node
+    shape = xs.shape  # not xs: backward reads U and S, never the input
 
     def bwd(g):
-        g, gx = g.reshape(xs.shape), np.empty(xs.shape, g.dtype)
+        g, gx = g.reshape(shape), np.empty(shape, g.dtype)
         gh = h_grad.pop() if h_grad else np.zeros_like(g[0])
         span = max(1, _BPTT_CHUNK // max(1, g[0].size))
         for stop in range(len(g), 0, -span):
@@ -150,7 +151,8 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
     def membrane_bwd(g):
         h_grad.append(g)
         if spikes.grad is None:  # backward() skips nodes without a gradient
-            spikes.grad = np.zeros_like(spikes.data)
+            # shape and dtype only: spikes may have been released
+            spikes.grad = np.zeros(spikes.shape, spikes.dtype)
 
     state.membrane = make_node(h, (spikes,), membrane_bwd)
     return spikes

@@ -58,12 +58,20 @@ class LayerStats:
         return self.out_spikes / self.out_total if self.out_total else 0.0
 
 
-def binarity(arr: np.ndarray) -> tuple[bool, float]:
-    """Whether every element is exactly 0 or 1, and the largest offender."""
-    mask = (arr == 0) | (arr == 1)
-    if mask.all():
-        return True, 0.0
-    return False, float(np.abs(arr[~mask]).max())
+def census(arr: np.ndarray) -> tuple[int, bool, float]:
+    """The nonzero count of arr, whether every element is exactly 0 or 1,
+    and the largest offender's magnitude (0.0 when binary), in two compare
+    passes: arr is binary exactly when its nonzeros are all ones. A
+    magnitude above 1 belongs to an offender, so the largest one is found
+    from max and min; below that, or with a NaN, from the offenders."""
+    nonzero = int(np.count_nonzero(arr != 0))
+    if nonzero == np.count_nonzero(arr == 1):
+        return nonzero, True, 0.0
+    worst = max(arr.max(), -arr.min())
+    if worst > 1:
+        return nonzero, False, float(worst)
+    offenders = (arr != 0) & (arr != 1)
+    return nonzero, False, float(np.abs(arr[offenders]).max())
 
 
 @dataclass
@@ -83,9 +91,11 @@ class SpikeRecord:
         st = self.stats(name, kind)
         st.is_encoder = st.is_encoder or is_encoder
         st.total_flops += flops
-        st.in_nonzero += int(np.count_nonzero(literal != 0))  # ~4x faster than on floats
+        nonzero, ok, worst = census(literal)
+        if audit_ref is not literal:
+            _, ok, worst = census(audit_ref)
+        st.in_nonzero += nonzero
         st.in_total += literal.size
-        ok, worst = binarity(audit_ref)
         st.binary_input = st.binary_input and ok
         st.max_nonbinary = max(st.max_nonbinary, worst)
         return st

@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as tz
 from .attention import AttentionGate, AttentionPlan, make_attention
 from .errors import AuditError, BuildError, ShapeError
-from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module)
+from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module,
+                     forward_chain)
 from .neuron import LIFConfig
-from .record import SpikeRecord, binarity, instrumented_pass, layer_class
+from .record import SpikeRecord, census, instrumented_pass, layer_class
 from .tensor import Tensor, _give_grad, make_node
 
 
@@ -52,7 +54,7 @@ def join(x: Tensor, y: Tensor, mode: JoinMode, *, strict: bool = False,
         raise ShapeError(f"{name}: join operands differ in shape: {x.shape} vs {y.shape}")
     if mode in BITWISE_MODES and (strict or record is not None):
         for side, op in (("left", x), ("right", y)):
-            ok, worst = binarity(op.data)
+            _, ok, worst = census(op.data)
             if record is not None:
                 st = record.stats(name, "join")
                 st.binary_input = st.binary_input and ok
@@ -68,12 +70,13 @@ def join(x: Tensor, y: Tensor, mode: JoinMode, *, strict: bool = False,
         return x * y
     if mode is JoinMode.IAND:
         return (1.0 - x) * y
-    out = x.data + y.data  # OR, as one node
-    out -= x.data * y.data
+    xd, yd = x.data, y.data
+    out = xd + yd  # OR, as one node
+    out -= xd * yd
 
     def bwd(g):
-        for operand, other in ((x, y), (y, x)):
-            gi = g * other.data
+        for operand, other in ((x, yd), (y, xd)):
+            gi = g * other
             _give_grad(operand, np.subtract(g, gi, out=gi))
 
     return make_node(out, (x, y), bwd)
@@ -113,18 +116,26 @@ class ResidualBlock(Module):
         self.pruned = True
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        out = x
-        for mod in self.backbone:
-            out = mod.forward(out, ctx)
-        if not self.pruned:
-            s = x
-            for mod in self.shortcut:
-                s = mod.forward(s, ctx)
-            out = join(out, s, self.join_mode, strict=ctx.strict,
-                       name=f"{self.name}.join", record=ctx.record)
-        for mod in self.post:
-            out = mod.forward(out, ctx)
-        return out
+        # _joined's locals are gone before the post chain runs, so no frame
+        # holds the join output past its consumer in a no-grad pass either
+        return forward_chain(self._joined(x, ctx), self.post, ctx)
+
+    def _joined(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+        """The join of both paths, or the backbone's spikes when pruned. Both
+        paths read x, which the caller releases after forward returns. The
+        join operands are LIF spikes, views of the S their LIF backward keeps,
+        so releasing them frees nothing during the step; it unpins S from
+        the LIF states' membrane nodes, which outlive backward until the
+        next reset."""
+        out = forward_chain(x, self.backbone, ctx)
+        if self.pruned:
+            return out
+        s = forward_chain(x, self.shortcut, ctx)
+        joined = join(out, s, self.join_mode, strict=ctx.strict,
+                      name=f"{self.name}.join", record=ctx.record)
+        tz.release(out)
+        tz.release(s)
+        return joined
 
     def render_layout(self) -> str:
         """Table-style layout string: backbone | shortcut | post-join."""

@@ -14,7 +14,16 @@ function and parents, so what it and its backward saved is freed before
 the nodes below it run. Only leaves keep .grad, and a backward that
 reaches a consumed node raises GraphError. No global list holds nodes, so
 reference counting frees a graph that is dropped without a backward as
-well. Conv, BN, the pools and dense take [N, ...] or
+well.
+
+A backward reads only the arrays its own forward captured, plus
+parameters' .data: never a parent's .data, which may have been released
+by then. release(t) swaps an interior node's .data for a read-only,
+zero-stride, NaN-valued stand-in of the same shape and dtype, so the
+array is freed unless some backward captured it, gradient bookkeeping
+still sees the shape, and a stray read shows as NaN. The forward chains
+(layers.forward_chain) release each activation once its consumer's forward
+has returned. Conv, BN, the pools and dense take [N, ...] or
 [T, N, ...] inputs and fold T into the batch inside their own node.
 Images are channels-last, [N, H, W, C] or [T, N, H, W, C], so conv's GEMMs
 read and write them without transposing copies and BN works on whole
@@ -150,13 +159,25 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 def _give_grad(t: Tensor, g: np.ndarray) -> None:
     """accumulate_grad for a g that the calling backward has just allocated
-    and drops: a first gradient laid out like t.data becomes t.grad as it
-    is, with no copy. g must share memory with no other array in use."""
+    and drops: a first gradient laid out like t.data (C-contiguous, when t
+    was released) becomes t.grad as it is, with no copy. g must share
+    memory with no other array in use."""
     if (t.requires_grad and t.grad is None and g.dtype == t.data.dtype
-            and g.shape == t.data.shape and g.strides == t.data.strides):
+            and g.shape == t.data.shape
+            and (g.strides == t.data.strides
+                 or (g.flags.c_contiguous and not any(t.data.strides)))):
         t.grad = g
     else:
         accumulate_grad(t, g)
+
+
+def release(t: Tensor) -> None:
+    """Free an interior node's activation: its .data becomes a read-only,
+    zero-stride, NaN-valued stand-in of the same shape and dtype. The
+    array itself lives on only where some backward captured it. Leaves,
+    inputs and no-grad outputs (index 0) are left as they are."""
+    if t.index:
+        t.data = np.broadcast_to(np.array(np.nan, dtype=t.data.dtype), t.data.shape)
 
 
 def _fold(x: Tensor, core: int, who: str) -> np.ndarray:
@@ -259,11 +280,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "mul")
-    out_data = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out_data = a_data * b_data
 
     def bwd(g):
-        _give_grad(a, _unbroadcast(g * b.data, a.shape))
-        _give_grad(b, _unbroadcast(g * a.data, b.shape))
+        _give_grad(a, _unbroadcast(g * b_data, a.shape))
+        _give_grad(b, _unbroadcast(g * a_data, b.shape))
 
     return make_node(out_data, (a, b), bwd)
 
@@ -594,8 +616,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     np.multiply(np.tile(gamma.data, hw), xhat, out=out)
     out += np.tile(beta.data, hw)
 
+    shape = rows.shape  # not rows: backward reads xhat, never x
+
     def bwd(g):
-        g2 = g.reshape(rows.shape)
+        g2 = g.reshape(shape)
         gx = g2 * xhat
         sum_g, sum_gx = channel_sum(g2), channel_sum(gx)
         accumulate_grad(gamma, sum_gx)

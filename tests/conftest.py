@@ -1,9 +1,10 @@
 """Shared test helpers: the central-finite-difference gradient oracle,
 the LIF oracles (scalar rollout and per-step spike node), the T and C
-attention gates as the composed graph their fused node replaced, small seeded
-input factories, the layout converters between the oracles' [..., C, H, W]
-and the engine's channels-last [..., H, W, C], and a file that fails like
-a full disk.
+attention gates as the composed graph their fused node replaced, a
+network forward that releases no activation and the bytes a graph holds,
+small seeded input factories, the layout converters between the oracles'
+[..., C, H, W] and the engine's channels-last [..., H, W, C], and a file
+that fails like a full disk.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 
 from orsnn import tensor as tz
 from orsnn.attention import TemporalAttention
+from orsnn.layers import ForwardContext
 from orsnn.neuron import LIFConfig, LIFState, _fire, lif_step, surrogate_grad
+from orsnn.residual import ResidualBlock, join
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node, no_grad
 
 
@@ -150,6 +153,94 @@ def composed_gate(gate, x: Tensor) -> tuple[Tensor, Tensor]:
     mask = lif_step(LIFState(), mlp(avg) + mlp(mx), gate.lif_cfg)
     lead = mask.shape[:2]
     return tz.mul(x, tz.reshape(mask, lead + (1, 1) + (mask.shape[2:] or (1,)))), mask
+
+
+def unreleased_forward(net, x: np.ndarray) -> Tensor:
+    """A training Network.forward's logits from the same modules called in
+    the same order, block paths included, but with every activation kept:
+    the reference the releasing chains must match bit for bit."""
+    net.reset_state()
+    ctx = ForwardContext(training=True, strict=True)
+    h = tz.permute(Tensor(np.asarray(x, dtype=net.dtype)), (0, 1, 3, 4, 2))
+    for node in net.nodes:
+        if not isinstance(node, ResidualBlock):
+            h = node.forward(h, ctx)
+            continue
+        out, s = h, h
+        for mod in node.backbone:
+            out = mod.forward(out, ctx)
+        if not node.pruned:
+            for mod in node.shortcut:
+                s = mod.forward(s, ctx)
+            out = join(out, s, node.join_mode, strict=True, name=f"{node.name}.join")
+        for mod in node.post:
+            out = mod.forward(out, ctx)
+        h = out
+    return tz.reduce_mean(h, (0,))
+
+
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from root through parents, root included."""
+    found, todo = {}, [root]
+    while todo:
+        t = todo.pop()
+        if id(t) not in found:
+            found[id(t)] = t
+            todo.extend(t.parents)
+    return list(found.values())
+
+
+def node_kind(t: Tensor) -> str:
+    """The op that made t, from its backward's name ('conv2d', '_lif',
+    'join', ...), or 'leaf'."""
+    fn = t.backward_fn
+    return fn.__qualname__.split(".<locals>")[0] if fn is not None else "leaf"
+
+
+def _closure_arrays(obj, seen: set):
+    """The ndarrays an object reaches: itself, the items of a list, tuple
+    or dict, and a function's closure cells, nested functions included.
+    Tensors are not entered; graph_nodes reaches them."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _closure_arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _closure_arrays(item, seen)
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            try:
+                yield from _closure_arrays(cell.cell_contents, seen)
+            except ValueError:  # a cell not yet bound
+                continue
+
+
+def graph_held_bytes_by_kind(root: Tensor) -> dict[str, int]:
+    """graph_held_bytes split by kind, each base array charged to the
+    earliest-made tensor that reaches it: its producer, where a node made it."""
+    bases: dict[int, tuple[str, int]] = {}
+    seen: set = set()
+    for t in sorted(graph_nodes(root), key=lambda t: t.index):
+        for arr in (t.data, *_closure_arrays(t.backward_fn, seen)):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            bases.setdefault(id(arr), (node_kind(t), arr.nbytes))
+    kinds: dict[str, int] = {}
+    for kind, nbytes in bases.values():
+        kinds[kind] = kinds.get(kind, 0) + nbytes
+    return kinds
+
+
+def graph_held_bytes(root: Tensor) -> int:
+    """Bytes of the unique base arrays a graph keeps alive: the .data of
+    every tensor reachable from root and every array its nodes' backward
+    closures hold."""
+    return sum(graph_held_bytes_by_kind(root).values())
 
 
 class FullDisk:

@@ -14,7 +14,7 @@ from orsnn.metrics import (
     estimate_energy,
 )
 from orsnn.network import build_network
-from orsnn.record import SpikeRecord
+from orsnn.record import SpikeRecord, census
 from orsnn.tensor import Tensor
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
@@ -66,6 +66,37 @@ def test_input_nonzero_count_matches_count_nonzero(dtype):
     assert st.in_nonzero == np.count_nonzero(literal) + np.count_nonzero(special)
     assert st.in_nonzero == np.count_nonzero(literal) + 7
     assert st.in_total == literal.size + special.size
+
+
+def _binarity(arr):
+    """The masked binarity formula census replaced: whether every element
+    is 0 or 1, and the largest magnitude among those that are not."""
+    mask = (arr == 0) | (arr == 1)
+    if mask.all():
+        return True, 0.0
+    return False, float(np.abs(arr[~mask]).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["binary", "real", "inside_unit", "negative_zero",
+                                  "nan", "inf", "minus_inf", "empty"])
+def test_census_matches_count_nonzero_and_the_masked_binarity(case, dtype):
+    rng = np.random.default_rng(0)
+    arr = {
+        "binary": (rng.random((4, 3, 5, 5, 2)) < 0.1).astype(dtype),
+        "real": rng.normal(size=(4, 3, 5, 5, 2)),
+        "inside_unit": rng.uniform(-0.99, 0.99, size=(3, 7)),
+        "negative_zero": np.array([0.0, -0.0, 1.0, -0.0]),
+        "nan": np.array([0.0, 1.0, np.nan, 4.0, -3.0]),
+        "inf": np.array([0.0, np.inf, 1.0, 0.5]),
+        "minus_inf": np.array([-np.inf, 0.0, 1.0, 2.0]),
+        "empty": np.zeros((0, 3)),
+    }[case].astype(dtype)
+    nonzero, ok, worst = census(arr)
+    assert nonzero == np.count_nonzero(arr != 0)
+    want_ok, want_worst = _binarity(arr)
+    assert ok is want_ok
+    assert worst == want_worst or (np.isnan(worst) and np.isnan(want_worst))
 
 
 class TestEnergyOracle:

@@ -4,6 +4,7 @@ spike-drivenness audit."""
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from orsnn.layers import (
     GlobalAvgPoolLayer,
     LIFLayer,
     MaxPoolLayer,
+    forward_chain,
 )
 from orsnn.network import Network, build_network, encode_static, frames_to_input
 from orsnn.record import SpikeRecord
@@ -197,6 +199,46 @@ class TestGraphs:
         assert np.any(halves[0].grad != 0)
         assert np.array_equal(got, xw.grad)
 
+    def test_a_layer_called_directly_keeps_its_output_and_a_chain_releases_it(self):
+        """forward_chain releases each activation it produced once the
+        module it feeds has returned, but not its own input; a layer called
+        on its own leaves its output as it is."""
+        rng = np.random.default_rng(3)
+        conv, bn = ConvLayer("conv", 2, 4, 3, 1, 1, rng=rng), BatchNormLayer("bn", 4)
+        ctx = ForwardContext(training=True)
+        leaf = Tensor(rng.normal(size=(2, 3, 5, 5, 2)).astype(np.float32), requires_grad=True)
+        x = leaf * 1.0
+        y = conv.forward(x, ctx)
+        bn.forward(y, ctx)
+        assert np.isfinite(y.data).all()
+        out = forward_chain(x, [conv, bn], ctx)
+        inner = out.parents[0]
+        assert inner.shape == y.shape and np.isnan(inner.data).all()
+        assert np.isfinite(x.data).all()
+        backward(out, seed=np.ones(out.shape, np.float32))
+        assert np.isfinite(leaf.grad).all() and np.any(leaf.grad != 0)
+
+    def test_a_no_grad_forward_frees_each_activation_after_its_consumer(self, monkeypatch):
+        """With no graph, nothing captures an activation, so it goes as soon
+        as the module it feeds has returned, unless a caller holds it: when
+        block1.conv4 runs, of the conv inputs only the block's own input,
+        which both paths read, is alive; the transposed network input and
+        the join output are gone."""
+        net = build_network(SMALL, time_steps=2, in_channels=2, seed=0)
+        inputs, alive = {}, set()
+        original = ConvLayer.forward
+
+        def forward(layer, x, ctx):
+            if layer.name == "block1.conv4":
+                alive.update(name for name, ref in inputs.items() if ref() is not None)
+            inputs[layer.name] = weakref.ref(x.data)
+            return original(layer, x, ctx)
+
+        monkeypatch.setattr(ConvLayer, "forward", forward)
+        with tz.no_grad():
+            net.forward(binary_batch((2, 3, 2, 8, 8), seed=0))
+        assert "block1.conv3" in inputs
+        assert alive == {"block1.conv1", "block1.shortcut_conv"}
 
     @pytest.mark.parametrize("make,shape", [
         (lambda rng: ConvLayer("conv", 3, 4, 3, 2, 1, rng=rng), (2, 3, 7, 7, 3)),

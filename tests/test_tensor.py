@@ -734,6 +734,66 @@ def test_backward_replay_is_bit_deterministic():
     assert np.array_equal(grads[0][1], grads[1][1])
 
 
+# ---------------------------------------------------------------------------
+# Releasing activations
+
+
+def test_release_keeps_shape_and_dtype_and_reads_nan():
+    a = t(np.ones((2, 3, 4)), requires_grad=True, dtype=np.float32)
+    h = tz.mul(a, a)
+    tz.release(h)
+    assert h.shape == (2, 3, 4) and h.dtype == np.float32
+    assert np.isnan(h.data).all()
+    assert h.data.strides == (0, 0, 0) and not h.data.flags.writeable
+
+
+def test_release_frees_what_no_backward_captured_and_gradients_still_flow():
+    """add saves nothing, so releasing its output frees the array; mul
+    captured its operand at forward, so that array stays and its backward
+    still reads it."""
+    n = 1 << 18
+    a = Tensor(np.full(n, 2.0, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.full(n, 3.0, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        h = tz.add(a, a)
+        y = tz.add(h, b)
+        loss = tz.reduce_mean(tz.mul(y, b), (0,))
+        freed = []
+        for released in (h, y):
+            before = tracemalloc.get_traced_memory()[0]
+            tz.release(released)
+            freed.append(before - tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert freed[0] > 0.99 * 4 * n and freed[1] < 0.01 * 4 * n  # less the stand-in's own bytes
+    backward(loss)
+    assert np.array_equal(a.grad, np.full(n, 6.0 / n, dtype=np.float32))
+    assert np.array_equal(b.grad, np.full(n, 10.0 / n, dtype=np.float32))
+
+
+def test_a_released_tensor_takes_its_first_gradient_uncopied():
+    leaf = t(np.ones((2, 3)), requires_grad=True)
+    got = []
+    h = tz.make_node(leaf.data * 2.0, (leaf,), got.append)
+    given = np.full((2, 3), 5.0)
+    top = tz.make_node(np.array(1.0), (h,), lambda g: tz._give_grad(h, given))
+    tz.release(h)
+    backward(top)
+    assert got[0] is given
+
+
+def test_release_leaves_leaves_and_no_grad_outputs_alone():
+    leaf = t([1.0, 2.0], requires_grad=True)
+    const = t([3.0, 4.0])
+    with no_grad():
+        out = tz.mul(leaf, const)
+    for x in (leaf, const, out):
+        data = x.data
+        tz.release(x)
+        assert x.data is data
+
+
 def test_assert_finite_names_context():
     with pytest.raises(NumericError) as err:
         tz.assert_finite(np.array([1.0, np.inf]), "probe")

@@ -23,6 +23,7 @@ from orsnn.config import parse_config
 from orsnn.data import synth_events
 from orsnn.errors import ConfigError, DivergenceError, ShapeError
 from orsnn.network import build_network, frames_to_input
+from orsnn.residual import JoinMode
 from orsnn.tensor import Tensor
 from orsnn.training import (
     TABLE_DEFAULTS,
@@ -32,6 +33,8 @@ from orsnn.training import (
     evaluate,
     train,
 )
+
+from conftest import graph_held_bytes, graph_nodes, node_kind, unreleased_forward
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
 CONV_ARCH = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c32))-AP-FC4"
@@ -360,6 +363,56 @@ class TestTrainStepMemory:
                              text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) <= 100, run.stdout
+
+
+class TestReleasedActivations:
+    """Network.forward releases each activation once its consumer's forward
+    has returned, and every backward reads only what its forward captured."""
+
+    @pytest.mark.parametrize("join,plan", [("OR", "T/a"), ("OR", "C/a"), ("OR", "S/a"),
+                                           ("OR", "none"), ("ADD", "none"), ("IAND", "none")])
+    def test_a_train_step_matches_the_unreleased_chain_bit_for_bit(self, join, plan):
+        x, y = synth_events("moving-bar", 8, 8, 16, 16, seed=903).xy()
+        inp = frames_to_input(x)
+        steps = []
+        for forward in (lambda net: net.forward(inp, training=True),
+                        lambda net: unreleased_forward(net, inp)):
+            net = build_network(CONV_ARCH, JoinMode.parse(join), AttentionPlan.parse(plan),
+                                time_steps=8, in_channels=2, seed=0)
+            logits = forward(net)
+            tz.backward(tz.softmax_cross_entropy(logits, y))
+            steps.append((logits.data, [(n, p.grad) for n, p in net.named_params()]))
+        (logits, grads), (want_logits, want_grads) = steps
+        assert np.array_equal(logits, want_logits)
+        for (name, grad), (_, want) in zip(grads, want_grads, strict=True):
+            assert np.array_equal(grad, want), name
+
+    def test_a_training_forward_keeps_at_most_4_2x_its_lif_outputs(self):
+        """At train-conv's shapes the graph keeps, per stage, BN's xhat,
+        LIF's U and S and a gate's input: 3.8x the LIF outputs' bytes. With
+        every conv and BN output pinned as well it kept 5.8x. After backward
+        only the LIF states' membranes stay, 1/T of the LIF outputs; with the
+        membrane nodes pinning S it was 1.14x, and with the join operands
+        unreleased their membrane nodes pin their S, 0.46x."""
+        net, inp, y = train_net_batch("train-conv")
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = tz.softmax_cross_entropy(net.forward(inp, training=True), y)
+            kept = tracemalloc.get_traced_memory()[0] - base
+            lif = [t for t in graph_nodes(loss) if node_kind(t) == "_lif"]
+            spikes = sum(t.size * t.dtype.itemsize for t in lif)
+            held = graph_held_bytes(loss)
+            tz.backward(loss)
+            del loss, lif
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert kept <= 4.2 * spikes, (kept, spikes)
+        assert held <= 4.2 * spikes, (held, spikes)
+        assert left <= 0.25 * spikes, (left, spikes)
 
 
 def test_divergence_error_reports_epoch_and_batch():
