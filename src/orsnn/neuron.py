@@ -58,10 +58,15 @@ class LIFConfig:
             raise ValueError(f"surrogate_alpha must be positive, got {self.surrogate_alpha}")
 
 
-def surrogate_grad(v: np.ndarray, alpha: float) -> np.ndarray:
-    """d(step)/dv stand-in: alpha / (2 * (1 + (pi*alpha*v/2)^2))."""
-    half = np.pi * alpha * v / 2.0
-    return alpha / (2.0 * (1.0 + half * half))
+def surrogate_grad(v: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d(step)/dv stand-in: alpha / (2 * (1 + (pi*alpha*v/2)^2)), rounded
+    op by op in that order, into `out` when given (out may be v)."""
+    d = np.asarray(np.multiply(v, np.pi * alpha, out=out))
+    np.divide(d, 2.0, out=d)
+    np.multiply(d, d, out=d)
+    np.add(d, 1.0, out=d)
+    np.multiply(d, 2.0, out=d)
+    return np.divide(alpha, d, out=d)
 
 
 def _fire(v: np.ndarray, alpha: float, smooth: bool) -> np.ndarray:
@@ -118,30 +123,55 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
             f"neuron state shape {h0.shape} does not match input step {xs.shape[1:]}")
     # Constants in the input dtype and the op order of U and H reproduce the
     # per-step Tensor arithmetic bit for bit, and so does the backward below.
+    # Each step is five numpy calls into preallocated arrays. H - (+0) is H,
+    # so that subtraction is skipped (H - (-0) turns -0 into +0); for finite
+    # u, u * (u < thr) is u * (1 - S) and u >= thr is (u - thr) >= 0.
     reset, thr, k, one = (np.asarray(c, dtype=xs.dtype)
                           for c in (cfg.u_reset, cfg.u_threshold, 1.0 / cfg.tau, 1.0))
-    h = np.full(xs.shape[1:], reset) if h0 is None else h0.data
-    u_all, s_all = np.empty_like(xs), np.empty_like(xs)
+    skip_reset = cfg.u_reset == 0 and not np.signbit(cfg.u_reset)
+    # S (the output) and H's one buffer (the new membrane) outlive the call,
+    # and U does not in a no-grad pass: allocated in this order, U's hole is
+    # the last one. The order moves peak RSS, not time (README, LIF kernel).
+    s_all = np.empty_like(xs)
+    h_out = (np.full(xs.shape[1:], reset) if h0 is None
+             else np.empty(xs.shape[1:], xs.dtype))
+    u_all = np.empty_like(xs)
+    h = h_out if h0 is None else h0.data
     for t in range(len(xs)):
-        u = np.add(h, (xs[t] - (h - reset)) * k, out=u_all[t])
-        s_all[t] = _fire(u - thr, cfg.surrogate_alpha, smooth)
-        h = u * (one - s_all[t])
+        u = u_all[t]
+        np.subtract(xs[t], h if skip_reset else h - reset, out=u)
+        np.multiply(u, k, out=u)
+        np.add(h, u, out=u)
+        if smooth:
+            s_all[t] = _fire(u - thr, cfg.surrogate_alpha, smooth)
+            np.multiply(u, one - s_all[t], out=h_out)
+        else:
+            np.multiply(u, np.less(u, thr, out=h_out), out=h_out)
+        h = h_out
+    if not smooth:  # S[t] reads U[t] alone, so one call covers every step
+        np.greater_equal(u_all, thr, out=s_all)
     h_grad = []  # gH[T-1], handed over by the membrane node
     shape = xs.shape  # not xs: backward reads U and S, never the input
 
     def bwd(g):
         g, gx = g.reshape(shape), np.empty(shape, g.dtype)
-        gh = h_grad.pop() if h_grad else np.zeros_like(g[0])
+        # gH is updated in place; the copy keeps the handed-over one intact
+        gh = h_grad.pop().copy() if h_grad else np.zeros_like(g[0])
         span = max(1, _BPTT_CHUNK // max(1, g[0].size))
         for stop in range(len(g), 0, -span):
             start = max(0, stop - span)
-            sg = surrogate_grad(u_all[start:stop] - thr, cfg.surrogate_alpha)
-            sg, keep = sg.astype(g.dtype, copy=False), one - s_all[start:stop]
+            sg = np.subtract(u_all[start:stop], thr)
+            surrogate_grad(sg, cfg.surrogate_alpha, out=sg)
+            keep = one - s_all[start:stop]
+            if cfg.detach_reset:  # gS sg for the whole chunk
+                np.multiply(g[start:stop], sg, out=sg)
             for t in reversed(range(start, stop)):
-                gs = g[t] if cfg.detach_reset else g[t] - gh * u_all[t]
-                gu = gs * sg[t - start] + gh * keep[t - start]
+                if cfg.detach_reset:  # gU = gS sg + gH (1 - S), into gH
+                    gu = np.add(np.multiply(gh, keep[t - start], out=gh), sg[t - start], out=gh)
+                else:
+                    gu = (g[t] - gh * u_all[t]) * sg[t - start] + gh * keep[t - start]
                 # gI = gU k, and gH = gU (1 - 1/tau) rounded as the per-step graph did
-                gh = gu - np.multiply(gu, k, out=gx[t])
+                np.subtract(gu, np.multiply(gu, k, out=gx[t]), out=gh)
         _give_grad(x, gx.reshape(x.shape))
         if h0 is not None:
             accumulate_grad(h0, gh)

@@ -224,7 +224,8 @@ def _per_step_rollout(steps, h0, cfg, smooth):
     return _stack(outs), h
 
 
-@pytest.mark.parametrize("shape", [(6, 3, 4), (5, 4, 4096)], ids=["small", "chunked"])
+@pytest.mark.parametrize("shape", [(6, 3, 4), (5, 4, 4096), (3, 2, 20000), (32, 8, 128)],
+                         ids=["small", "chunked", "span1", "longT"])
 @pytest.mark.parametrize("target", ["both", "membrane"])
 @pytest.mark.parametrize("carry", [False, True], ids=["rest", "h0"])
 @pytest.mark.parametrize("smooth", [False, True], ids=["step", "smooth"])
@@ -234,8 +235,13 @@ def test_multistep_gradient_matches_per_step_graph(detach, smooth, carry, target
     equal the per-step graph's bit for bit, for an objective on the spikes
     and the final membrane or on the membrane alone: the BPTT loop keeps
     the graph's op order."""
+    steps_per_chunk = nrn._BPTT_CHUNK // np.prod(shape[1:])
     if shape[0] == 5:  # backward chunks of 2 steps over T=5, the last one short
-        assert nrn._BPTT_CHUNK // np.prod(shape[1:]) == 2
+        assert steps_per_chunk == 2
+    if shape[0] == 3:  # a step larger than a chunk, as train-conv's first LIFs
+        assert steps_per_chunk == 0
+    if shape[0] == 32:  # all of T=32 in one chunk, at train-longT's 1K-float steps
+        assert steps_per_chunk >= 32
     cfg = LIFConfig(tau=3.0, detach_reset=detach)
     rng = np.random.default_rng(4)
     x = rng.normal(0.9, 1.0, size=shape)
@@ -267,6 +273,99 @@ def test_multistep_gradient_matches_per_step_graph(detach, smooth, carry, target
     for got, want in pairs:
         assert np.any(want != 0)
         assert np.array_equal(got, want)
+
+
+def test_a_negative_zero_reset_level_keeps_the_graphs_zero_signs():
+    """H - u_reset is skipped only for u_reset = +0: with -0 it turns a -0
+    membrane into +0, and the rollout keeps that sign as the graph did."""
+    cfg = LIFConfig(u_reset=-0.0)
+    x = np.array([[0.0, -0.0, 0.5, -0.5]])
+    state = LIFState()
+    lif_multistep(state, Tensor(x), cfg)
+    _, membrane = _per_step_rollout([Tensor(x_t) for x_t in x], None, cfg, False)
+    assert np.any(np.signbit(membrane.data) & (membrane.data == 0))
+    assert state.membrane.data.tobytes() == membrane.data.tobytes()
+
+
+def _kept_arrays(node):
+    """The arrays a node's backward closure keeps (U, S and constants for LIF)."""
+    return [c.cell_contents for c in node.backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+@pytest.mark.parametrize("multistep", [True, False], ids=["lif_multistep", "lif_step"])
+def test_a_carried_rollout_writes_only_its_own_arrays(multistep):
+    """The rollout runs in place, but only in arrays it allocated: the input
+    and the carried membrane's .data are unchanged, by the forward and by
+    the backward, and the new membrane shares no memory with the input, U,
+    S or the carried membrane."""
+    rng = np.random.default_rng(8)
+    cfg = LIFConfig()
+    x = rng.normal(0.9, 1.0, size=(4, 3, 5) if multistep else (3, 5))
+    xt = Tensor(x.copy(), requires_grad=True)
+    state = LIFState()
+    run = lif_multistep if multistep else lif_step
+    run(state, Tensor(rng.normal(0.9, 1.0, size=x.shape), requires_grad=True), cfg)
+    carried = state.membrane
+    h0 = carried.data.copy()
+    assert np.any(h0 != 0)
+
+    spikes = run(state, xt, cfg)
+    membrane = state.membrane
+    kept = _kept_arrays(spikes)
+    assert len(kept) >= 2
+    for other in [xt.data, carried.data, *kept]:
+        assert not np.shares_memory(membrane.data, other)
+    assert np.array_equal(xt.data, x) and np.array_equal(carried.data, h0)
+
+    backward(tz.reduce_mean(spikes * Tensor(rng.normal(size=x.shape)),
+                            tuple(range(x.ndim)))
+             + tz.reduce_mean(membrane, tuple(range(h0.ndim))))
+    assert np.array_equal(xt.data, x) and np.array_equal(carried.data, h0)
+    assert np.any(xt.grad != 0)
+
+
+def _surrogate_formula(v, alpha):
+    """surrogate_grad's formula in its own op order, as the per-step graph
+    computed it."""
+    half = np.pi * alpha * v / 2.0
+    return alpha / (2.0 * (1.0 + half * half))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [2.0, 0.5])
+def test_surrogate_grad_in_place_is_its_formula_bit_for_bit(dtype, alpha):
+    """surrogate_grad, allocating or in place, rounds as its formula does at
+    edge inputs: 0, subnormals, 1e-30, 1, and the largest v whose
+    (pi*alpha*v/2)^2 stays finite, and the next one up. There a folded
+    alpha/2 would not: 2 (1 + half^2) overflows to inf where
+    (alpha/2) / (1 + half^2) is a subnormal. A folded pi*alpha/2 changes only
+    halves whose square is 0 or inf either way, so no input tells it apart."""
+    info = np.finfo(dtype)
+
+    def square_finite(v):
+        half = np.pi * alpha * np.array(v, dtype) / 2.0
+        return bool(np.isfinite(half * half))
+
+    with np.errstate(over="ignore"):
+        big = np.array(np.sqrt(info.max) / (np.pi * alpha / 2.0), dtype)
+        while not square_finite(big):
+            big = np.nextafter(big, dtype(0))
+        while square_finite(np.nextafter(big, dtype(np.inf))):
+            big = np.nextafter(big, dtype(np.inf))
+        edges = [0.0, info.smallest_subnormal, info.smallest_normal / 2, 1e-30, 1.0,
+                 big, np.nextafter(big, dtype(np.inf))]
+        v = np.array(edges + [-e for e in edges], dtype)
+        want = _surrogate_formula(v, alpha)
+        got = surrogate_grad(v, alpha)
+        buf = v.copy()
+        in_place = surrogate_grad(buf, alpha, out=buf)
+        half = np.pi * alpha * v / 2.0
+        folded = (alpha / 2.0) / (1.0 + half * half)
+    assert want.dtype == got.dtype == in_place.dtype == dtype
+    assert in_place is buf
+    assert want.tobytes() == got.tobytes() == in_place.tobytes()
+    assert folded.tobytes() != want.tobytes()  # the edges tell a fold apart
 
 
 @pytest.mark.parametrize("detach", [True, False])
