@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import BuildError, ShapeError
 from .layers import ForwardContext, Module, he_uniform
-from .neuron import LIFConfig, LIFState, _fire, lif_step, surrogate_grad
+from .neuron import LIFConfig, _fire, lif_step, surrogate_grad
 from .tensor import (Tensor, _give_grad, _unbroadcast, accumulate_grad, assert_finite,
                      make_node)
 
@@ -227,7 +227,7 @@ class SpatialAttention(AttentionGate):
         if ctx.record is not None:  # 2 k^2 per pixel of every step and sample
             ctx.record.note_input(self.name, "attn_conv", stacked.data, stacked.data,
                                   flops=2 * self.kernel ** 2 * (x.size // x.shape[4]))
-        mask = lif_step(LIFState(), drive, self.lif_cfg)
+        mask, _ = lif_step(drive, self.lif_cfg)
         return tz.mul(x, mask), mask.data
 
 

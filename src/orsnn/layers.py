@@ -6,7 +6,8 @@ Every layer hands its [T, N, ...] activation straight to one tensor op:
 conv, BN, the pools and the classifier fold T into the batch as a view
 inside their own autograd node, so each of these layers adds exactly one
 node; a spiking layer hands the whole [T, ...] input to the fused LIF op,
-which threads the membrane step to step inside one node (see neuron.py).
+which threads the membrane step to step inside one node and starts from
+rest on every forward (see neuron.py).
 A ForwardContext carries the training flag, the optional SpikeRecord, and
 the audit reference: the array whose binarity decides MAC-vs-AC for the
 classifier. A conv is audited on its own input; the classifier is audited
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import NumericError, ShapeError
-from .neuron import LIFConfig, LIFState, lif_multistep
+from .neuron import LIFConfig, lif_multistep
 from .record import SpikeRecord
 from .tensor import Tensor
 
@@ -83,10 +84,6 @@ class Module:
         for child in self.children():
             out.extend(child.named_buffers())
         return out
-
-    def reset_state(self) -> None:
-        for child in self.children():
-            child.reset_state()
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         raise NotImplementedError
@@ -162,19 +159,16 @@ class BatchNormLayer(Module):
 
 
 class LIFLayer(Module):
-    """Spiking nonlinearity over the time axis with persistent membrane."""
+    """Spiking nonlinearity over the time axis: each forward runs all T
+    steps of its input from rest and keeps no membrane after it returns."""
 
     def __init__(self, name: str, cfg: LIFConfig):
         super().__init__(name)
         self.cfg = cfg
-        self.state = LIFState()
-
-    def reset_state(self) -> None:
-        self.state.reset()
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         try:
-            out = lif_multistep(self.state, x, self.cfg)
+            out, _ = lif_multistep(x, self.cfg)
         except NumericError as err:
             raise NumericError(f"{self.name}: {err}") from None
         if ctx.record is not None:

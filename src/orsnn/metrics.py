@@ -268,5 +268,4 @@ def apply_pruning(network, flagged_names, verify_batches):
     for block in pruned.blocks():
         if block.shortcut_lif_name in flagged:
             block.prune()
-    pruned.reset_state()
     return pruned

@@ -69,8 +69,7 @@ class Network(Module):
         return sum(t.size for _, t in self.named_params())
 
     def forward(self, x, *, record: SpikeRecord | None = None,
-                training: bool = False, strict: bool = True,
-                reset: bool = True) -> Tensor:
+                training: bool = False, strict: bool = True) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
         if x.ndim != 5:
@@ -81,8 +80,6 @@ class Network(Module):
         if x.shape[2] != self.in_channels:
             raise ShapeError(
                 f"network built for {self.in_channels} input channels, got {x.shape[2]}")
-        if reset:
-            self.reset_state()
         ctx = ForwardContext(training=training, record=record, strict=strict)
         if record is not None:
             record.samples += x.shape[1]

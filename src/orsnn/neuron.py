@@ -8,9 +8,12 @@ between steps and U the pre-spike potential:
     H[t] = U[t] * (1 - S[t])               # hard reset to zero where fired
 
 lif_multistep runs this over the leading time axis of a [T, ...] input in
-plain numpy and records the rollout as one autograd node keeping only U and
-S. Its backward is BPTT over reversed t, with sg the arc-tangent surrogate
-slope and gH[T-1] the carried membrane's gradient (0 when unused):
+plain numpy, from rest (H[-1] = u_reset) on every call: no membrane is
+carried from one call to the next, so a caller hands over all T steps of a
+sample at once. The rollout is one autograd node over the input keeping
+only U and S. Its backward is BPTT over reversed t, with sg the
+arc-tangent surrogate slope and gH[T-1] = 0 (the final membrane is returned
+as a plain array, outside the graph):
 
     gU[t]   = (gS[t] - [not detach_reset] gH[t] U[t]) sg(U[t] - u_threshold)
               + gH[t] (1 - S[t])
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _give_grad, accumulate_grad, assert_finite, make_node
+from .tensor import Tensor, _give_grad, assert_finite, make_node
 
 
 @dataclass(frozen=True)
@@ -77,34 +80,19 @@ def _fire(v: np.ndarray, alpha: float, smooth: bool) -> np.ndarray:
     return (v >= 0).astype(v.dtype)
 
 
-@dataclass
-class LIFState:
-    """Membrane trace between steps. H is None until the first step binds it."""
-
-    membrane: Tensor | None = None
-
-    def reset(self) -> None:
-        self.membrane = None
+def lif_multistep(x: Tensor, cfg: LIFConfig,
+                  smooth: bool = False) -> tuple[Tensor, np.ndarray]:
+    """Run axis 0 of x ([T, ...]) from rest; returns the spikes, one node
+    over x, and the final membrane H[T-1] as a plain array of its own."""
+    return _lif(x, x.data, cfg, smooth)
 
 
-def lif_multistep(state: LIFState, x: Tensor, cfg: LIFConfig,
-                  smooth: bool = False) -> Tensor:
-    """Advance over axis 0 of x ([T, ...]); returns the spikes as one node
-    over (x[, state.membrane]) and leaves H[T-1] in state.membrane, itself
-    differentiable, so a later call continues the rollout and its gradient.
-    """
-    return _lif(state, x, x.data, cfg, smooth)
-
-
-def lif_step(state: LIFState, current: Tensor, cfg: LIFConfig,
-             smooth: bool = False) -> Tensor:
-    """Advance one time step; returns the spike tensor and mutates state.
-
-    The T=1 case of lif_multistep: one fused node, the BPTT backward of the
-    module docstring, and the reset factor (1 - S) detached from the graph
-    when cfg.detach_reset is set, so gradients flow only through U.
-    """
-    return _lif(state, current, current.data[None], cfg, smooth)
+def lif_step(current: Tensor, cfg: LIFConfig,
+             smooth: bool = False) -> tuple[Tensor, np.ndarray]:
+    """One time step from rest: the T=1 case of lif_multistep, with the same
+    fused node, its BPTT backward, and the reset factor (1 - S) detached
+    from the graph when cfg.detach_reset is set."""
+    return _lif(current, current.data[None], cfg, smooth)
 
 
 # Elements per backward time chunk: a chunk's surrogate slopes are computed in
@@ -112,15 +100,11 @@ def lif_step(state: LIFState, current: Tensor, cfg: LIFConfig,
 _BPTT_CHUNK = 1 << 15
 
 
-def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
-         smooth: bool) -> Tensor:
+def _lif(x: Tensor, xs: np.ndarray, cfg: LIFConfig,
+         smooth: bool) -> tuple[Tensor, np.ndarray]:
     if xs.ndim < 1 or len(xs) < 1:
         raise ShapeError(f"LIF input needs a leading time axis of >= 1 step, got {x.shape}")
     assert_finite(xs, "neuron input current")
-    h0 = state.membrane
-    if h0 is not None and h0.shape != xs.shape[1:]:
-        raise ShapeError(
-            f"neuron state shape {h0.shape} does not match input step {xs.shape[1:]}")
     # Constants in the input dtype and the op order of U and H reproduce the
     # per-step Tensor arithmetic bit for bit, and so does the backward below.
     # Each step is five numpy calls into preallocated arrays. H - (+0) is H,
@@ -129,14 +113,12 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
     reset, thr, k, one = (np.asarray(c, dtype=xs.dtype)
                           for c in (cfg.u_reset, cfg.u_threshold, 1.0 / cfg.tau, 1.0))
     skip_reset = cfg.u_reset == 0 and not np.signbit(cfg.u_reset)
-    # S (the output) and H's one buffer (the new membrane) outlive the call,
-    # and U does not in a no-grad pass: allocated in this order, U's hole is
-    # the last one. The order moves peak RSS, not time (README, LIF kernel).
+    # S (the output) outlives the call and U does in a grad pass; LIF layers
+    # drop H on return. The allocation order moves peak RSS, not time
+    # (README, LIF kernel).
     s_all = np.empty_like(xs)
-    h_out = (np.full(xs.shape[1:], reset) if h0 is None
-             else np.empty(xs.shape[1:], xs.dtype))
+    h = np.full(xs.shape[1:], reset)
     u_all = np.empty_like(xs)
-    h = h_out if h0 is None else h0.data
     for t in range(len(xs)):
         u = u_all[t]
         np.subtract(xs[t], h if skip_reset else h - reset, out=u)
@@ -144,19 +126,16 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
         np.add(h, u, out=u)
         if smooth:
             s_all[t] = _fire(u - thr, cfg.surrogate_alpha, smooth)
-            np.multiply(u, one - s_all[t], out=h_out)
+            np.multiply(u, one - s_all[t], out=h)
         else:
-            np.multiply(u, np.less(u, thr, out=h_out), out=h_out)
-        h = h_out
+            np.multiply(u, np.less(u, thr, out=h), out=h)
     if not smooth:  # S[t] reads U[t] alone, so one call covers every step
         np.greater_equal(u_all, thr, out=s_all)
-    h_grad = []  # gH[T-1], handed over by the membrane node
     shape = xs.shape  # not xs: backward reads U and S, never the input
 
     def bwd(g):
         g, gx = g.reshape(shape), np.empty(shape, g.dtype)
-        # gH is updated in place; the copy keeps the handed-over one intact
-        gh = h_grad.pop().copy() if h_grad else np.zeros_like(g[0])
+        gh = np.zeros_like(g[0])  # gH, updated in place from gH[T-1] = 0
         span = max(1, _BPTT_CHUNK // max(1, g[0].size))
         for stop in range(len(g), 0, -span):
             start = max(0, stop - span)
@@ -173,16 +152,5 @@ def _lif(state: LIFState, x: Tensor, xs: np.ndarray, cfg: LIFConfig,
                 # gI = gU k, and gH = gU (1 - 1/tau) rounded as the per-step graph did
                 np.subtract(gu, np.multiply(gu, k, out=gx[t]), out=gh)
         _give_grad(x, gx.reshape(x.shape))
-        if h0 is not None:
-            accumulate_grad(h0, gh)
 
-    spikes = make_node(s_all.reshape(x.shape), (x,) if h0 is None else (x, h0), bwd)
-
-    def membrane_bwd(g):
-        h_grad.append(g)
-        if spikes.grad is None:  # backward() skips nodes without a gradient
-            # shape and dtype only: spikes may have been released
-            spikes.grad = np.zeros(spikes.shape, spikes.dtype)
-
-    state.membrane = make_node(h, (spikes,), membrane_bwd)
-    return spikes
+    return make_node(s_all.reshape(x.shape), (x,), bwd), h

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as tz
 from .attention import AttentionGate, AttentionPlan, make_attention
 from .errors import AuditError, BuildError, ShapeError
 from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module,
@@ -122,20 +121,13 @@ class ResidualBlock(Module):
 
     def _joined(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         """The join of both paths, or the backbone's spikes when pruned. Both
-        paths read x, which the caller releases after forward returns. The
-        join operands are LIF spikes, views of the S their LIF backward keeps,
-        so releasing them frees nothing during the step; it unpins S from
-        the LIF states' membrane nodes, which outlive backward until the
-        next reset."""
+        paths read x, which the caller releases after forward returns."""
         out = forward_chain(x, self.backbone, ctx)
         if self.pruned:
             return out
         s = forward_chain(x, self.shortcut, ctx)
-        joined = join(out, s, self.join_mode, strict=ctx.strict,
-                      name=f"{self.name}.join", record=ctx.record)
-        tz.release(out)
-        tz.release(s)
-        return joined
+        return join(out, s, self.join_mode, strict=ctx.strict,
+                    name=f"{self.name}.join", record=ctx.record)
 
     def render_layout(self) -> str:
         """Table-style layout string: backbone | shortcut | post-join."""

@@ -65,9 +65,9 @@ class no_grad:
 class Tensor:
     """Dense array with optional gradient and autograd book-keeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "index", "name")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "index")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
@@ -79,7 +79,6 @@ class Tensor:
         self.parents: tuple[Tensor, ...] = ()
         self.backward_fn = None
         self.index = 0
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:

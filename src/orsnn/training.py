@@ -155,12 +155,12 @@ def _to_time_major(xb: np.ndarray, time_steps: int) -> np.ndarray:
     return frames_to_input(xb)
 
 
-def evaluate(network, data, *, batch_size: int = 256, time_steps: int | None = None,
+def evaluate(network, data, *, batch_size: int = 256,
              record: SpikeRecord | None = None, strict: bool = True
              ) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over the whole split, without grads."""
+    """Mean cross-entropy and accuracy over the whole split, without grads,
+    at the network's own time_steps."""
     x, y = _as_arrays(data)
-    t = time_steps if time_steps is not None else network.time_steps
     n = x.shape[0]
     loss_sum = 0.0
     hits = 0
@@ -168,7 +168,7 @@ def evaluate(network, data, *, batch_size: int = 256, time_steps: int | None = N
         for start in range(0, n, batch_size):
             xb = x[start:start + batch_size]
             yb = y[start:start + batch_size]
-            inp = _to_time_major(xb, t)
+            inp = _to_time_major(xb, network.time_steps)
             logits = network.forward(inp, record=record, training=False,
                                      strict=strict)
             loss = tz.softmax_cross_entropy(logits, yb)
@@ -233,8 +233,7 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
             hits += int((logits.data.argmax(axis=1) == yb).sum())
         rec = SpikeRecord()
         val_loss, val_acc = evaluate(network, rate_data,
-                                     batch_size=cfg.batch_size,
-                                     time_steps=cfg.time_steps, record=rec,
+                                     batch_size=cfg.batch_size, record=rec,
                                      strict=cfg.strict_joins)
         log.trace.append(epoch, rec.firing_rates())
         shortcuts = network.shortcut_lif_names()

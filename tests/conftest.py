@@ -17,7 +17,7 @@ import numpy as np
 from orsnn import tensor as tz
 from orsnn.attention import TemporalAttention
 from orsnn.layers import ForwardContext
-from orsnn.neuron import LIFConfig, LIFState, _fire, lif_step, surrogate_grad
+from orsnn.neuron import LIFConfig, _fire, lif_step, surrogate_grad
 from orsnn.residual import ResidualBlock, join
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node, no_grad
 
@@ -150,7 +150,7 @@ def composed_gate(gate, x: Tensor) -> tuple[Tensor, Tensor]:
 
     avg = tz.reduce_mean(x, axes)
     mx = tz.reduce_max(x, axes)
-    mask = lif_step(LIFState(), mlp(avg) + mlp(mx), gate.lif_cfg)
+    mask, _ = lif_step(mlp(avg) + mlp(mx), gate.lif_cfg)
     lead = mask.shape[:2]
     return tz.mul(x, tz.reshape(mask, lead + (1, 1) + (mask.shape[2:] or (1,)))), mask
 
@@ -159,7 +159,6 @@ def unreleased_forward(net, x: np.ndarray) -> Tensor:
     """A training Network.forward's logits from the same modules called in
     the same order, block paths included, but with every activation kept:
     the reference the releasing chains must match bit for bit."""
-    net.reset_state()
     ctx = ForwardContext(training=True, strict=True)
     h = tz.permute(Tensor(np.asarray(x, dtype=net.dtype)), (0, 1, 3, 4, 2))
     for node in net.nodes:

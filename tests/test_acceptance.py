@@ -24,7 +24,7 @@ from orsnn.layers import ForwardContext
 from orsnn.metrics import (FiringRateTrace, apply_pruning,
                            detect_natural_pruning, estimate_energy)
 from orsnn.network import build_network
-from orsnn.neuron import LIFConfig, LIFState, lif_multistep, lif_step
+from orsnn.neuron import LIFConfig, lif_multistep
 from orsnn.record import SpikeRecord
 from orsnn.residual import JoinMode, audit_spike_drivenness, join
 from orsnn.tensor import Tensor
@@ -155,14 +155,14 @@ def test_04_lif_recurrence_hand_trace():
         (5.0, 2.71875, 1.0, 0.0),
     ]
     cfg = LIFConfig()
-    state = LIFState()
-    for step, (current, _, s_hand, h_hand) in enumerate(hand):
-        s = lif_step(state, Tensor(np.array([current], dtype=np.float64)), cfg)
-        if abs(float(s.data[0]) - s_hand) > 1e-12:
-            failures.append(f"step {step}: spike {float(s.data[0])} != {s_hand}")
-        if abs(float(state.membrane.data[0]) - h_hand) > 1e-12:
-            failures.append(
-                f"step {step}: membrane {float(state.membrane.data[0])} != {h_hand}")
+    currents = np.array([[row[0]] for row in hand], dtype=np.float64)
+    for step, (_, _, s_hand, h_hand) in enumerate(hand):
+        # the rollout over the first step + 1 currents ends in this step
+        s, h = lif_multistep(Tensor(currents[:step + 1]), cfg)
+        if abs(float(s.data[step, 0]) - s_hand) > 1e-12:
+            failures.append(f"step {step}: spike {float(s.data[step, 0])} != {s_hand}")
+        if abs(float(h[0]) - h_hand) > 1e-12:
+            failures.append(f"step {step}: membrane {float(h[0])} != {h_hand}")
     ref = lif_reference_trace([row[0] for row in hand], cfg)
     for step, (_, u_hand, s_hand, h_hand) in enumerate(hand):
         for got, want, what in ((ref.potentials[step], u_hand, "potential"),
@@ -227,9 +227,7 @@ def _gradient_cases():
         case("permute", lambda r: (n(r, 2, 3, 4),),
              lambda x: tz.permute(x, (2, 0, 1))),
         case("lif-multistep-smooth", lambda r: (n(r, 4, 2, 2, 3, 3),),
-             lambda x: lif_multistep(LIFState(), x, attached, smooth=True)),
-        case("lif-multistep-smooth-h0", lambda r: (n(r, 4, 2, 2, 3, 3), n(r, 2, 2, 3, 3)),
-             lambda x, h0: lif_multistep(LIFState(membrane=h0), x, attached, smooth=True)),
+             lambda x: lif_multistep(x, attached, smooth=True)[0]),
         case("concat", lambda r: (n(r, 2, 2, 3), n(r, 2, 1, 3)),
              lambda a, b: tz.concat([a, b], axis=1)),
         case("reduce-mean", lambda r: (n(r, 2, 3, 4),),
@@ -252,12 +250,10 @@ def _gradient_cases():
         cfg = LIFConfig(detach_reset=False)
 
         def fn(x, w1, w2):
-            state = LIFState()
-            feats = None
-            for _ in range(3):
-                s = lif_step(state, tz.conv2d(x, w1, 1, 1), cfg, smooth=True)
-                pooled = tz.global_avg_pool(s)
-                feats = pooled if feats is None else feats + pooled
+            c = tz.conv2d(x, w1, 1, 1)
+            step = tz.reshape(c, (1,) + c.shape)  # the same drive at each of 3 steps
+            s, _ = lif_multistep(tz.concat([step] * 3, axis=0), cfg, smooth=True)
+            feats = tz.reduce_mean(tz.global_avg_pool(s), (0,)) * 3.0  # sum over steps
             return tz.softmax_cross_entropy(tz.dense(feats, w2), labels)
 
         gradcheck(fn, nhwc(0.8 * n(rng, 2, 1, 6, 6)), 0.4 * n(rng, 4, 1, 3, 3),

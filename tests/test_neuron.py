@@ -1,7 +1,9 @@
 """Leaky integrate-and-fire dynamics: frozen hand-traced sequences, the
 threshold-equality firing rule, surrogate gradient values, reset handling,
 gradient checks through the smooth twin, and the fused multi-step op
-against the scalar oracle and the per-step Tensor graph it replaced.
+against the scalar oracle and the per-step Tensor graph it replaced. Every
+rollout starts from rest; the membrane after step t is the final membrane
+of the rollout over the first t + 1 steps.
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ import orsnn.neuron as nrn
 import orsnn.tensor as tz
 from orsnn.errors import NumericError, ShapeError
 from orsnn.layers import ForwardContext, LIFLayer
-from orsnn.neuron import LIFConfig, LIFState, lif_multistep, lif_step, surrogate_grad
+from orsnn.neuron import LIFConfig, lif_multistep, lif_step, surrogate_grad
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node
 
 from conftest import (gradcheck, lif_reference_trace, margin_random, smooth_spike_fn,
@@ -29,14 +31,13 @@ HAND_MEMBRANES = [0.25, 0.375, 0.4375, 0.0, 0.0, 0.75, 0.475, 0.6875, 0.0, 0.0]
 
 
 def rollout(currents, cfg, smooth=False):
-    state = LIFState()
-    spikes, membranes = [], []
-    for i in currents:
-        s = lif_step(state, Tensor(np.array([float(i)], dtype=np.float64)), cfg,
-                     smooth=smooth)
-        spikes.append(float(s.data[0]))
-        membranes.append(float(state.membrane.data[0]))
-    return spikes, membranes
+    """The spikes of one rollout over all currents, and the membrane after
+    every step, from the rollout over each prefix."""
+    x = np.array(currents, dtype=np.float64)[:, None]
+    spikes, _ = lif_multistep(Tensor(x), cfg, smooth=smooth)
+    membranes = [float(lif_multistep(Tensor(x[:t + 1]), cfg, smooth=smooth)[1][0])
+                 for t in range(len(x))]
+    return spikes.data[:, 0].tolist(), membranes
 
 
 def test_hand_traced_sequence_matches_engine():
@@ -71,11 +72,10 @@ def test_subthreshold_accumulation_and_decay():
 
 def test_nonzero_reset_level():
     cfg = LIFConfig(u_reset=0.5, u_threshold=1.0)
-    state = LIFState()
-    s = lif_step(state, Tensor(np.array([2.0])), cfg)
+    s, membrane = lif_step(Tensor(np.array([2.0])), cfg)
     # U = 0.5 + (2 - 0) / 2 = 1.5 -> fires, membrane hard-resets to 0
     assert s.data[0] == 1.0
-    assert state.membrane.data[0] == 0.0
+    assert membrane[0] == 0.0
 
 
 def test_step_function_signs():
@@ -102,31 +102,15 @@ def test_spike_backward_uses_surrogate():
     assert np.allclose(v.grad, surrogate_grad(v.data, 2.0))
 
 
-def test_state_shape_mismatch_raises():
-    cfg = LIFConfig()
-    state = LIFState()
-    lif_step(state, Tensor(np.zeros(3)), cfg)
-    with pytest.raises(ShapeError):
-        lif_step(state, Tensor(np.zeros(4)), cfg)
-
-
 def test_multistep_needs_a_time_axis():
     for shape in [(), (0, 3)]:
         with pytest.raises(ShapeError):
-            lif_multistep(LIFState(), Tensor(np.zeros(shape)), LIFConfig())
+            lif_multistep(Tensor(np.zeros(shape)), LIFConfig())
 
 
 def test_nonfinite_current_raises():
     with pytest.raises(NumericError):
-        lif_step(LIFState(), Tensor(np.array([np.inf])), LIFConfig())
-
-
-def test_reset_clears_membrane():
-    state = LIFState()
-    lif_step(state, Tensor(np.ones(2)), LIFConfig())
-    assert state.membrane is not None
-    state.reset()
-    assert state.membrane is None
+        lif_step(Tensor(np.array([np.inf])), LIFConfig())
 
 
 def test_config_validation():
@@ -143,14 +127,9 @@ def test_config_validation():
 def test_detach_reset_changes_gradient():
     def run(detach):
         cfg = LIFConfig(detach_reset=detach)
-        x = Tensor(np.array([0.9, 1.7, 0.4]), requires_grad=True)
-        state = LIFState()
-        total = None
-        for _ in range(3):
-            s = lif_step(state, x, cfg)
-            total = s if total is None else total + s
-        out = tz.reduce_mean(total, (0,))
-        backward(out)
+        x = Tensor(np.tile([0.9, 1.7, 0.4], (3, 1)), requires_grad=True)
+        s, _ = lif_multistep(x, cfg)
+        backward(tz.reduce_mean(s, (0, 1)))
         return x.grad.copy()
 
     g_detached = run(True)
@@ -173,9 +152,9 @@ def test_smooth_twin_two_layer_net_gradient(seed):
 
     def fn(xt, w1t, w2t, b2t):
         c = tz.conv2d(tz.reshape(xt, (3, 4, 4, 1)), w1t, 1, 0)  # channels-last, C = 1
-        sp1 = lif_multistep(LIFState(), tz.reshape(c, (3, 1, 2, 2, 2)), cfg, smooth=True)
+        sp1, _ = lif_multistep(tz.reshape(c, (3, 1, 2, 2, 2)), cfg, smooth=True)
         d = tz.dense(tz.reshape(sp1, (3, 8)), w2t, b2t)
-        sp2 = lif_multistep(LIFState(), tz.reshape(d, (3, 1, 2)), cfg, smooth=True)
+        sp2, _ = lif_multistep(tz.reshape(d, (3, 1, 2)), cfg, smooth=True)
         return tz.reduce_mean(sp2, (0, 1, 2))
 
     gradcheck(fn, x, w1, w2, b2)
@@ -195,12 +174,11 @@ def test_multistep_matches_reference_trace_per_column(cfg):
     currents[:, 0] = cfg.tau * (cfg.u_threshold - cfg.u_reset)
     traces = [lif_reference_trace(currents[:, c], cfg) for c in range(6)]
     assert any(u == cfg.u_threshold for tr in traces for u in tr.potentials)
-    spikes = lif_multistep(LIFState(), Tensor(currents), cfg)
+    spikes, _ = lif_multistep(Tensor(currents), cfg)
     assert spikes.data.tolist() == [list(row) for row in zip(*(tr.spikes for tr in traces))]
     for steps in range(1, 11):  # the membrane after every prefix
-        state = LIFState()
-        lif_multistep(state, Tensor(currents[:steps]), cfg)
-        assert state.membrane.data.tolist() == [tr.membranes[steps - 1] for tr in traces]
+        _, membrane = lif_multistep(Tensor(currents[:steps]), cfg)
+        assert membrane.tolist() == [tr.membranes[steps - 1] for tr in traces]
 
 
 def _stack(parts):
@@ -211,10 +189,10 @@ def _stack(parts):
     return make_node(np.stack([p.data for p in parts]), tuple(parts), bwd)
 
 
-def _per_step_rollout(steps, h0, cfg, smooth):
+def _per_step_rollout(steps, cfg, smooth):
     """The per-step Tensor graph the fused op replaced, as the reference."""
     fire = smooth_spike_fn if smooth else spike_fn
-    h = h0 if h0 is not None else Tensor(np.full(steps[0].shape, cfg.u_reset))
+    h = Tensor(np.full(steps[0].shape, cfg.u_reset))
     outs = []
     for x_t in steps:
         u = h + (x_t - (h - cfg.u_reset)) * (1.0 / cfg.tau)
@@ -226,14 +204,11 @@ def _per_step_rollout(steps, h0, cfg, smooth):
 
 @pytest.mark.parametrize("shape", [(6, 3, 4), (5, 4, 4096), (3, 2, 20000), (32, 8, 128)],
                          ids=["small", "chunked", "span1", "longT"])
-@pytest.mark.parametrize("target", ["both", "membrane"])
-@pytest.mark.parametrize("carry", [False, True], ids=["rest", "h0"])
 @pytest.mark.parametrize("smooth", [False, True], ids=["step", "smooth"])
 @pytest.mark.parametrize("detach", [True, False], ids=["detach", "attach"])
-def test_multistep_gradient_matches_per_step_graph(detach, smooth, carry, target, shape):
-    """Spikes, final membrane and the gradients of x and the carried h0
-    equal the per-step graph's bit for bit, for an objective on the spikes
-    and the final membrane or on the membrane alone: the BPTT loop keeps
+def test_multistep_gradient_matches_per_step_graph(detach, smooth, shape):
+    """Spikes, final membrane and the gradient of x equal the per-step
+    graph's bit for bit, for an objective on the spikes: the BPTT loop keeps
     the graph's op order."""
     steps_per_chunk = nrn._BPTT_CHUNK // np.prod(shape[1:])
     if shape[0] == 5:  # backward chunks of 2 steps over T=5, the last one short
@@ -245,34 +220,21 @@ def test_multistep_gradient_matches_per_step_graph(detach, smooth, carry, target
     cfg = LIFConfig(tau=3.0, detach_reset=detach)
     rng = np.random.default_rng(4)
     x = rng.normal(0.9, 1.0, size=shape)
-    h0 = rng.normal(0.3, 0.4, size=shape[1:]) if carry else None
-    w_s, w_h = Tensor(rng.normal(size=x.shape)), Tensor(rng.normal(size=x.shape[1:]))
-
-    def objective(spikes, membrane):
-        on_membrane = tz.reduce_mean(membrane * w_h, (0, 1))
-        if target == "membrane":
-            return on_membrane
-        return tz.reduce_mean(spikes * w_s, (0, 1, 2)) + on_membrane
+    w_s = Tensor(rng.normal(size=x.shape))
 
     xf = Tensor(x, requires_grad=True)
-    hf = Tensor(h0, requires_grad=True) if carry else None
-    state = LIFState(membrane=hf)
-    fused = lif_multistep(state, xf, cfg, smooth=smooth)
-    backward(objective(fused, state.membrane))
+    fused, final = lif_multistep(xf, cfg, smooth=smooth)
+    backward(tz.reduce_mean(fused * w_s, (0, 1, 2)))
 
     steps = [Tensor(x_t, requires_grad=True) for x_t in x]
-    hr = Tensor(h0, requires_grad=True) if carry else None
-    ref, membrane = _per_step_rollout(steps, hr, cfg, smooth)
-    backward(objective(ref, membrane))
+    ref, membrane = _per_step_rollout(steps, cfg, smooth)
+    backward(tz.reduce_mean(ref * w_s, (0, 1, 2)))
 
     assert np.array_equal(fused.data, ref.data)
-    assert np.array_equal(state.membrane.data, membrane.data)
-    pairs = [(xf.grad, np.stack([s.grad for s in steps]))]
-    if carry:
-        pairs.append((hf.grad, hr.grad))
-    for got, want in pairs:
-        assert np.any(want != 0)
-        assert np.array_equal(got, want)
+    assert np.array_equal(final, membrane.data)
+    want = np.stack([s.grad for s in steps])
+    assert np.any(want != 0)
+    assert np.array_equal(xf.grad, want)
 
 
 def test_a_negative_zero_reset_level_keeps_the_graphs_zero_signs():
@@ -280,11 +242,10 @@ def test_a_negative_zero_reset_level_keeps_the_graphs_zero_signs():
     membrane into +0, and the rollout keeps that sign as the graph did."""
     cfg = LIFConfig(u_reset=-0.0)
     x = np.array([[0.0, -0.0, 0.5, -0.5]])
-    state = LIFState()
-    lif_multistep(state, Tensor(x), cfg)
-    _, membrane = _per_step_rollout([Tensor(x_t) for x_t in x], None, cfg, False)
+    _, final = lif_multistep(Tensor(x), cfg)
+    _, membrane = _per_step_rollout([Tensor(x_t) for x_t in x], cfg, False)
     assert np.any(np.signbit(membrane.data) & (membrane.data == 0))
-    assert state.membrane.data.tobytes() == membrane.data.tobytes()
+    assert final.tobytes() == membrane.data.tobytes()
 
 
 def _kept_arrays(node):
@@ -294,34 +255,27 @@ def _kept_arrays(node):
 
 
 @pytest.mark.parametrize("multistep", [True, False], ids=["lif_multistep", "lif_step"])
-def test_a_carried_rollout_writes_only_its_own_arrays(multistep):
+def test_a_rollout_writes_only_its_own_arrays(multistep):
     """The rollout runs in place, but only in arrays it allocated: the input
-    and the carried membrane's .data are unchanged, by the forward and by
-    the backward, and the new membrane shares no memory with the input, U,
-    S or the carried membrane."""
+    is unchanged, by the forward and by the backward, and the returned
+    membrane shares no memory with the input, U or S."""
     rng = np.random.default_rng(8)
     cfg = LIFConfig()
     x = rng.normal(0.9, 1.0, size=(4, 3, 5) if multistep else (3, 5))
     xt = Tensor(x.copy(), requires_grad=True)
-    state = LIFState()
     run = lif_multistep if multistep else lif_step
-    run(state, Tensor(rng.normal(0.9, 1.0, size=x.shape), requires_grad=True), cfg)
-    carried = state.membrane
-    h0 = carried.data.copy()
-    assert np.any(h0 != 0)
 
-    spikes = run(state, xt, cfg)
-    membrane = state.membrane
+    spikes, membrane = run(xt, cfg)
+    assert np.any(membrane != 0)
     kept = _kept_arrays(spikes)
     assert len(kept) >= 2
-    for other in [xt.data, carried.data, *kept]:
-        assert not np.shares_memory(membrane.data, other)
-    assert np.array_equal(xt.data, x) and np.array_equal(carried.data, h0)
+    for other in [xt.data, spikes.data, *kept]:
+        assert not np.shares_memory(membrane, other)
+    assert np.array_equal(xt.data, x)
 
     backward(tz.reduce_mean(spikes * Tensor(rng.normal(size=x.shape)),
-                            tuple(range(x.ndim)))
-             + tz.reduce_mean(membrane, tuple(range(h0.ndim))))
-    assert np.array_equal(xt.data, x) and np.array_equal(carried.data, h0)
+                            tuple(range(x.ndim))))
+    assert np.array_equal(xt.data, x)
     assert np.any(xt.grad != 0)
 
 
@@ -368,41 +322,16 @@ def test_surrogate_grad_in_place_is_its_formula_bit_for_bit(dtype, alpha):
     assert folded.tobytes() != want.tobytes()  # the edges tell a fold apart
 
 
-@pytest.mark.parametrize("detach", [True, False])
-def test_split_forward_carries_state_and_gradient(detach):
-    """Two layer forwards of T/2 steps without a reset between them equal one
-    forward of T steps, in the spikes and in the input gradient."""
-    cfg = LIFConfig(detach_reset=detach)
-    rng = np.random.default_rng(5)
-    x = rng.normal(0.9, 1.0, size=(8, 2, 3, 2, 2))
-    w = Tensor(rng.normal(size=x.shape))
-    ctx = ForwardContext()
-
-    whole = Tensor(x, requires_grad=True)
-    one = LIFLayer("lif", cfg).forward(whole, ctx)
-    backward(tz.reduce_mean(one * w, (0, 1, 2, 3, 4)))
-
-    halves = [Tensor(x[:4], requires_grad=True), Tensor(x[4:], requires_grad=True)]
-    layer = LIFLayer("lif", cfg)
-    two = tz.concat([layer.forward(h, ctx) for h in halves], axis=0)
-    backward(tz.reduce_mean(two * w, (0, 1, 2, 3, 4)))
-
-    assert np.array_equal(one.data, two.data)
-    assert np.array_equal(whole.grad, np.concatenate([h.grad for h in halves]))
-
-
 def test_lif_layer_is_one_node_between_input_and_output():
     x = Tensor(np.random.default_rng(6).normal(size=(4, 2, 3, 5, 5)), requires_grad=True)
     layer = LIFLayer("lif", LIFConfig())
     out = layer.forward(x, ForwardContext())
     assert out.parents == (x,)
-    carried = layer.state.membrane
-    again = layer.forward(x, ForwardContext())
-    assert again.parents == (x, carried) and carried.parents == (out,)
 
 
 def test_lif_layer_retains_little_beyond_its_output():
-    """One forward keeps U, S and the last membrane: 2 + 1/T output bytes."""
+    """One forward keeps U and S, 2x its output's bytes, and nothing else:
+    no membrane outlives the call."""
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(0.9, 1.0, size=(8, 16, 8, 8, 8)).astype(np.float32),
                requires_grad=True)
@@ -415,4 +344,4 @@ def test_lif_layer_retains_little_beyond_its_output():
     finally:
         tracemalloc.stop()
     assert out.backward_fn is not None
-    assert retained <= 2.5 * out.data.nbytes, (retained, out.data.nbytes)
+    assert retained <= 2.05 * out.data.nbytes, (retained, out.data.nbytes)

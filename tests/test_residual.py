@@ -134,7 +134,6 @@ def spikes(shape, seed=0, density=0.4):
 def run_block(block, x, training=False, strict=True, record=None):
     """Forward [T, N, C, H, W] spikes through a block, which runs on
     channels-last data; the output comes back as [T, N, C, H, W]."""
-    block.reset_state()
     x = nhwc(x)
     ctx = ForwardContext(training=training, record=record, strict=strict)
     return Tensor(nchw(block.forward(Tensor(x), ctx).data))

@@ -389,11 +389,10 @@ class TestReleasedActivations:
 
     def test_a_training_forward_keeps_at_most_4_2x_its_lif_outputs(self):
         """At train-conv's shapes the graph keeps, per stage, BN's xhat,
-        LIF's U and S and a gate's input: 3.8x the LIF outputs' bytes. With
+        LIF's U and S and a gate's input: 3.7x the LIF outputs' bytes. With
         every conv and BN output pinned as well it kept 5.8x. After backward
-        only the LIF states' membranes stay, 1/T of the LIF outputs; with the
-        membrane nodes pinning S it was 1.14x, and with the join operands
-        unreleased their membrane nodes pin their S, 0.46x."""
+        only the parameter gradients stay, 0.02x; with each LIF's last
+        membrane carried to the next forward it was 0.146x."""
         net, inp, y = train_net_batch("train-conv")
         gc.disable()
         tracemalloc.start()
@@ -412,7 +411,7 @@ class TestReleasedActivations:
             gc.enable()
         assert kept <= 4.2 * spikes, (kept, spikes)
         assert held <= 4.2 * spikes, (held, spikes)
-        assert left <= 0.25 * spikes, (left, spikes)
+        assert left <= 0.05 * spikes, (left, spikes)
 
 
 def test_divergence_error_reports_epoch_and_batch():
@@ -452,7 +451,7 @@ class TestEvaluate:
     def test_matches_direct_forward(self):
         net = tiny_net(seed=3)
         x, y = tiny_dataset(n=6, seed=3)
-        loss, acc = evaluate(net, (x, y), batch_size=6, time_steps=2)
+        loss, acc = evaluate(net, (x, y), batch_size=6)
         inp = np.repeat(x[None], 2, axis=0)
         logits = net.forward(inp)
         manual_acc = float((logits.data.argmax(axis=1) == y).mean())
@@ -463,8 +462,8 @@ class TestEvaluate:
     def test_batching_does_not_change_result(self):
         net = tiny_net(seed=4)
         data = tiny_dataset(n=8, seed=4)
-        l1, a1 = evaluate(net, data, batch_size=8, time_steps=2)
-        l2, a2 = evaluate(net, data, batch_size=3, time_steps=2)
+        l1, a1 = evaluate(net, data, batch_size=8)
+        l2, a2 = evaluate(net, data, batch_size=3)
         assert a1 == a2
         assert l1 == pytest.approx(l2, rel=1e-6)
 
@@ -473,14 +472,14 @@ class TestEvaluate:
         frames = np.zeros((4, 3, 1, 8, 8), dtype=np.float32)
         labels = np.zeros(4, dtype=np.int64)
         with pytest.raises(ShapeError, match="framed batch has T=3"):
-            evaluate(net, (frames, labels), time_steps=2)
+            evaluate(net, (frames, labels))
 
     def test_label_shape_validation(self):
         net = tiny_net(seed=0)
         x, _ = tiny_dataset(n=4)
         bad = np.zeros((3,), dtype=np.int64)
         with pytest.raises(ShapeError, match="labels"):
-            evaluate(net, (x, bad), time_steps=2)
+            evaluate(net, (x, bad))
 
 
 def test_silent_shortcut_is_flagged_after_patience_epochs():
