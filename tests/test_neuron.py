@@ -202,8 +202,11 @@ def _per_step_rollout(steps, cfg, smooth):
     return _stack(outs), h
 
 
+# "rest-both" in the case ids: each rollout starts from rest, and both of its
+# outputs (the spikes and the final membrane) are checked.
 @pytest.mark.parametrize("shape", [(6, 3, 4), (5, 4, 4096), (3, 2, 20000), (32, 8, 128)],
-                         ids=["small", "chunked", "span1", "longT"])
+                         ids=["rest-both-small", "rest-both-chunked", "rest-both-span1",
+                              "rest-both-longT"])
 @pytest.mark.parametrize("smooth", [False, True], ids=["step", "smooth"])
 @pytest.mark.parametrize("detach", [True, False], ids=["detach", "attach"])
 def test_multistep_gradient_matches_per_step_graph(detach, smooth, shape):
