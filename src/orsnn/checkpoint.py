@@ -96,7 +96,10 @@ class _Reader:
 def _read_blocks(reader: _Reader) -> list[tuple[str, np.ndarray]]:
     out = []
     for _ in range(reader.u32()):
-        name = reader.take(reader.u16()).decode("utf-8")
+        try:
+            name = reader.take(reader.u16()).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CorruptPayload(f"{reader.path}: undecodable block name: {err}") from err
         count = reader.u32()
         values = np.frombuffer(reader.take(4 * count), dtype="<f4")
         out.append((name, values))

@@ -34,7 +34,7 @@ from .metrics import (FiringRateTrace, apply_pruning, detect_natural_pruning,
                       estimate_energy)
 from .record import instrumented_pass
 from .residual import audit_spike_drivenness
-from .training import TrainingLog, _to_time_major, evaluate, train
+from .training import TrainingLog, evaluate, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -129,9 +129,16 @@ def _apply_cli_transforms(xy, specs):
     return augment(xy[0], transforms, np.random.default_rng(0)), xy[1]
 
 
-def _batches(x: np.ndarray, time_steps: int, batch_size: int):
-    for start in range(0, x.shape[0], batch_size):
-        yield _to_time_major(x[start:start + batch_size], time_steps)
+def _split(args):
+    """The --data split after --limit and --transforms."""
+    return _apply_cli_transforms(
+        _limit(resolve_split(args.data, args.split), args.limit), args.transforms)
+
+
+def _batches(network, args):
+    """The --data split as a stream of the network's input batches."""
+    x, step = _split(args)[0], args.batch_size
+    return (network.to_input(x[i:i + step]) for i in range(0, x.shape[0], step))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +195,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     network, _ = load_checkpoint(args.ckpt)
-    xy = _apply_cli_transforms(
-        _limit(resolve_split(args.data, args.split), args.limit), args.transforms)
+    xy = _split(args)
     loss, acc = evaluate(network, xy, batch_size=args.batch_size)
     print(f"samples {xy[0].shape[0]} loss {loss:.6f} acc {acc:.6f}")
     return EXIT_OK
@@ -197,10 +203,8 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     network, _ = load_checkpoint(args.ckpt)
-    xy = _apply_cli_transforms(
-        _limit(resolve_split(args.data, args.split), args.limit), args.transforms)
-    batches = list(_batches(xy[0], network.time_steps, args.batch_size))
-    report = audit_spike_drivenness(network, batches, mode="permissive")
+    report = audit_spike_drivenness(network, _batches(network, args),
+                                    mode="permissive")
     text = report.render_text()
     print(text)
     if args.out:
@@ -212,10 +216,7 @@ def cmd_audit(args) -> int:
 
 def cmd_energy(args) -> int:
     network, _ = load_checkpoint(args.ckpt)
-    xy = _apply_cli_transforms(
-        _limit(resolve_split(args.data, args.split), args.limit), args.transforms)
-    rec = instrumented_pass(
-        network, _batches(xy[0], network.time_steps, args.batch_size))
+    rec = instrumented_pass(network, _batches(network, args))
     report = estimate_energy(network, rec)
     print(report.render())
     if args.out:
@@ -235,10 +236,7 @@ def cmd_prune(args) -> int:
         return EXIT_OK
     if not args.data:
         raise ConfigError("flagged shortcuts need --data for verification")
-    xy = _apply_cli_transforms(
-        _limit(resolve_split(args.data, args.split), args.limit), args.transforms)
-    batches = list(_batches(xy[0], network.time_steps, args.batch_size))
-    pruned = apply_pruning(network, report.names(), batches)
+    pruned = apply_pruning(network, report.names(), _batches(network, args))
     save_checkpoint(pruned, args.out, epoch=epoch)
     removed = network.count_parameters() - pruned.count_parameters()
     print(f"pruned {len(report.flagged)} shortcut(s), {removed} parameters "

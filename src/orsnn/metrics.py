@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EngineError, PruneRefused
-from .record import SPIKING_KINDS, SpikeRecord, instrumented_pass, layer_class
+from .record import (SPIKING_KINDS, LayerLine, SpikeRecord, instrumented_pass,
+                     layer_table)
 from .residual import AUDIT_POLICY, JoinMode
 from .tensor import Tensor
 
@@ -28,12 +29,7 @@ class EnergyModel:
 
 
 @dataclass
-class EnergyLine:
-    name: str
-    kind: str
-    klass: str
-    flops_per_sample: float
-    input_rate: float
+class EnergyLine(LayerLine):
     ops_per_sample: float
     energy_pj: float
 
@@ -112,25 +108,15 @@ def estimate_energy(network, record: SpikeRecord,
                     model: EnergyModel | None = None) -> EnergyReport:
     """Apply the MAC/AC energy model to an instrumented record."""
     model = model or EnergyModel()
-    if record.samples < 1:
-        raise EngineError("energy estimate needs a record with at least one sample")
     lines = []
-    for name in network.arithmetic_stat_names():
-        st = record.layers.get(name)
-        if st is None:
-            raise EngineError(f"spike record has no entry for layer {name!r}; "
-                              "run an instrumented forward pass first")
-        klass = layer_class(st)
-        fl = st.total_flops / record.samples
-        if klass == "MAC":
-            ops = fl
+    for ln in layer_table(network, record):
+        if ln.klass == "MAC":
+            ops = ln.flops_per_sample
             energy = model.e_mac_pj * ops
         else:
-            ops = fl * st.input_rate
+            ops = ln.flops_per_sample * ln.input_rate
             energy = model.e_ac_pj * ops
-        lines.append(EnergyLine(name=name, kind=st.kind, klass=klass,
-                                flops_per_sample=fl, input_rate=st.input_rate,
-                                ops_per_sample=ops, energy_pj=energy))
+        lines.append(EnergyLine(**vars(ln), ops_per_sample=ops, energy_pj=energy))
     t = max(record.time_steps, 1)
     spiking = [st for st in record.layers.values() if st.kind in SPIKING_KINDS]
     neurons = sum(st.out_total for st in spiking) / (record.samples * t)
@@ -242,7 +228,8 @@ def apply_pruning(network, flagged_names, verify_batches):
 
     Every flagged shortcut's spiking output must be exactly zero on every
     verification batch; any spike refuses the prune and reports the batch
-    index. The original network is left untouched.
+    index, and so do batches that hold no sample at all. The original
+    network is left untouched.
     """
     if isinstance(verify_batches, (np.ndarray, Tensor)):
         verify_batches = [verify_batches]
@@ -254,8 +241,10 @@ def apply_pruning(network, flagged_names, verify_batches):
     for name in flagged:
         if name not in prunable:
             raise EngineError(f"no prunable shortcut named {name!r}")
+    verified = 0
     for bi, batch in enumerate(verify_batches):
         rec = instrumented_pass(network, batch)
+        verified += rec.samples
         for name in flagged:
             st = rec.layers.get(name)
             if st is None:
@@ -264,6 +253,8 @@ def apply_pruning(network, flagged_names, verify_batches):
                 raise PruneRefused(
                     f"shortcut {name} fired {st.out_spikes:.0f} spikes on "
                     f"verification batch {bi}; refusing to prune")
+    if not verified:
+        raise PruneRefused("no verification sample ran; refusing to prune")
     pruned = copy.deepcopy(network)
     for block in pruned.blocks():
         if block.shortcut_lif_name in flagged:

@@ -1,7 +1,10 @@
 """Assemble full networks from architecture tokens.
 
-A network takes [T, N, C, H, W] input and transposes it once, at entry,
-to the C-contiguous channels-last [T, N, H, W, C] layout that every module
+Network.to_input is the one place a dataset batch meets the time axis:
+a static [N, C, H, W] batch is viewed T times over, a framed
+[N, T, C, H, W] batch is made time-major. A network takes that
+[T, N, C, H, W] input and transposes it once, at entry, to the
+C-contiguous channels-last [T, N, H, W, C] layout that every module
 inside runs on. The modules are an ordered list ending in a
 global-average-pool plus classifier head whose per-step outputs are
 averaged over time into the logits. The first convolution is
@@ -67,6 +70,19 @@ class Network(Module):
 
     def count_parameters(self) -> int:
         return sum(t.size for _, t in self.named_params())
+
+    def to_input(self, batch) -> np.ndarray:
+        """A dataset batch as this network's [T, N, C, H, W] input, at its
+        own T: a static [N, C, H, W] batch becomes a read-only view that
+        repeats it over T, and a framed [N, T, C, H, W] batch must hold T
+        frames per sample."""
+        batch = np.asarray(batch)
+        if batch.ndim == 4:
+            return np.broadcast_to(batch, (self.time_steps, *batch.shape))
+        if batch.ndim == 5 and batch.shape[1] != self.time_steps:
+            raise ShapeError(f"framed batch has T={batch.shape[1]}, network "
+                             f"built for T={self.time_steps}")
+        return frames_to_input(batch)
 
     def forward(self, x, *, record: SpikeRecord | None = None,
                 training: bool = False, strict: bool = True) -> Tensor:
@@ -185,16 +201,6 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
                    attention=attention, lif_cfg=lif, time_steps=time_steps,
                    in_channels=in_channels, class_count=tokens[-1].args[0],
                    seed=seed, dtype=dtype)
-
-
-def encode_static(images, time_steps: int) -> np.ndarray:
-    """Replicate a static image batch along a new leading time axis."""
-    images = np.asarray(images)
-    if images.ndim != 4:
-        raise ShapeError(f"encode_static expects [N, C, H, W], got {images.shape}")
-    if time_steps < 1:
-        raise ShapeError(f"time_steps must be >= 1, got {time_steps}")
-    return np.repeat(images[None], time_steps, axis=0)
 
 
 def frames_to_input(frames) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 A SpikeRecord accumulates across batches: spike counts, input nonzero
 fractions (the firing-rate proxy the energy model consumes), binarity of
-each arithmetic layer's audited input, and arithmetic-op counts. It is
-the single source the audit, energy and pruning reports read from, and
-instrumented_pass is the one forward loop that fills it for them.
+each arithmetic layer's audited input, and arithmetic-op counts.
+instrumented_pass is the one forward loop that fills it. Pruning
+verification and firing-rate tracing read its spike counts, and
+layer_table turns it into the one classified per-layer table that both
+the audit and the energy estimate report.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import EngineError
 from .tensor import Tensor, no_grad
 
 SPIKING_KINDS = ("lif", "gate")
@@ -33,6 +36,41 @@ def layer_class(st: "LayerStats") -> str:
     if st.is_encoder or not st.binary_input:
         return "MAC"
     return "AC"
+
+
+@dataclass
+class LayerLine:
+    """One op-counted layer, per sample, as the audit and the energy
+    estimate both report it."""
+    name: str
+    kind: str
+    klass: str
+    flops_per_sample: float
+    input_rate: float
+    binary_input: bool
+    max_nonbinary: float
+    is_encoder: bool
+
+
+def layer_table(network, record: "SpikeRecord") -> list[LayerLine]:
+    """The classified line of every op-counted layer of network, in
+    execution order. A record without samples, or without an entry for
+    one of the layers, is refused rather than read as a clean table."""
+    if record.samples < 1:
+        raise EngineError("the spike record holds no sample; the audit and the "
+                          "energy estimate need at least one sample")
+    lines = []
+    for name in network.arithmetic_stat_names():
+        st = record.layers.get(name)
+        if st is None:
+            raise EngineError(f"spike record has no entry for layer {name!r}; "
+                              "run an instrumented forward pass first")
+        lines.append(LayerLine(
+            name=name, kind=st.kind, klass=layer_class(st),
+            flops_per_sample=st.total_flops / record.samples,
+            input_rate=st.input_rate, binary_input=st.binary_input,
+            max_nonbinary=st.max_nonbinary, is_encoder=st.is_encoder))
+    return lines
 
 
 @dataclass

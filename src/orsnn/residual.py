@@ -8,14 +8,14 @@ its composed add, mul and sub nodes rounded them. A block is two backbone
 conv stages, a stride-2 projection shortcut that ends in its own spiking
 neuron, the join of the two spike maps, and two post-join conv stages. The
 join mode (OR, ADD, AND or IAND) is the only thing that varies. The
-auditor classifies every arithmetic layer MAC or AC from the binarity of
-its input.
+auditor reports record.layer_table's MAC/AC classification of every
+arithmetic layer and fails a non-encoder MAC feature layer.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import AuditError, BuildError, ShapeError
 from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module,
                      forward_chain)
 from .neuron import LIFConfig
-from .record import SpikeRecord, census, instrumented_pass, layer_class
+from .record import LayerLine, census, instrumented_pass, layer_table
 from .tensor import Tensor, _give_grad, make_node
 
 
@@ -47,18 +47,15 @@ BITWISE_MODES = (JoinMode.AND, JoinMode.IAND, JoinMode.OR)
 
 
 def join(x: Tensor, y: Tensor, mode: JoinMode, *, strict: bool = False,
-         name: str = "join", record: SpikeRecord | None = None) -> Tensor:
-    """Combine two residual branches element-wise."""
+         name: str = "join") -> Tensor:
+    """Combine two residual branches element-wise; strict refuses a
+    non-binary operand of a bitwise join."""
     if x.shape != y.shape:
         raise ShapeError(f"{name}: join operands differ in shape: {x.shape} vs {y.shape}")
-    if mode in BITWISE_MODES and (strict or record is not None):
+    if mode in BITWISE_MODES and strict:
         for side, op in (("left", x), ("right", y)):
             _, ok, worst = census(op.data)
-            if record is not None:
-                st = record.stats(name, "join")
-                st.binary_input = st.binary_input and ok
-                st.max_nonbinary = max(st.max_nonbinary, worst)
-            if strict and not ok:
+            if not ok:
                 bad = int(np.count_nonzero((op.data != 0) & (op.data != 1)))
                 raise AuditError(
                     f"{name}: {side} operand of {mode.value} join has {bad} "
@@ -127,7 +124,7 @@ class ResidualBlock(Module):
             return out
         s = forward_chain(x, self.shortcut, ctx)
         return join(out, s, self.join_mode, strict=ctx.strict,
-                    name=f"{self.name}.join", record=ctx.record)
+                    name=f"{self.name}.join")
 
     def render_layout(self) -> str:
         """Table-style layout string: backbone | shortcut | post-join."""
@@ -219,30 +216,18 @@ AUDIT_POLICY = (
 
 
 @dataclass
-class AuditEntry:
-    name: str
-    kind: str
-    klass: str
-    input_rate: float
-    binary_input: bool
-    max_nonbinary: float
-    is_encoder: bool
-    flops_per_sample: float
-
-
-@dataclass
 class AuditReport:
-    entries: list[AuditEntry] = field(default_factory=list)
-    samples: int = 0
-    time_steps: int = 0
+    entries: list[LayerLine]
+    samples: int
+    time_steps: int
     policy: str = AUDIT_POLICY
 
     @property
-    def feature_entries(self) -> list[AuditEntry]:
+    def feature_entries(self) -> list[LayerLine]:
         return [e for e in self.entries if e.kind in ("conv", "fc")]
 
     @property
-    def violations(self) -> list[AuditEntry]:
+    def violations(self) -> list[LayerLine]:
         return [e for e in self.feature_entries
                 if e.klass == "MAC" and not e.is_encoder]
 
@@ -263,33 +248,18 @@ class AuditReport:
         lines.append(verdict)
         return "\n".join(lines)
 
-    def rows(self) -> list[dict]:
-        return [{"layer": e.name, "kind": e.kind, "klass": e.klass,
-                 "input_rate": f"{e.input_rate:.8f}",
-                 "binary_input": int(e.binary_input),
-                 "max_nonbinary": f"{e.max_nonbinary:.8g}",
-                 "is_encoder": int(e.is_encoder)} for e in self.entries]
-
 
 def audit_spike_drivenness(network, batches, mode: str = "strict") -> AuditReport:
     """Run instrumented forwards and classify every arithmetic layer.
 
-    batches: one [T, N, C, H, W] array or a list of them. mode "strict"
-    raises on any non-encoder MAC feature layer; "permissive" only reports.
+    batches: one [T, N, C, H, W] array or an iterable of them, holding at
+    least one sample (EngineError otherwise). mode "strict" raises on any
+    non-encoder MAC feature layer; "permissive" only reports.
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown audit mode {mode!r}")
     rec = instrumented_pass(network, batches)
-    report = AuditReport(samples=rec.samples, time_steps=rec.time_steps)
-    for stat_name in network.arithmetic_stat_names():
-        st = rec.layers.get(stat_name)
-        if st is None:
-            continue
-        report.entries.append(AuditEntry(
-            name=st.name, kind=st.kind, klass=layer_class(st),
-            input_rate=st.input_rate, binary_input=st.binary_input,
-            max_nonbinary=st.max_nonbinary, is_encoder=st.is_encoder,
-            flops_per_sample=st.total_flops / rec.samples if rec.samples else 0.0))
+    report = AuditReport(layer_table(network, rec), rec.samples, rec.time_steps)
     if mode == "strict" and not report.fully_spike_driven:
         raise AuditError(report.render_text())
     return report

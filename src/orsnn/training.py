@@ -14,7 +14,6 @@ from . import tensor as tz
 from .data import augment, parse_transforms
 from .errors import ConfigError, DivergenceError, NumericError, ShapeError
 from .metrics import FiringRateTrace, detect_natural_pruning
-from .network import encode_static, frames_to_input
 from .record import SpikeRecord
 from .tensor import no_grad
 
@@ -144,17 +143,6 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _to_time_major(xb: np.ndarray, time_steps: int) -> np.ndarray:
-    """Static [N,C,H,W] batches are replicated over T; framed [N,T,C,H,W]
-    batches are transposed to time-major."""
-    if xb.ndim == 4:
-        return encode_static(xb, time_steps)
-    if xb.shape[1] != time_steps:
-        raise ShapeError(
-            f"framed batch has T={xb.shape[1]}, config says {time_steps}")
-    return frames_to_input(xb)
-
-
 def evaluate(network, data, *, batch_size: int = 256,
              record: SpikeRecord | None = None, strict: bool = True
              ) -> tuple[float, float]:
@@ -168,9 +156,8 @@ def evaluate(network, data, *, batch_size: int = 256,
         for start in range(0, n, batch_size):
             xb = x[start:start + batch_size]
             yb = y[start:start + batch_size]
-            inp = _to_time_major(xb, network.time_steps)
-            logits = network.forward(inp, record=record, training=False,
-                                     strict=strict)
+            logits = network.forward(network.to_input(xb), record=record,
+                                     training=False, strict=strict)
             loss = tz.softmax_cross_entropy(logits, yb)
             loss_sum += float(loss.data) * xb.shape[0]
             hits += int((logits.data.argmax(axis=1) == yb).sum())
@@ -190,6 +177,9 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
     aborts with the epoch and batch index.
     """
     cfg.validate()
+    if cfg.time_steps != network.time_steps:
+        raise ConfigError(f"time_steps is {cfg.time_steps}, network built for "
+                          f"T={network.time_steps}")
     x, y = _as_arrays(train_data)
     transforms = parse_transforms(cfg.transforms)
     rng_shuffle = np.random.default_rng(cfg.seed + 1)
@@ -213,10 +203,9 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
             yb = y[idx]
             if transforms:
                 xb = augment(xb, transforms, rng_augment)
-            inp = _to_time_major(xb, cfg.time_steps)
             opt.zero_grad()
             try:
-                logits = network.forward(inp, record=None, training=True,
+                logits = network.forward(network.to_input(xb), training=True,
                                          strict=cfg.strict_joins)
                 loss = tz.softmax_cross_entropy(logits, yb)
             except NumericError as err:

@@ -246,6 +246,18 @@ class TestGuards:
         assert main(["eval", "--ckpt", str(p), "--data", "synth:moving-bar:4:2:12:12"]) == 2
         assert "ERROR CorruptPayload:" in capsys.readouterr().err
 
+    def test_undecodable_block_name_fails_typed_through_the_cli(self, tmp_path, capsys):
+        p = self.save_one(tmp_path)
+        raw = bytearray(p.read_bytes())
+        # header, blank line, u32 block count, u16 name length, then the name
+        first_name = raw.index(b"\n\n") + 2 + 4 + 2
+        raw[first_name] = 0xBC
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CorruptPayload, match="undecodable block name"):
+            load_checkpoint(p)
+        assert main(["eval", "--ckpt", str(p), "--data", "synth:moving-bar:4:2:12:12"]) == 2
+        assert "ERROR CorruptPayload:" in capsys.readouterr().err
+
     def test_payload_ends_early(self, tmp_path):
         p = self.save_one(tmp_path)
         p.write_bytes(p.read_bytes()[:-20])

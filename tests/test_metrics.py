@@ -401,6 +401,14 @@ class TestApplyPruning:
             apply_pruning(net, ["block1.shortcut_lif"],
                           binary_batches(1, (2, 2, 1, 12, 12), seed=0))
 
+    def test_no_verification_batch_refuses(self):
+        """A shortcut that no sample was run through is not verified silent."""
+        net = build_network(SMALL, time_steps=2, in_channels=1, seed=1)
+        silence_shortcut(net)
+        with pytest.raises(PruneRefused, match="no verification sample ran"):
+            apply_pruning(net, ["block1.shortcut_lif"], [])
+        assert net.pruned_block_names() == []
+
     def test_single_array_accepted_as_batches(self):
         net = build_network(SMALL, time_steps=2, in_channels=1, seed=1)
         silence_shortcut(net)

@@ -11,7 +11,7 @@ import pytest
 
 import orsnn.tensor as tz
 from orsnn.attention import AttentionGate, AttentionPlan
-from orsnn.errors import AuditError, BuildError, ShapeError
+from orsnn.errors import AuditError, BuildError, EngineError, ShapeError
 from orsnn.layers import (
     AdaptiveAvgPoolLayer,
     BatchNormLayer,
@@ -23,7 +23,7 @@ from orsnn.layers import (
     MaxPoolLayer,
     forward_chain,
 )
-from orsnn.network import Network, build_network, encode_static, frames_to_input
+from orsnn.network import Network, build_network, frames_to_input
 from orsnn.record import SpikeRecord, instrumented_pass
 from orsnn.residual import JoinMode, ResidualBlock, audit_spike_drivenness
 from orsnn.tensor import Tensor, backward
@@ -393,6 +393,13 @@ class TestAudit:
         with pytest.raises(AuditError, match="block1.conv3"):
             audit_spike_drivenness(net, batch, mode="strict")
 
+    @pytest.mark.parametrize("mode", ["strict", "permissive"])
+    def test_an_audit_over_no_sample_is_refused(self, mode):
+        """Zero batches classify nothing, so they cannot read as a PASS."""
+        net = build_network(SMALL, time_steps=2, in_channels=1)
+        with pytest.raises(EngineError, match="at least one sample"):
+            audit_spike_drivenness(net, [], mode=mode)
+
     def test_unknown_mode_rejected(self):
         net = build_network(SMALL, time_steps=2, in_channels=1)
         with pytest.raises(ValueError, match="audit mode"):
@@ -457,8 +464,8 @@ class TestLayout:
         frames = binary_batch((3, 2, 2, 5, 7), seed=2)  # [N, T, C, H, W]
         x = frames_to_input(frames)
         assert x.shape == (2, 3, 2, 5, 7)
-        assert encode_static(frames[:, 0], 2).shape == (2, 3, 2, 5, 7)
         net = build_network("c4k3s1p1-BN-LIF-AP-FC3", time_steps=2, in_channels=2, seed=0)
+        assert net.to_input(frames[:, 0]).shape == (2, 3, 2, 5, 7)
         assert net.forward(x).shape == (3, 3)
         with pytest.raises(ShapeError, match="2 input channels, got 5"):
             net.forward(np.ascontiguousarray(x.transpose(0, 1, 3, 4, 2)))
@@ -491,18 +498,24 @@ class TestLayout:
 
 
 class TestEncoding:
-    def test_encode_static_replicates_over_time(self):
+    def test_to_input_views_a_static_batch_over_time(self):
+        net = build_network(SMALL, time_steps=5, in_channels=1, seed=0)
         imgs = np.random.default_rng(0).random((3, 1, 4, 4)).astype(np.float32)
-        enc = encode_static(imgs, 5)
+        enc = net.to_input(imgs)
         assert enc.shape == (5, 3, 1, 4, 4)
         for t in range(5):
             np.testing.assert_array_equal(enc[t], imgs)
+        # a view, not a T-fold copy
+        assert np.shares_memory(enc, imgs) and enc.strides[0] == 0
 
-    def test_encode_static_validates(self):
+    def test_to_input_takes_framed_batches_at_the_networks_t(self):
+        net = build_network(SMALL, time_steps=4, in_channels=1, seed=0)
+        frames = np.random.default_rng(0).random((3, 4, 1, 5, 5)).astype(np.float32)
+        np.testing.assert_array_equal(net.to_input(frames), frames_to_input(frames))
+        with pytest.raises(ShapeError, match=r"^framed batch has T=2, network built for T=4$"):
+            net.to_input(frames[:, :2])
         with pytest.raises(ShapeError):
-            encode_static(np.zeros((1, 4, 4)), 2)
-        with pytest.raises(ShapeError):
-            encode_static(np.zeros((1, 1, 4, 4)), 0)
+            net.to_input(np.zeros((1, 4, 4)))
 
     def test_frames_to_input_transposes(self):
         frames = np.random.default_rng(0).random((3, 4, 2, 5, 5)).astype(np.float32)

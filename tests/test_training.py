@@ -164,6 +164,19 @@ def test_zero_lr_epoch_leaves_parameters_bit_unchanged():
     assert before == after
 
 
+@pytest.mark.parametrize("framed", [False, True], ids=["static", "framed"])
+def test_a_time_steps_mismatch_is_refused_before_any_parameter_moves(framed):
+    net = tiny_net(seed=2)
+    before = param_bytes(net), [b.tobytes() for _, b in net.named_buffers()]
+    x, y = tiny_dataset(seed=2)
+    if framed:  # frames that do match the config's T
+        x = np.repeat(x[:, None], 3, axis=1)
+    cfg = TrainConfig(lr=1e-2, time_steps=3, batch_size=4, epochs=1, seed=2)
+    with pytest.raises(ConfigError, match=r"^time_steps is 3, network built for T=2$"):
+        train(net, (x, y), cfg)
+    assert (param_bytes(net), [b.tobytes() for _, b in net.named_buffers()]) == before
+
+
 def test_single_batch_overfit_reaches_high_accuracy():
     class _Done(Exception):
         pass
@@ -471,7 +484,7 @@ class TestEvaluate:
         net = tiny_net(seed=0)
         frames = np.zeros((4, 3, 1, 8, 8), dtype=np.float32)
         labels = np.zeros(4, dtype=np.int64)
-        with pytest.raises(ShapeError, match="framed batch has T=3"):
+        with pytest.raises(ShapeError, match=r"^framed batch has T=3, network built for T=2$"):
             evaluate(net, (frames, labels))
 
     def test_label_shape_validation(self):
@@ -519,3 +532,17 @@ def test_resume_continues_epoch_numbering():
                  log=log, start_epoch=4)
     assert [e.epoch for e in more.epochs] == [0, 1, 2, 3, 4, 5]
     assert more is log
+
+
+def test_readme_python_api_block_runs(tmp_path):
+    """README's `## Python API` code block runs as written, so the documented
+    API cannot drift from the code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(orsnn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
