@@ -53,12 +53,6 @@ ARTIFACTS = {
 }
 
 
-def _nonempty(x: np.ndarray, y: np.ndarray, origin: str):
-    if x.shape[0] == 0:
-        raise DataFormatError(f"empty dataset from {origin}")
-    return x, y
-
-
 def _parse_synth_spec(spec: str):
     parts = spec.split(":")
     if len(parts) not in (6, 7):
@@ -74,44 +68,30 @@ def _parse_synth_spec(spec: str):
 
 
 def resolve_split(spec: str, split: str = "test"):
-    """One split of a dataset spec as (inputs, labels) arrays."""
+    """One split of a dataset spec as (inputs, labels), refused when empty:
+    a synth spec's first 4/5 of samples are "train" and the rest "test", an
+    IDX directory has a file pair per split, and an .evt file serves both."""
     if spec.startswith("synth:"):
-        ds = _parse_synth_spec(spec)
-        train_xy, test_xy = _synth_split(ds)
-        return _nonempty(*(train_xy if split == "train" else test_xy), spec)
-    if spec in _ENV_DIRS:
+        x, y = _parse_synth_spec(spec).xy()
+        cut = max(1, (x.shape[0] * 4) // 5)
+        part = slice(cut) if split == "train" else slice(cut, None)
+        x, y = x[part], y[part]
+    elif spec in _ENV_DIRS:
         directory = os.environ.get(_ENV_DIRS[spec], os.path.join("data", spec))
-        return _nonempty(*load_idx_dir(directory, split).xy(), spec)
-    path = Path(spec)
-    if path.suffix == ".evt":
-        return _nonempty(*load_events(path).xy(), spec)
-    if path.is_dir():
-        return _nonempty(*load_idx_dir(path, split).xy(), spec)
-    raise DatasetNotFound(f"cannot resolve dataset spec {spec!r}")
-
-
-def _synth_split(ds):
-    n = len(ds)
-    cut = max(1, (n * 4) // 5)
-    x, y = ds.xy()
-    return (x[:cut], y[:cut]), (x[cut:], y[cut:])
-
-
-def resolve_train_val(spec: str):
-    """Train and validation splits for the train command; validation may
-    be None when the spec is a single event file."""
-    if spec.startswith("synth:"):
-        train_xy, test_xy = _synth_split(_parse_synth_spec(spec))
-        return _nonempty(*train_xy, spec), _nonempty(*test_xy, spec)
-    if spec in _ENV_DIRS or Path(spec).is_dir():
-        return (resolve_split(spec, "train"), resolve_split(spec, "test"))
-    if Path(spec).suffix == ".evt":
-        return resolve_split(spec), None
-    raise DatasetNotFound(f"cannot resolve dataset spec {spec!r}")
+        x, y = load_idx_dir(directory, split).xy()
+    elif Path(spec).suffix == ".evt":
+        x, y = load_events(spec).xy()
+    elif Path(spec).is_dir():
+        x, y = load_idx_dir(spec, split).xy()
+    else:
+        raise DatasetNotFound(f"cannot resolve dataset spec {spec!r}")
+    if x.shape[0] == 0:
+        raise DataFormatError(f"empty dataset from {spec}")
+    return x, y
 
 
 def _limit(xy, n: int | None, seed: int = 0):
-    if xy is None or n is None or n >= xy[0].shape[0]:
+    if n is None or n >= xy[0].shape[0]:
         return xy
     order = np.random.default_rng(seed).permutation(xy[0].shape[0])[:n]
     order = np.sort(order)
@@ -119,7 +99,7 @@ def _limit(xy, n: int | None, seed: int = 0):
 
 
 def _apply_cli_transforms(xy, specs):
-    if xy is None or not specs:
+    if not specs:
         return xy
     transforms = parse_transforms(specs)
     stochastic = [t.kind for t in transforms if t.kind != "normalize"]
@@ -150,11 +130,10 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = args.data or cfg.dataset
-    train_xy, val_xy = resolve_train_val(spec)
-    if args.val_data:
-        val_xy = resolve_split(args.val_data)
-    train_xy = _limit(train_xy, args.limit, cfg.seed)
-    val_xy = _limit(val_xy, args.limit, cfg.seed)
+    train_xy = _limit(resolve_split(spec, "train"), args.limit, cfg.seed)
+    val_xy = None  # an .evt file is one set: it validates only with --val-data
+    if args.val_data or Path(spec).suffix != ".evt":
+        val_xy = _limit(resolve_split(args.val_data or spec), args.limit, cfg.seed)
     if args.resume:
         network, start_epoch = load_checkpoint(args.resume, expect_arch=cfg.arch)
     else:
@@ -402,6 +381,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("limit", "batch_size"):
+            count = getattr(args, flag, None)
+            if count is not None and count < 1:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {count}")
         return args.fn(args)
     except EngineError as err:
         print(f"ERROR {err.kind}: {err}", file=sys.stderr)

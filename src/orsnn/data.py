@@ -3,7 +3,9 @@
 Covers the IDX image format (plain or gzip), a small self-describing
 container for pre-framed event tensors, a deterministic synthetic event
 generator whose classes differ only by motion direction, batch
-augmentation, and CSV helpers for the report files.
+augmentation, and CSV helpers for the report files. Event frames stay
+uint8 counts and IDX images load as float32 in [0, 1]; Network.forward
+casts either to its own dtype in the one copy it makes at entry.
 """
 
 from __future__ import annotations
@@ -193,9 +195,9 @@ def load_idx_dir(directory, split: str) -> IdxDataset:
 
 def save_events(path, dataset: FramedEventSet) -> None:
     frames = dataset.frames
-    if frames.min() < 0 or frames.max() > 255:
+    if frames.min(initial=0) < 0 or frames.max(initial=0) > 255:
         raise DataFormatError("event frame values must fit a byte")
-    if np.any(frames != np.rint(frames)):
+    if frames.dtype.kind == "f" and np.any(frames != np.rint(frames)):
         raise DataFormatError("event frame values must be integral counts")
     n, t, c, h, w = frames.shape
     with replacing(path, "wb") as fh:
@@ -206,6 +208,7 @@ def save_events(path, dataset: FramedEventSet) -> None:
 
 
 def load_events(path) -> FramedEventSet:
+    """Frames as writable uint8 counts [N, T, C, H, W], labels as int64."""
     raw = _read_file(path)
     head, sep, rest = raw.partition(b"\n")
     if head != EVT_MAGIC:
@@ -222,9 +225,9 @@ def load_events(path) -> FramedEventSet:
     if len(body) != frame_bytes + label_bytes:
         raise Truncated(f"{path}: expected {frame_bytes + label_bytes} payload "
                         f"bytes, got {len(body)}")
-    frames = np.frombuffer(body[:frame_bytes], dtype=np.uint8)
-    frames = frames.reshape(n, t, c, h, w).astype(np.float32)
-    labels = np.frombuffer(body[frame_bytes:], dtype="<u4").astype(np.int64)
+    frames = np.frombuffer(body, np.uint8, count=frame_bytes)
+    frames = frames.reshape(n, t, c, h, w).copy()  # writable, as IDX images are
+    labels = np.frombuffer(body, "<u4", count=n, offset=frame_bytes).astype(np.int64)
     return FramedEventSet(frames, labels)
 
 
@@ -236,7 +239,7 @@ SYNTH_KINDS = ("moving-bar", "two-class-motion")
 
 def synth_events(kind: str, n: int, t: int, h: int, w: int, seed: int = 0,
                  bar_width: int | None = None) -> FramedEventSet:
-    """Binary frame sequences whose class is carried only by motion.
+    """Binary uint8 frame sequences whose class is carried only by motion.
 
     Every sample is a full-height vertical bar sliding horizontally with
     wrap-around; the class fixes the signed velocity. Start columns cycle
@@ -259,7 +262,7 @@ def synth_events(kind: str, n: int, t: int, h: int, w: int, seed: int = 0,
     if bar_width is None:
         bar_width = max(1, w // 6)
     rng = np.random.default_rng(seed)
-    frames = np.zeros((n, t, 2, h, w), dtype=np.float32)
+    frames = np.zeros((n, t, 2, h, w), dtype=np.uint8)
     labels = np.empty(n, dtype=np.int64)
     starts = [0] * classes
     for i in range(n):
@@ -271,7 +274,7 @@ def synth_events(kind: str, n: int, t: int, h: int, w: int, seed: int = 0,
         for step in range(t):
             x = (x0 + v * step) % w
             cols = [(x + d) % w for d in range(bar_width)]
-            frames[i, step, :, :, cols] = 1.0
+            frames[i, step, :, :, cols] = 1
     order = rng.permutation(n)
     return FramedEventSet(frames[order], labels[order])
 

@@ -1,7 +1,7 @@
 """Layer toolkit operating on the channels-last [T, N, H, W, C] activation
-layout, C-contiguous. Network.to_input gives a dataset batch the time axis
-as [T, N, C, H, W], Network.forward transposes that into this layout once,
-and no layer changes the layout.
+layout, C-contiguous. Network.to_input views a dataset batch as
+[T, N, C, H, W], Network.forward copies that view into this layout in the
+network's dtype, once, and no layer changes the layout.
 
 Every layer hands its [T, N, ...] activation straight to one tensor op:
 conv, BN, the pools and the classifier fold T into the batch as a view

@@ -228,8 +228,8 @@ def apply_pruning(network, flagged_names, verify_batches):
 
     Every flagged shortcut's spiking output must be exactly zero on every
     verification batch; any spike refuses the prune and reports the batch
-    index, and so do batches that hold no sample at all. The original
-    network is left untouched.
+    index, and so does an empty list of batches (a batch of no sample is a
+    ShapeError from the forward). The original network is left untouched.
     """
     if isinstance(verify_batches, (np.ndarray, Tensor)):
         verify_batches = [verify_batches]

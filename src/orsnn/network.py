@@ -1,15 +1,16 @@
 """Assemble full networks from architecture tokens.
 
 Network.to_input is the one place a dataset batch meets the time axis:
-a static [N, C, H, W] batch is viewed T times over, a framed
-[N, T, C, H, W] batch is made time-major. A network takes that
-[T, N, C, H, W] input and transposes it once, at entry, to the
-C-contiguous channels-last [T, N, H, W, C] layout that every module
-inside runs on. The modules are an ordered list ending in a
-global-average-pool plus classifier head whose per-step outputs are
-averaged over time into the logits. The first convolution is
-the encoder stage (real-valued input, MAC class by definition); the
-spiking neuron after it performs the actual spike encoding.
+a static [N, C, H, W] batch is viewed T times over and a framed
+[N, T, C, H, W] batch is viewed time-major, neither copied. A network
+takes that [T, N, C, H, W] view, of any dtype, and makes the one copy at
+entry: cast to its dtype in the C-contiguous channels-last
+[T, N, H, W, C] layout that every module inside runs on. The modules are
+an ordered list ending in a global-average-pool plus classifier head
+whose per-step outputs are averaged over time into the logits. The
+first convolution is the encoder stage (real-valued input, MAC class by
+definition); the spiking neuron after it performs the actual spike
+encoding.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import tensor as tz
 from .arch import ArchToken, parse_arch, render_arch
 from .attention import AttentionGate, AttentionPlan, make_attention
-from .errors import BuildError, ShapeError
+from .errors import BuildError, GraphError, ShapeError
 from .layers import (AdaptiveAvgPoolLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      ForwardContext, GlobalAvgPoolLayer, LIFLayer, MaxPoolLayer,
                      Module, forward_chain)
@@ -72,10 +73,10 @@ class Network(Module):
         return sum(t.size for _, t in self.named_params())
 
     def to_input(self, batch) -> np.ndarray:
-        """A dataset batch as this network's [T, N, C, H, W] input, at its
-        own T: a static [N, C, H, W] batch becomes a read-only view that
-        repeats it over T, and a framed [N, T, C, H, W] batch must hold T
-        frames per sample."""
+        """A dataset batch as a [T, N, C, H, W] view at this network's own
+        T, in the batch's dtype: a static [N, C, H, W] batch is a read-only
+        view that repeats it over T, and a framed [N, T, C, H, W] batch must
+        hold T frames per sample."""
         batch = np.asarray(batch)
         if batch.ndim == 4:
             return np.broadcast_to(batch, (self.time_steps, *batch.shape))
@@ -86,10 +87,14 @@ class Network(Module):
 
     def forward(self, x, *, record: SpikeRecord | None = None,
                 training: bool = False, strict: bool = True) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
-        if x.ndim != 5:
-            raise ShapeError(f"network input must be [T, N, C, H, W], got {x.shape}")
+        """Logits [N, classes] of a [T, N, C, H, W] input: an array or
+        view of any dtype, or a Tensor that does not require grad."""
+        if isinstance(x, Tensor) and x.requires_grad:
+            raise GraphError("the network input's gradient is not taken")
+        x = np.asarray(x.data if isinstance(x, Tensor) else x)
+        if x.ndim != 5 or not x.shape[1]:
+            raise ShapeError(f"network input must be [T, N, C, H, W] with N >= 1, "
+                             f"got {x.shape}")
         if x.shape[0] != self.time_steps:
             raise ShapeError(
                 f"network built for T={self.time_steps}, input has T={x.shape[0]}")
@@ -100,8 +105,9 @@ class Network(Module):
         if record is not None:
             record.samples += x.shape[1]
             record.time_steps = x.shape[0]
-        # the one layout change, held by the chain alone
-        h = forward_chain(tz.permute(x, (0, 1, 3, 4, 2)), self.nodes, ctx)
+        # the one copy (cast and channels-last layout), held by the chain alone
+        h = forward_chain(Tensor(np.ascontiguousarray(
+            x.transpose(0, 1, 3, 4, 2), dtype=self.dtype)), self.nodes, ctx)
         logits = tz.reduce_mean(h, (0,))
         tz.assert_finite(logits.data, "logits")
         return logits
@@ -204,8 +210,9 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
 
 
 def frames_to_input(frames) -> np.ndarray:
-    """[N, T, C, H, W] framed events -> [T, N, C, H, W] network input."""
+    """[N, T, C, H, W] framed events -> [T, N, C, H, W] network input, a
+    transposed view of the frames."""
     frames = np.asarray(frames)
     if frames.ndim != 5:
         raise ShapeError(f"framed events must be [N, T, C, H, W], got {frames.shape}")
-    return np.ascontiguousarray(frames.transpose(1, 0, 2, 3, 4))
+    return frames.transpose(1, 0, 2, 3, 4)

@@ -140,6 +140,8 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     if y.ndim != 1 or y.shape[0] != x.shape[0]:
         raise ShapeError(
             f"labels must be [N] matching inputs, got {y.shape} vs {x.shape}")
+    if x.shape[0] == 0:
+        raise ShapeError(f"dataset split holds no sample: inputs {x.shape}")
     return x, y
 
 
@@ -147,7 +149,10 @@ def evaluate(network, data, *, batch_size: int = 256,
              record: SpikeRecord | None = None, strict: bool = True
              ) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over the whole split, without grads,
-    at the network's own time_steps."""
+    at the network's own time_steps. An empty split and a batch_size below
+    1 are refused."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     x, y = _as_arrays(data)
     n = x.shape[0]
     loss_sum = 0.0
@@ -161,7 +166,7 @@ def evaluate(network, data, *, batch_size: int = 256,
             loss = tz.softmax_cross_entropy(logits, yb)
             loss_sum += float(loss.data) * xb.shape[0]
             hits += int((logits.data.argmax(axis=1) == yb).sum())
-    return loss_sum / max(n, 1), hits / max(n, 1)
+    return loss_sum / n, hits / n
 
 
 def train(network, train_data, cfg: TrainConfig, val_data=None, *,
@@ -229,8 +234,8 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
         report = detect_natural_pruning(log.trace, shortcuts,
                                         patience=cfg.patience)
         stats = EpochStats(
-            epoch=epoch, train_loss=loss_sum / max(n, 1),
-            train_acc=hits / max(n, 1), val_loss=val_loss, val_acc=val_acc,
+            epoch=epoch, train_loss=loss_sum / n,
+            train_acc=hits / n, val_loss=val_loss, val_acc=val_acc,
             spikes_per_sample=rec.spikes_per_sample(),
             flagged=tuple(report.names()), seconds=time.monotonic() - t0)
         log.epochs.append(stats)

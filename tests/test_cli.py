@@ -4,11 +4,14 @@ reporting for every subcommand."""
 import numpy as np
 import pytest
 
+import orsnn.cli
 import orsnn.data
 from orsnn.checkpoint import load_checkpoint, save_checkpoint
-from orsnn.cli import main
+from orsnn.cli import main, resolve_split
 from orsnn.config import load_config
-from orsnn.data import load_events, read_csv, save_idx_images, save_idx_labels, write_csv
+from orsnn.data import (FramedEventSet, load_events, read_csv, save_events,
+                        save_idx_images, save_idx_labels, synth_events, write_csv)
+from orsnn.errors import DataFormatError, DatasetNotFound
 from orsnn.network import build_network
 from orsnn.residual import JoinMode
 
@@ -45,6 +48,18 @@ def run_dir(tmp_path_factory):
     cfg = write_config(base / "exp.cfg", base / "run")
     assert main(["train", "--config", str(cfg)]) == 0
     return base / "run"
+
+
+def write_idx_dir(directory, train=9, test=4):
+    """An IDX directory of random 12x12 images, `train` and `test` of them."""
+    directory.mkdir(exist_ok=True)
+    rng = np.random.default_rng(0)
+    for split, n in (("train", train), ("t10k", test)):
+        images = (rng.random((n, 12, 12)) < 0.3).astype(np.uint8) * 255
+        save_idx_images(directory / f"{split}-images-idx3-ubyte", images)
+        save_idx_labels(directory / f"{split}-labels-idx1-ubyte",
+                        (np.arange(n) % 2).astype(np.uint8))
+    return directory
 
 
 def push_beta(net, suffixes, value=5.0):
@@ -138,6 +153,93 @@ class TestTrain:
         assert strip(read_csv(a / "train_log.csv")) == strip(read_csv(b / "train_log.csv"))
 
 
+class TestResolveSplit:
+    """`resolve_split` is the one dispatch from a dataset spec to arrays."""
+
+    def test_sample_counts_per_spec_kind_and_split(self, tmp_path, monkeypatch):
+        whole = synth_events("two-class-motion", 40, 4, 12, 12, seed=5)
+        train_x, train_y = resolve_split(SPEC, "train")
+        test_x, test_y = resolve_split(SPEC, "test")
+        assert (len(train_x), len(test_x)) == (32, 8)  # first 4/5, then the rest
+        np.testing.assert_array_equal(np.concatenate([train_x, test_x]), whole.frames)
+        np.testing.assert_array_equal(np.concatenate([train_y, test_y]), whole.labels)
+        evt = tmp_path / "d.evt"
+        save_events(evt, synth_events("moving-bar", 6, 4, 12, 12, seed=1))
+        for split in ("train", "test"):  # one file for either split
+            x, y = resolve_split(str(evt), split)
+            assert (x.shape, x.dtype, len(y)) == ((6, 4, 2, 12, 12), np.uint8, 6)
+        idx = write_idx_dir(tmp_path / "idx")
+        monkeypatch.setenv("ORSNN_MNIST_DIR", str(idx))
+        for spec in (str(idx), "mnist"):
+            assert len(resolve_split(spec, "train")[0]) == 9
+            x, _ = resolve_split(spec, "test")
+            assert (x.shape, x.dtype) == ((4, 1, 12, 12), np.float32)
+
+    def test_unknown_spec_is_not_found(self, tmp_path):
+        for split in ("train", "test"):
+            with pytest.raises(DatasetNotFound, match="cannot resolve"):
+                resolve_split(str(tmp_path / "nowhere"), split)
+
+    def test_an_empty_split_is_refused(self, tmp_path):
+        with pytest.raises(DataFormatError, match="^empty dataset from synth:"):
+            resolve_split("synth:two-class-motion:1:4:12:12", "test")
+        assert len(resolve_split("synth:two-class-motion:1:4:12:12", "train")[0]) == 1
+        evt = tmp_path / "empty.evt"
+        save_events(evt, FramedEventSet(np.zeros((0, 4, 2, 6, 8), np.uint8),
+                                        np.zeros(0, np.int64)))
+        with pytest.raises(DataFormatError, match="^empty dataset from"):
+            resolve_split(str(evt), "train")
+        write_idx_dir(tmp_path, train=0)
+        with pytest.raises(DataFormatError, match="^empty dataset from"):
+            resolve_split(str(tmp_path), "train")
+
+    @pytest.mark.parametrize("kind", ["evt", "evt+val", "synth"])
+    def test_train_validates_an_event_file_only_with_val_data(
+            self, kind, tmp_path, monkeypatch):
+        evt = tmp_path / "d.evt"
+        save_events(evt, synth_events("two-class-motion", 8, 4, 12, 12, seed=1))
+        spec = SPEC if kind == "synth" else str(evt)
+        calls = []
+
+        def spy(spec, split="test"):
+            calls.append((spec, split))
+            return resolve_split(spec, split)
+        monkeypatch.setattr(orsnn.cli, "resolve_split", spy)
+        cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run", dataset=spec,
+                           epochs=1)
+        extra = ["--val-data", SPEC] if kind == "evt+val" else []
+        assert main(["train", "--config", str(cfg), *extra]) == 0
+        assert calls == {"evt": [(str(evt), "train")],
+                         "evt+val": [(str(evt), "train"), (SPEC, "test")],
+                         "synth": [(SPEC, "train"), (SPEC, "test")]}[kind]
+
+
+def count_argv(command, run_dir, tmp_path):
+    ckpt = str(run_dir / "checkpoint.ckpt")
+    return {
+        "train": ["train", "--config",
+                  str(write_config(tmp_path / "exp.cfg", tmp_path / "run"))],
+        "eval": ["eval", "--ckpt", ckpt, "--data", SPEC],
+        "audit": ["audit", "--ckpt", ckpt, "--data", SPEC],
+        "energy": ["energy", "--ckpt", ckpt, "--data", SPEC],
+        "prune": ["prune", "--ckpt", ckpt, "--trace", str(run_dir / "firing_rates.csv"),
+                  "--out", str(tmp_path / "p.ckpt"), "--data", SPEC],
+    }[command]
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in ("train", "eval", "audit", "energy", "prune")
+    for flag in ("--limit", "--batch-size") if (command, flag) != ("train", "--batch-size")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_counts_below_one_are_usage_errors(command, flag, value, run_dir, tmp_path,
+                                           capsys):
+    assert main(count_argv(command, run_dir, tmp_path) + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR ConfigError: {flag} must be >= 1, got {value}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists() and not (tmp_path / "p.ckpt").exists()
+
+
 class TestEval:
     def test_matches_the_training_log(self, run_dir, capsys):
         assert main(["eval", "--ckpt", str(run_dir / "checkpoint.ckpt"),
@@ -176,12 +278,7 @@ class TestEval:
         assert "samples 8 " in capsys.readouterr().out
 
     def test_idx_directory_split_selection(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        for split, n in (("train", 9), ("t10k", 4)):
-            images = (rng.random((n, 12, 12)) < 0.3).astype(np.uint8) * 255
-            save_idx_images(tmp_path / f"{split}-images-idx3-ubyte", images)
-            save_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte",
-                            (np.arange(n) % 2).astype(np.uint8))
+        write_idx_dir(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         save_net(ckpt, in_channels=1, time_steps=2)
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path),

@@ -158,7 +158,9 @@ class TestEvents:
         back = load_events(tmp_path / "d.evt")
         np.testing.assert_array_equal(back.frames, ds.frames)
         np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.frames.dtype == np.float32
+        # stored counts, kept as uint8 and writable like any loaded set
+        assert back.frames.dtype == ds.frames.dtype == np.uint8
+        assert back.frames.flags.writeable and ds.frames.flags.writeable
         assert back.time_steps == 4
 
     def test_bad_magic(self, tmp_path):

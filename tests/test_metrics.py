@@ -4,7 +4,7 @@ and natural-pruning detection and application."""
 import numpy as np
 import pytest
 
-from orsnn.errors import EngineError, PruneRefused
+from orsnn.errors import EngineError, PruneRefused, ShapeError
 from orsnn.layers import ConvLayer, DenseLayer, ForwardContext
 from orsnn.metrics import (
     EnergyModel,
@@ -407,6 +407,14 @@ class TestApplyPruning:
         silence_shortcut(net)
         with pytest.raises(PruneRefused, match="no verification sample ran"):
             apply_pruning(net, ["block1.shortcut_lif"], [])
+        assert net.pruned_block_names() == []
+
+    def test_a_batch_of_no_sample_is_refused(self):
+        net = build_network(SMALL, time_steps=2, in_channels=1, seed=1)
+        silence_shortcut(net)
+        with pytest.raises(ShapeError, match="with N >= 1"):
+            apply_pruning(net, ["block1.shortcut_lif"],
+                          [np.zeros((2, 0, 1, 12, 12), np.float32)])
         assert net.pruned_block_names() == []
 
     def test_single_array_accepted_as_batches(self):

@@ -11,7 +11,7 @@ import pytest
 
 import orsnn.tensor as tz
 from orsnn.attention import AttentionGate, AttentionPlan
-from orsnn.errors import AuditError, BuildError, EngineError, ShapeError
+from orsnn.errors import AuditError, BuildError, EngineError, GraphError, ShapeError
 from orsnn.layers import (
     AdaptiveAvgPoolLayer,
     BatchNormLayer,
@@ -299,6 +299,19 @@ class TestInputValidation:
         with pytest.raises(ShapeError, match="input channels"):
             net.forward(np.zeros((2, 1, 3, 12, 12), dtype=np.float32))
 
+    def test_a_batch_of_no_sample_is_refused(self):
+        net = build_network(SMALL, time_steps=2, in_channels=1)
+        with pytest.raises(ShapeError, match=r"with N >= 1, got \(2, 0, 1, 12, 12\)"):
+            net.forward(np.zeros((2, 0, 1, 12, 12), dtype=np.float32))
+
+    def test_a_tensor_input_is_read_but_never_differentiated(self):
+        net = build_network(SMALL, time_steps=2, in_channels=1)
+        x = binary_batch((2, 3, 1, 12, 12), seed=0)
+        with pytest.raises(GraphError, match="gradient is not taken"):
+            net.forward(Tensor(x, requires_grad=True), training=True)
+        want = net.forward(x).data.tobytes()
+        assert net.forward(Tensor(x)).data.tobytes() == want
+
 
 class TestBuildErrors:
     def test_attention_requires_or_join(self):
@@ -508,6 +521,34 @@ class TestEncoding:
         # a view, not a T-fold copy
         assert np.shares_memory(enc, imgs) and enc.strides[0] == 0
 
+    def test_to_input_shares_memory_with_its_batch(self):
+        net = build_network(SMALL, time_steps=4, in_channels=1, seed=0)
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 3, size=(3, 1, 5, 5), dtype=np.uint8)
+        frames = rng.integers(0, 3, size=(3, 4, 1, 5, 5), dtype=np.uint8)
+        for batch in (images, frames):
+            x = net.to_input(batch)
+            assert x.dtype == np.uint8 and np.shares_memory(x, batch)
+
+    def test_forward_makes_the_one_copy_into_the_first_layer(self, monkeypatch):
+        """The encoder reads a fresh C-contiguous channels-last array in the
+        network's dtype, copied straight from the stored uint8 frames."""
+        net = build_network(SMALL, time_steps=4, in_channels=1, seed=0)
+        frames = np.random.default_rng(1).integers(0, 3, size=(3, 4, 1, 6, 6),
+                                                   dtype=np.uint8)
+        seen = []
+        original = ConvLayer.forward
+
+        def forward(layer, x, ctx):
+            seen.append(x.data)
+            return original(layer, x, ctx)
+        monkeypatch.setattr(ConvLayer, "forward", forward)
+        net.forward(net.to_input(frames), training=True)
+        entry = seen[0]
+        assert entry.dtype == np.float32 and entry.flags.c_contiguous
+        assert entry.base is None and not np.shares_memory(entry, frames)
+        np.testing.assert_array_equal(entry, frames.transpose(1, 0, 3, 4, 2))
+
     def test_to_input_takes_framed_batches_at_the_networks_t(self):
         net = build_network(SMALL, time_steps=4, in_channels=1, seed=0)
         frames = np.random.default_rng(0).random((3, 4, 1, 5, 5)).astype(np.float32)
@@ -522,7 +563,7 @@ class TestEncoding:
         x = frames_to_input(frames)
         assert x.shape == (4, 3, 2, 5, 5)
         np.testing.assert_array_equal(x[1, 2], frames[2, 1])
-        assert x.flags["C_CONTIGUOUS"]
+        assert np.shares_memory(x, frames) and x.base is frames
 
     def test_frames_to_input_validates(self):
         with pytest.raises(ShapeError):

@@ -494,6 +494,29 @@ class TestEvaluate:
         with pytest.raises(ShapeError, match="labels"):
             evaluate(net, (x, bad))
 
+    def test_empty_split_and_batch_size_below_one_are_refused(self):
+        net = tiny_net(seed=0)
+        x, y = tiny_dataset(n=4)
+        with pytest.raises(ShapeError, match="holds no sample"):
+            evaluate(net, (x[:0], y[:0]))
+        with pytest.raises(ShapeError, match="holds no sample"):
+            train(net, (x[:0], y[:0]), TrainConfig(time_steps=2, epochs=1))
+        for size in (0, -1):
+            with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {size}"):
+                evaluate(net, (x, y), batch_size=size)
+
+    def test_uint8_and_float32_frames_give_identical_results(self):
+        net = tiny_net(seed=5)
+        counts = np.random.default_rng(5).integers(0, 4, size=(6, 2, 1, 8, 8),
+                                                   dtype=np.uint8)
+        floats = counts.astype(np.float32)
+        y = (np.arange(6) % 4).astype(np.int64)
+        assert evaluate(net, (counts, y), batch_size=4) == evaluate(
+            net, (floats, y), batch_size=4)
+        a = net.forward(net.to_input(counts)).data
+        b = net.forward(net.to_input(floats)).data
+        assert a.tobytes() == b.tobytes()
+
 
 def test_silent_shortcut_is_flagged_after_patience_epochs():
     net = tiny_net(seed=6)
