@@ -67,27 +67,33 @@ def _parse_synth_spec(spec: str):
     return synth_events(kind, n, t, h, w, seed=seed)
 
 
-def resolve_split(spec: str, split: str = "test"):
-    """One split of a dataset spec as (inputs, labels), refused when empty:
-    a synth spec's first 4/5 of samples are "train" and the rest "test", an
-    IDX directory has a file pair per split, and an .evt file serves both."""
+def resolve_splits(spec: str, *splits: str):
+    """The named splits of a dataset spec, each as (inputs, labels) and
+    refused when empty. The spec's source is generated or read once for all
+    of them: a synth spec's first 4/5 of samples are "train" and the rest
+    "test", an IDX directory has a file pair per split, and an .evt file
+    serves both."""
     if spec.startswith("synth:"):
         x, y = _parse_synth_spec(spec).xy()
         cut = max(1, (x.shape[0] * 4) // 5)
-        part = slice(cut) if split == "train" else slice(cut, None)
-        x, y = x[part], y[part]
+        halves = {"train": (x[:cut], y[:cut]), "test": (x[cut:], y[cut:])}
+        read = lambda split: halves[split]
     elif spec in _ENV_DIRS:
         directory = os.environ.get(_ENV_DIRS[spec], os.path.join("data", spec))
-        x, y = load_idx_dir(directory, split).xy()
+        read = lambda split: load_idx_dir(directory, split).xy()
     elif Path(spec).suffix == ".evt":
-        x, y = load_events(spec).xy()
+        events = load_events(spec).xy()
+        read = lambda split: events
     elif Path(spec).is_dir():
-        x, y = load_idx_dir(spec, split).xy()
+        read = lambda split: load_idx_dir(spec, split).xy()
     else:
         raise DatasetNotFound(f"cannot resolve dataset spec {spec!r}")
-    if x.shape[0] == 0:
-        raise DataFormatError(f"empty dataset from {spec}")
-    return x, y
+    out = []
+    for split in splits:
+        out.append(read(split))
+        if out[-1][0].shape[0] == 0:
+            raise DataFormatError(f"empty dataset from {spec}")
+    return out
 
 
 def _limit(xy, n: int | None, seed: int = 0):
@@ -112,7 +118,7 @@ def _apply_cli_transforms(xy, specs):
 def _split(args):
     """The --data split after --limit and --transforms."""
     return _apply_cli_transforms(
-        _limit(resolve_split(args.data, args.split), args.limit), args.transforms)
+        _limit(resolve_splits(args.data, args.split)[0], args.limit), args.transforms)
 
 
 def _batches(network, args):
@@ -130,10 +136,15 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = args.data or cfg.dataset
-    train_xy = _limit(resolve_split(spec, "train"), args.limit, cfg.seed)
-    val_xy = None  # an .evt file is one set: it validates only with --val-data
-    if args.val_data or Path(spec).suffix != ".evt":
-        val_xy = _limit(resolve_split(args.val_data or spec), args.limit, cfg.seed)
+    if args.val_data or Path(spec).suffix == ".evt":
+        # an .evt file is one set: it validates only with --val-data
+        train_xy, = resolve_splits(spec, "train")
+        val_xy = resolve_splits(args.val_data, "test")[0] if args.val_data else None
+    else:
+        train_xy, val_xy = resolve_splits(spec, "train", "test")
+    train_xy = _limit(train_xy, args.limit, cfg.seed)
+    if val_xy is not None:
+        val_xy = _limit(val_xy, args.limit, cfg.seed)
     if args.resume:
         network, start_epoch = load_checkpoint(args.resume, expect_arch=cfg.arch)
     else:

@@ -7,7 +7,7 @@ import pytest
 import orsnn.cli
 import orsnn.data
 from orsnn.checkpoint import load_checkpoint, save_checkpoint
-from orsnn.cli import main, resolve_split
+from orsnn.cli import main, resolve_splits
 from orsnn.config import load_config
 from orsnn.data import (FramedEventSet, load_events, read_csv, save_events,
                         save_idx_images, save_idx_labels, synth_events, write_csv)
@@ -154,44 +154,46 @@ class TestTrain:
 
 
 class TestResolveSplit:
-    """`resolve_split` is the one dispatch from a dataset spec to arrays."""
+    """`resolve_splits` is the one dispatch from a dataset spec to arrays."""
 
     def test_sample_counts_per_spec_kind_and_split(self, tmp_path, monkeypatch):
         whole = synth_events("two-class-motion", 40, 4, 12, 12, seed=5)
-        train_x, train_y = resolve_split(SPEC, "train")
-        test_x, test_y = resolve_split(SPEC, "test")
+        (train_x, train_y), (test_x, test_y) = resolve_splits(SPEC, "train", "test")
         assert (len(train_x), len(test_x)) == (32, 8)  # first 4/5, then the rest
         np.testing.assert_array_equal(np.concatenate([train_x, test_x]), whole.frames)
         np.testing.assert_array_equal(np.concatenate([train_y, test_y]), whole.labels)
+        for split in ("train", "test"):  # one split alone is the same slice
+            (x, y), = resolve_splits(SPEC, split)
+            np.testing.assert_array_equal(x, train_x if split == "train" else test_x)
         evt = tmp_path / "d.evt"
         save_events(evt, synth_events("moving-bar", 6, 4, 12, 12, seed=1))
         for split in ("train", "test"):  # one file for either split
-            x, y = resolve_split(str(evt), split)
+            (x, y), = resolve_splits(str(evt), split)
             assert (x.shape, x.dtype, len(y)) == ((6, 4, 2, 12, 12), np.uint8, 6)
         idx = write_idx_dir(tmp_path / "idx")
         monkeypatch.setenv("ORSNN_MNIST_DIR", str(idx))
         for spec in (str(idx), "mnist"):
-            assert len(resolve_split(spec, "train")[0]) == 9
-            x, _ = resolve_split(spec, "test")
-            assert (x.shape, x.dtype) == ((4, 1, 12, 12), np.float32)
+            train, test = resolve_splits(spec, "train", "test")
+            assert len(train[0]) == 9
+            assert (test[0].shape, test[0].dtype) == ((4, 1, 12, 12), np.float32)
 
     def test_unknown_spec_is_not_found(self, tmp_path):
         for split in ("train", "test"):
             with pytest.raises(DatasetNotFound, match="cannot resolve"):
-                resolve_split(str(tmp_path / "nowhere"), split)
+                resolve_splits(str(tmp_path / "nowhere"), split)
 
     def test_an_empty_split_is_refused(self, tmp_path):
         with pytest.raises(DataFormatError, match="^empty dataset from synth:"):
-            resolve_split("synth:two-class-motion:1:4:12:12", "test")
-        assert len(resolve_split("synth:two-class-motion:1:4:12:12", "train")[0]) == 1
+            resolve_splits("synth:two-class-motion:1:4:12:12", "train", "test")
+        assert len(resolve_splits("synth:two-class-motion:1:4:12:12", "train")[0][0]) == 1
         evt = tmp_path / "empty.evt"
         save_events(evt, FramedEventSet(np.zeros((0, 4, 2, 6, 8), np.uint8),
                                         np.zeros(0, np.int64)))
         with pytest.raises(DataFormatError, match="^empty dataset from"):
-            resolve_split(str(evt), "train")
+            resolve_splits(str(evt), "train")
         write_idx_dir(tmp_path, train=0)
         with pytest.raises(DataFormatError, match="^empty dataset from"):
-            resolve_split(str(tmp_path), "train")
+            resolve_splits(str(tmp_path), "train")
 
     @pytest.mark.parametrize("kind", ["evt", "evt+val", "synth"])
     def test_train_validates_an_event_file_only_with_val_data(
@@ -201,17 +203,31 @@ class TestResolveSplit:
         spec = SPEC if kind == "synth" else str(evt)
         calls = []
 
-        def spy(spec, split="test"):
-            calls.append((spec, split))
-            return resolve_split(spec, split)
-        monkeypatch.setattr(orsnn.cli, "resolve_split", spy)
+        def spy(spec, *splits):
+            calls.append((spec, splits))
+            return resolve_splits(spec, *splits)
+        monkeypatch.setattr(orsnn.cli, "resolve_splits", spy)
         cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run", dataset=spec,
                            epochs=1)
         extra = ["--val-data", SPEC] if kind == "evt+val" else []
         assert main(["train", "--config", str(cfg), *extra]) == 0
-        assert calls == {"evt": [(str(evt), "train")],
-                         "evt+val": [(str(evt), "train"), (SPEC, "test")],
-                         "synth": [(SPEC, "train"), (SPEC, "test")]}[kind]
+        assert calls == {"evt": [(str(evt), ("train",))],
+                         "evt+val": [(str(evt), ("train",)), (SPEC, ("test",))],
+                         "synth": [(SPEC, ("train", "test"))]}[kind]
+
+    @pytest.mark.parametrize("val", [False, True], ids=["own-split", "val-data"])
+    def test_train_generates_a_synth_set_once_per_spec(self, val, tmp_path, monkeypatch):
+        generated = []
+
+        def counting(kind, n, *args, seed=0):
+            generated.append((n, seed))
+            return synth_events(kind, n, *args, seed=seed)
+        monkeypatch.setattr(orsnn.cli, "synth_events", counting)
+        cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run", dataset=SPEC,
+                           epochs=1)
+        extra = ["--val-data", "synth:two-class-motion:20:4:12:12:3"] if val else []
+        assert main(["train", "--config", str(cfg), *extra]) == 0
+        assert generated == ([(40, 5), (20, 3)] if val else [(40, 5)])
 
 
 def count_argv(command, run_dir, tmp_path):

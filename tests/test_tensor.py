@@ -212,22 +212,59 @@ def conv_reference(x, w, g, stride, padding):
     return out, dx, dw
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("padding", [0, 1, 2])
-def test_conv_matches_loop_reference(k, stride, padding):
-    rng = np.random.default_rng(100 * k + 10 * stride + padding)
-    h, wid = 7, 10
-    x = Tensor(nhwc(rng.standard_normal((2, 3, h, wid))), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+SILENCES = ("some", "all", "negzero", "nan")
+
+
+def silence(x, kind):
+    """A copy of the [N, C, H, W] batch x with images 0, 2, 4, ... made
+    silent (+0), or all of them ("all"), or those made -0.0 ("negzero"),
+    or "nan": as "some", but image 0 holds NaN in channel 0, so it stays
+    active. Returns the copy and the indices of its silent images."""
+    x = x.copy()
+    if kind == "dense":
+        return x, []
+    x[::1 if kind == "all" else 2] = -0.0 if kind == "negzero" else 0.0
+    silent = list(range(0, len(x), 1 if kind == "all" else 2))
+    if kind == "nan":
+        x[0, 0] = np.nan
+        silent = silent[1:]
+    return x, silent
+
+
+def assert_matches_reference(x, w, stride, padding, silent, rng):
+    """conv2d of x against the loop oracle: output, dX and dW, NaNs where
+    the oracle has them; silent images give +0 output, no sign bit. A
+    larger-than-1x1 kernel skips exactly the silent images (at least a
+    third of these batches, when there are any)."""
+    live = tz._live_images(x.data, w.shape[2], stride)
+    if w.shape[2] > 1 and silent:
+        assert live is not None and np.flatnonzero(~live).tolist() == silent
     out = tz.conv2d(x, w, stride, padding)
     g = rng.standard_normal(nchw(out.data).shape)
     ref, dx, dw = conv_reference(nchw(x.data), w.data, g, stride, padding)
     assert out.shape == nhwc(ref).shape
     np.testing.assert_allclose(out.data, nhwc(ref), rtol=1e-12, atol=1e-12)
+    quiet = out.data[silent]
+    assert np.all(quiet == 0) and not np.signbit(quiet).any()
     backward(out, seed=nhwc(g))
     np.testing.assert_allclose(x.grad, nhwc(dx), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
+    return ref
+
+
+@pytest.mark.parametrize("k,stride,padding,kind", [
+    pytest.param(k, stride, padding, kind,
+                 id="-".join([str(padding), str(stride), str(k)]
+                             + ([kind] if kind != "dense" else [])))
+    for kind in ("dense",) + SILENCES for k in (1, 3, 5) for stride in (1, 2, 3)
+    for padding in (0, 1, 2)])
+def test_conv_matches_loop_reference(k, stride, padding, kind):
+    rng = np.random.default_rng(100 * k + 10 * stride + padding)
+    h, wid = 7, 10
+    data, silent = silence(rng.standard_normal((2, 3, h, wid)), kind)
+    x = Tensor(nhwc(data), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+    ref = assert_matches_reference(x, w, stride, padding, silent, rng)
     # rows/columns past the last window are never read: their gradient is 0
     # (6 of the 27 cases leave some, e.g. k5 s3 p0 leaves 2 rows, 2 columns)
     read_h = (ref.shape[2] - 1) * stride + k - padding
@@ -270,58 +307,98 @@ def test_conv_output_dtype_is_result_type(xdt, wdt):
 
 def test_conv_node_retains_only_its_output():
     # the taped node must not keep the padded input (or any input copy)
-    # alive until backward: that would grow peak memory by ~1 input per conv
+    # alive until backward: that would grow peak memory by ~1 input per conv.
+    # The half-silent input takes the path that skips silent images.
     rng = np.random.default_rng(0)
-    x = Tensor(nhwc(rng.standard_normal((32, 8, 16, 16))), dtype=np.float32, requires_grad=True)
-    w = Tensor(rng.standard_normal((16, 8, 3, 3)), dtype=np.float32, requires_grad=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = tz.conv2d(x, w, 1, 1)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert out.backward_fn is not None
-    assert retained <= 1.1 * out.data.nbytes, (retained, out.data.nbytes)
-
-
-@pytest.mark.parametrize("xshape,wshape,stride,padding", [
-    # 16*16 positions * 9 taps * 16 channels > _CONV_CHUNK: one sample per chunk
-    pytest.param((3, 16, 16, 16), (5, 16, 3, 3), 1, 1, id="one-sample-per-chunk"),
-    # 70 positions * 27 taps fit 17 samples per chunk: 20 = 17 + a ragged 3
-    pytest.param((20, 3, 7, 10), (4, 3, 3, 3), 1, 1, id="ragged-last-chunk"),
-])
-def test_conv_chunking_matches_loop_reference(xshape, wshape, stride, padding):
-    rng = np.random.default_rng(11)
-    x = Tensor(nhwc(rng.standard_normal(xshape)), requires_grad=True)
-    w = Tensor(rng.standard_normal(wshape), requires_grad=True)
-    out = tz.conv2d(x, w, stride, padding)
-    per_sample = out.shape[1] * out.shape[2] * wshape[1] * wshape[2] ** 2
-    samples = max(1, tz._CONV_CHUNK // per_sample)
-    assert samples == 1 or xshape[0] % samples, "case no longer exercises chunking"
-    g = rng.standard_normal(nchw(out.data).shape)
-    ref, dx, dw = conv_reference(nchw(x.data), w.data, g, stride, padding)
-    np.testing.assert_allclose(out.data, nhwc(ref), rtol=1e-12, atol=1e-12)
-    backward(out, seed=nhwc(g))
-    np.testing.assert_allclose(x.grad, nhwc(dx), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12)
-
-
-def test_conv_forward_transient_memory():
-    # one forward copies the input once (padded) plus one column block per
-    # chunk; a whole-batch im2col would peak near 11.6x the output
-    rng = np.random.default_rng(0)
-    x = Tensor(nhwc((rng.random((512, 16, 8, 8)) < 0.2).astype(np.float32)))
-    w = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32)
-    with no_grad():
+    data = rng.standard_normal((32, 8, 16, 16))
+    for silent in (False, True):
+        if silent:
+            data[::2] = 0
+        x = Tensor(nhwc(data), dtype=np.float32, requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 8, 3, 3)), dtype=np.float32, requires_grad=True)
+        assert (tz._live_images(x.data, 3, 1) is not None) == silent
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             out = tz.conv2d(x, w, 1, 1)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-    assert peak <= 3.5 * out.data.nbytes, (peak, out.data.nbytes)
+        assert out.backward_fn is not None
+        assert retained <= 1.1 * out.data.nbytes, (silent, retained, out.data.nbytes)
+
+
+@pytest.mark.parametrize("xshape,wshape,stride,padding,kind", [
+    pytest.param(*case, kind, id=name + ("" if kind == "dense" else "-" + kind))
+    for kind in ("dense",) + SILENCES for name, case in [
+        # 16*16 positions * 9 taps * 16 channels > _CONV_CHUNK: one sample per chunk
+        ("one-sample-per-chunk", ((3, 16, 16, 16), (5, 16, 3, 3), 1, 1)),
+        # 70 positions * 27 taps fit 17 samples per chunk: 20 = 17 + a ragged 3
+        ("ragged-last-chunk", ((20, 3, 7, 10), (4, 3, 3, 3), 1, 1))]])
+def test_conv_chunking_matches_loop_reference(xshape, wshape, stride, padding, kind):
+    rng = np.random.default_rng(11)
+    data, silent = silence(rng.standard_normal(xshape), kind)
+    x = Tensor(nhwc(data), requires_grad=True)
+    w = Tensor(rng.standard_normal(wshape), requires_grad=True)
+    ref = assert_matches_reference(x, w, stride, padding, silent, rng)
+    per_sample = ref.shape[2] * ref.shape[3] * wshape[1] * wshape[2] ** 2
+    samples = max(1, tz._CONV_CHUNK // per_sample)
+    assert samples == 1 or xshape[0] % samples, "case no longer exercises chunking"
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("active", [1, 20], ids=["one-active-image", "ragged-last-chunk"])
+def test_skipping_silent_images_leaves_active_rows_bit_identical(active, dtype, stride):
+    """An image's output rows do not depend on which path ran: the same
+    images correlated behind 5 other images in an all-active batch (every
+    image through the chunked GEMMs) and spread over a mostly silent batch
+    (silent images skipped, the active ones gathered into chunks of their
+    own) give byte-equal rows, though each sits in a GEMM of another row
+    count. At stride 1, 7x10x3 images and a 3x3 kernel fill 17 images per
+    chunk, so 20 active images end in a ragged chunk of 3."""
+    rng = np.random.default_rng(21)
+    images = nhwc(rng.standard_normal((active + 5, 3, 7, 10))).astype(dtype)
+    spread = np.zeros((3 * active + 2,) + images.shape[1:], dtype)
+    spread[1::3][:active] = images[5:]
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)), dtype=dtype)
+    assert tz._live_images(images, 3, stride) is None
+    assert tz._live_images(spread, 3, stride) is not None
+    dense = tz.conv2d(Tensor(images), w, stride, 1).data[5:]
+    skipped = tz.conv2d(Tensor(spread), w, stride, 1).data
+    assert skipped[1::3][:active].tobytes() == dense.tobytes()
+    quiet = np.delete(skipped, np.arange(1, 3 * active, 3), axis=0)
+    assert not quiet.any() and not np.signbit(quiet).any()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_of_an_empty_batch_is_empty(k):
+    w = Tensor(np.ones((4, 3, k, k)), requires_grad=True)
+    for x in (np.zeros((0, 5, 5, 3)), np.zeros((2, 0, 5, 5, 3))):
+        assert tz.conv2d(Tensor(x), w, 1, k // 2).shape == x.shape[:-1] + (4,)
+
+
+def test_conv_forward_transient_memory():
+    # one forward copies the input once (padded) plus one column block per
+    # chunk; a whole-batch im2col would peak near 11.6x the output. The
+    # half-silent input takes the path that skips silent images.
+    rng = np.random.default_rng(0)
+    spikes = (rng.random((512, 16, 8, 8)) < 0.2).astype(np.float32)
+    for silent in (False, True):
+        if silent:
+            spikes[::2] = 0
+        x = Tensor(nhwc(spikes))
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32)
+        assert (tz._live_images(x.data, 3, 1) is not None) == silent
+        with no_grad():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = tz.conv2d(x, w, 1, 1)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3.5 * out.data.nbytes, (silent, peak, out.data.nbytes)
 
 
 def test_strided_conv_backward_transient_memory():
