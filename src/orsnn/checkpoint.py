@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .arch import parse_arch, render_arch
 from .attention import AttentionPlan
 from .config import from_settings, settings
 from .data import replacing
@@ -134,8 +135,9 @@ def _parse_header(text: str, path) -> dict:
 def load_checkpoint(path, expect_arch: str | None = None):
     """Rebuild the saved network; returns (network, epoch).
 
-    `expect_arch` guards resuming: a checkpoint whose architecture string
-    differs raises ArchMismatch before any rebuild work.
+    `expect_arch` guards resuming: a checkpoint whose architecture differs
+    from it raises ArchMismatch before any rebuild work. It is compared in
+    the canonical form the header holds (repeat groups expanded, no p0).
     """
     from .network import build_network
     path = Path(path)
@@ -150,7 +152,7 @@ def load_checkpoint(path, expect_arch: str | None = None):
     except UnicodeDecodeError as err:
         raise CorruptPayload(f"{path}: undecodable header: {err}") from err
     meta = _parse_header(header, path)
-    if expect_arch is not None and meta["arch"] != expect_arch:
+    if expect_arch is not None and meta["arch"] != render_arch(parse_arch(expect_arch)):
         raise ArchMismatch(
             f"{path}: checkpoint architecture {meta['arch']!r} differs from "
             f"expected {expect_arch!r}")

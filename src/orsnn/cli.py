@@ -25,8 +25,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, save_config
-from .data import (SYNTH_KINDS, augment, load_events, load_idx_dir,
-                   parse_transforms, read_csv, replacing, save_events,
+from .data import (SYNTH_KINDS, augment, csv_column, load_events, load_idx_dir,
+                   parse_transforms, read_csv, replacing, save_events, subset,
                    synth_events, write_csv)
 from .errors import (AuditError, ConfigError, DataFormatError, DatasetNotFound,
                      EngineError, NumericError, PruneRefused)
@@ -96,14 +96,6 @@ def resolve_splits(spec: str, *splits: str):
     return out
 
 
-def _limit(xy, n: int | None, seed: int = 0):
-    if n is None or n >= xy[0].shape[0]:
-        return xy
-    order = np.random.default_rng(seed).permutation(xy[0].shape[0])[:n]
-    order = np.sort(order)
-    return xy[0][order], xy[1][order]
-
-
 def _apply_cli_transforms(xy, specs):
     if not specs:
         return xy
@@ -118,7 +110,7 @@ def _apply_cli_transforms(xy, specs):
 def _split(args):
     """The --data split after --limit and --transforms."""
     return _apply_cli_transforms(
-        _limit(resolve_splits(args.data, args.split)[0], args.limit), args.transforms)
+        subset(resolve_splits(args.data, args.split)[0], args.limit), args.transforms)
 
 
 def _batches(network, args):
@@ -136,15 +128,11 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = args.data or cfg.dataset
-    if args.val_data or Path(spec).suffix == ".evt":
-        # an .evt file is one set: it validates only with --val-data
-        train_xy, = resolve_splits(spec, "train")
-        val_xy = resolve_splits(args.val_data, "test")[0] if args.val_data else None
-    else:
-        train_xy, val_xy = resolve_splits(spec, "train", "test")
-    train_xy = _limit(train_xy, args.limit, cfg.seed)
-    if val_xy is not None:
-        val_xy = _limit(val_xy, args.limit, cfg.seed)
+    if args.val_data:
+        splits = resolve_splits(spec, "train") + resolve_splits(args.val_data, "test")
+    else:  # an .evt file serves as both splits
+        splits = resolve_splits(spec, "train", "test")
+    train_xy, val_xy = (subset(xy, args.limit, cfg.seed) for xy in splits)
     if args.resume:
         network, start_epoch = load_checkpoint(args.resume, expect_arch=cfg.arch)
     else:
@@ -156,12 +144,14 @@ def cmd_train(args) -> int:
     log = TrainingLog()
     prior_rows = []
     if args.resume and trace_path.exists():
-        log.trace = FiringRateTrace.from_rows(read_csv(trace_path))
+        log.trace = FiringRateTrace.from_rows(read_csv(trace_path), trace_path)
         log.trace.epochs = log.trace.epochs[:start_epoch]
         for name in log.trace.rates:
             log.trace.rates[name] = log.trace.rates[name][:start_epoch]
     if args.resume and log_path.exists():
-        prior_rows = [r for r in read_csv(log_path) if int(r["epoch"]) < start_epoch]
+        rows = read_csv(log_path)
+        epochs = csv_column(log_path, rows, "epoch", int)
+        prior_rows = [r for r, e in zip(rows, epochs) if e < start_epoch]
 
     def on_epoch(stats):
         flagged = ",".join(stats.flagged) or "-"
@@ -217,7 +207,7 @@ def cmd_energy(args) -> int:
 
 def cmd_prune(args) -> int:
     network, epoch = load_checkpoint(args.ckpt)
-    trace = FiringRateTrace.from_rows(read_csv(args.trace))
+    trace = FiringRateTrace.from_rows(read_csv(args.trace), args.trace)
     report = detect_natural_pruning(trace, network.shortcut_lif_names(),
                                     patience=args.patience)
     print(report.render())
@@ -242,8 +232,9 @@ def cmd_report(args) -> int:
     rows = read_csv(log_path)
     if not rows:
         raise DataFormatError(f"{log_path} has no epochs")
-    last = rows[-1]
-    best_val = max(float(r["val_acc"]) for r in rows)
+    last = {c: csv_column(log_path, rows, c, str)[-1]
+            for c in ("val_acc", "train_acc", "spikes_per_sample", "flagged")}
+    best_val = max(csv_column(log_path, rows, "val_acc", float))
     summary = {
         "epochs": len(rows),
         "best_val_acc": f"{best_val:.6f}",
@@ -259,16 +250,18 @@ def cmd_report(args) -> int:
     energy_path = run_dir / ARTIFACTS["energy"]
     if energy_path.exists():
         lines = read_csv(energy_path)
-        mac = sum(float(r["ops_per_sample"]) for r in lines if r["klass"] == "MAC")
-        ac = sum(float(r["ops_per_sample"]) for r in lines if r["klass"] == "AC")
-        total = sum(float(r["energy_pj"]) for r in lines)
+        klass = csv_column(energy_path, lines, "klass", str)
+        ops = csv_column(energy_path, lines, "ops_per_sample", float)
+        mac, ac = (sum(o for k, o in zip(klass, ops) if k == c) for c in ("MAC", "AC"))
+        total = sum(csv_column(energy_path, lines, "energy_pj", float))
         summary["mac_ops_per_sample"] = f"{mac:.1f}"
         summary["ac_ops_per_sample"] = f"{ac:.1f}"
         summary["energy_pj_per_sample"] = f"{total:.3f}"
     audit_path = run_dir / ARTIFACTS["audit"]
     if audit_path.exists():
-        text = audit_path.read_text()
-        summary["spike_driven"] = "yes" if "PASS" in text else "no"
+        # searched as bytes, so a file that is not UTF-8 cannot fail to decode
+        verdict = audit_path.read_bytes()
+        summary["spike_driven"] = "yes" if b"PASS" in verdict else "no"
     write_csv(run_dir / ARTIFACTS["summary"], [summary])
     print(",".join(summary.keys()))
     print(",".join(str(v) for v in summary.values()))

@@ -47,13 +47,6 @@ class IdxDataset:
     def xy(self) -> tuple[np.ndarray, np.ndarray]:
         return self.images, self.labels
 
-    def subset(self, n: int, seed: int = 0) -> "IdxDataset":
-        """A random n-sample subset drawn with `seed`, kept in file order."""
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(self))
-        picked = sorted(order[:n].tolist())
-        return IdxDataset(self.images[picked], self.labels[picked])
-
 
 @dataclass
 class FramedEventSet:
@@ -79,6 +72,15 @@ class FramedEventSet:
 
     def xy(self) -> tuple[np.ndarray, np.ndarray]:
         return self.frames, self.labels
+
+
+def subset(xy, n: int | None, seed: int = 0):
+    """A random n-sample subset of (inputs, labels) drawn with `seed` and
+    kept in their order; xy itself when n is None or not below its length."""
+    if n is None or n >= xy[0].shape[0]:
+        return xy
+    picked = np.sort(np.random.default_rng(seed).permutation(xy[0].shape[0])[:n])
+    return xy[0][picked], xy[1][picked]
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +263,13 @@ def synth_events(kind: str, n: int, t: int, h: int, w: int, seed: int = 0,
     classes = len(velocities)
     if bar_width is None:
         bar_width = max(1, w // 6)
-    rng = np.random.default_rng(seed)
+    # sample i: label i % classes, start column (i // classes) % w
+    i, step, d = np.ogrid[:n, :t, :bar_width]
+    labels = i[:, 0, 0] % classes
+    cols = (i // classes + np.array(velocities)[labels][:, None, None] * step + d) % w
     frames = np.zeros((n, t, 2, h, w), dtype=np.uint8)
-    labels = np.empty(n, dtype=np.int64)
-    starts = [0] * classes
-    for i in range(n):
-        label = i % classes
-        x0 = starts[label] % w
-        starts[label] += 1
-        v = velocities[label]
-        labels[i] = label
-        for step in range(t):
-            x = (x0 + v * step) % w
-            cols = [(x + d) % w for d in range(bar_width)]
-            frames[i, step, :, :, cols] = 1
-    order = rng.permutation(n)
+    frames[i, step, :, :, cols] = 1
+    order = np.random.default_rng(seed).permutation(n)
     return FramedEventSet(frames[order], labels[order])
 
 
@@ -407,5 +401,23 @@ def read_csv(path) -> list[dict]:
     path = Path(path)
     if not path.exists():
         raise DatasetNotFound(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise DataFormatError(f"{path}: not a CSV table: {err}") from err
+
+
+def csv_column(path, rows, column: str, cast) -> list:
+    """cast(row[column]) for each row read from the CSV file at path; a bad
+    or missing value raises DataFormatError naming file, row and column."""
+    values = []
+    for i, row in enumerate(rows, start=1):
+        value = row.get(column)
+        try:
+            if value is None:
+                raise ValueError("no value")
+            values.append(cast(value))
+        except ValueError as err:
+            raise DataFormatError(f"{path}: row {i}, column {column!r}: {err}") from err
+    return values

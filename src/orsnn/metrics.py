@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import csv_column
 from .errors import EngineError, PruneRefused
 from .record import (SPIKING_KINDS, LayerLine, SpikeRecord, instrumented_pass,
                      layer_table)
@@ -165,10 +166,13 @@ class FiringRateTrace:
         return rows
 
     @classmethod
-    def from_rows(cls, rows) -> "FiringRateTrace":
+    def from_rows(cls, rows: list[dict], source="trace rows") -> "FiringRateTrace":
+        """The trace of to_rows() rows, such as those of a CSV at `source`."""
         by_epoch: dict[int, dict[str, float]] = {}
-        for row in rows:
-            by_epoch.setdefault(int(row["epoch"]), {})[row["layer"]] = float(row["rate"])
+        for epoch, layer, rate in zip(csv_column(source, rows, "epoch", int),
+                                      csv_column(source, rows, "layer", str),
+                                      csv_column(source, rows, "rate", float)):
+            by_epoch.setdefault(epoch, {})[layer] = rate
         trace = cls()
         for epoch in sorted(by_epoch):
             trace.append(epoch, by_epoch[epoch])

@@ -558,51 +558,39 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return make_node(out_data.reshape(x.shape[:-3] + (ch,)), (x,), bwd)
 
 
+def _bin_means(n: int, out: int, dtype) -> np.ndarray:
+    """[out, n]: row i holds 1/len over floor(i*n/out) .. ceil((i+1)*n/out)."""
+    means = np.zeros((out, n), dtype=dtype)
+    for i in range(out):
+        lo, hi = i * n // out, -(-((i + 1) * n) // out)
+        means[i, lo:hi] = 1 / (hi - lo)
+    return means
+
+
 def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
     """Average-pool channels-last [N, H, W, C] or [T, N, H, W, C] to a fixed
     [out_size, out_size] spatial extent.
 
     Bin i covers rows floor(i*H/out) .. ceil((i+1)*H/out), the usual
-    adaptive convention, so any input extent is accepted.
+    adaptive convention, so any input extent is accepted. The [B, H, W*C]
+    view is pooled over H, then W, by each axis's bin-mean matrix (x's
+    dtype) in one matmul each; backward applies the transposes. Sums of
+    x*(1/len) can differ from a windowed sum/len in the last bit.
     """
     x4 = _fold(x, 3, "adaptive_avg_pool2d")
     if out_size < 1:
         raise ShapeError(f"adaptive_avg_pool2d output extent must be >= 1, got {out_size}")
     batch, h, wid, ch = x4.shape
-    out_shape = x.shape[:-3] + (out_size, out_size, ch)
-    if h % out_size == 0 and wid % out_size == 0:
-        bh, bw = h // out_size, wid // out_size
-        view = x4.reshape(batch, out_size, bh, out_size, bw, ch)
-        out_data = np.ascontiguousarray(view.mean(axis=(2, 4)))
-
-        def bwd_fast(g):
-            if not x.requires_grad:
-                return
-            g4 = g.reshape(out_data.shape)
-            dx = np.broadcast_to(g4[:, :, None, :, None] / (bh * bw),
-                                 (batch, out_size, bh, out_size, bw, ch))
-            accumulate_grad(x, dx.reshape(x.shape))
-
-        return make_node(out_data.reshape(out_shape), (x,), bwd_fast)
-
-    bounds_h = [(i * h // out_size, -(-((i + 1) * h) // out_size)) for i in range(out_size)]
-    bounds_w = [(j * wid // out_size, -(-((j + 1) * wid) // out_size)) for j in range(out_size)]
-    out_data = np.empty((batch, out_size, out_size, ch), dtype=x.data.dtype)
-    for i, (h0, h1) in enumerate(bounds_h):
-        for j, (w0, w1) in enumerate(bounds_w):
-            out_data[:, i, j] = x4[:, h0:h1, w0:w1].mean(axis=(1, 2))
+    p_h, p_w = (_bin_means(n, out_size, x.data.dtype) for n in (h, wid))
+    rows = np.matmul(p_h, x4.reshape(batch, h, wid * ch))
+    out_data = np.matmul(p_w, rows.reshape(batch * out_size, wid, ch))
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        g4 = g.reshape(out_data.shape)
-        dx = np.zeros_like(x4)
-        for i, (h0, h1) in enumerate(bounds_h):
-            for j, (w0, w1) in enumerate(bounds_w):
-                dx[:, h0:h1, w0:w1] += (g4[:, i, j] / ((h1 - h0) * (w1 - w0)))[:, None, None]
+        g_rows = np.matmul(p_w.T, g.reshape(batch * out_size, out_size, ch))
+        dx = np.matmul(p_h.T, g_rows.reshape(batch, out_size, wid * ch))
         _give_grad(x, dx.reshape(x.shape))
 
-    return make_node(out_data.reshape(out_shape), (x,), bwd)
+    return make_node(out_data.reshape(x.shape[:-3] + (out_size, out_size, ch)), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

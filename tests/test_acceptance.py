@@ -18,7 +18,7 @@ from conftest import (distinct_random, gradcheck, lif_reference_trace, margin_ra
                       nhwc, smooth_spike_fn)
 from orsnn.attention import AttentionPlan, make_attention
 from orsnn.config import TrainConfig
-from orsnn.data import (load_idx_dir, save_idx_images, save_idx_labels,
+from orsnn.data import (load_idx_dir, save_idx_images, save_idx_labels, subset,
                         synth_events)
 from orsnn.layers import ForwardContext
 from orsnn.metrics import (FiringRateTrace, apply_pruning,
@@ -363,8 +363,8 @@ def test_07_desk_training_gate():
               "(set ORSNN_MNIST_DIR or populate data/mnist); the bundled "
               "8x8 fallback gate below still exercises the same path")
         pytest.skip("28x28 digit IDX files not available in this environment")
-    train_xy = load_idx_dir(data_dir, "train").subset(1000, seed=0).xy()
-    test_xy = load_idx_dir(data_dir, "test").subset(1000, seed=0).xy()
+    train_xy = subset(load_idx_dir(data_dir, "train").xy(), 1000, seed=0)
+    test_xy = subset(load_idx_dir(data_dir, "test").xy(), 1000, seed=0)
     _desk_gate(train_xy, test_xy,
                "c32k3s1p1-BN-LIF-(OR-SEW Block(c64))-AP-FC10", 10,
                budget=900.0, tag="07 desk-training-gate (28x28 digits)")

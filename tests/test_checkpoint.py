@@ -16,6 +16,7 @@ from orsnn.checkpoint import (
     save_checkpoint,
 )
 from orsnn.errors import (
+    ArchError,
     ArchMismatch,
     BadMagic,
     CorruptPayload,
@@ -216,6 +217,19 @@ class TestGuards:
         p = self.save_one(tmp_path)
         with pytest.raises(ArchMismatch, match="differs from expected"):
             load_checkpoint(p, expect_arch="c8k3s1p1-BN-LIF-AP-FC4")
+
+    def test_expect_arch_is_compared_in_canonical_form(self, tmp_path):
+        p = tmp_path / "run.ckpt"
+        save_checkpoint(build_network("c4k3s1p0-BN-LIF-{c4k3s1p1-BN-LIF}*2-AP-FC3",
+                                      time_steps=2, in_channels=1), p)
+        for spelling in ("c4k3s1p0-BN-LIF-{c4k3s1p1-BN-LIF}*2-AP-FC3",
+                         "c4k3s1-BN-LIF-c4k3s1p1-BN-LIF-c4k3s1p1-BN-LIF-AP-FC3",
+                         " c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*1-c4k3s1p1-BN-LIF-AP-FC3"):
+            assert load_checkpoint(p, expect_arch=spelling)[1] == 0
+        with pytest.raises(ArchMismatch, match="differs from expected"):
+            load_checkpoint(p, expect_arch="c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*1-AP-FC3")
+        with pytest.raises(ArchError, match="unknown token"):
+            load_checkpoint(p, expect_arch="c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*2-XX-FC3")
 
     def test_header_never_ends(self, tmp_path):
         p = self.save_one(tmp_path)

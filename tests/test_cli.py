@@ -128,6 +128,21 @@ class TestTrain:
         assert [int(r["epoch"]) for r in rows] == [0, 1, 2]
         assert load_checkpoint(ckpt)[1] == 3
 
+    @pytest.mark.parametrize("arch", [
+        "c8k3s1p1-BN-LIF-{c8k3s1p1-BN-LIF}*2-(OR-SEW Block(c16))-AP-FC2",
+        "c8k3s2p0-BN-LIF-(OR-SEW Block(c16))-AP-FC2",
+    ], ids=["repeat-group", "p0"])
+    def test_resume_accepts_any_spelling_of_the_architecture(self, arch, tmp_path):
+        """The checkpoint stores the canonical architecture string; a config
+        that spells it another way still resumes its own run."""
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(write_config(
+            tmp_path / "a.cfg", out, arch=arch, epochs=1))]) == 0
+        assert main(["train", "--config", str(write_config(
+            tmp_path / "b.cfg", out, arch=arch, epochs=2)),
+                     "--resume", str(out / "checkpoint.ckpt")]) == 0
+        assert [int(r["epoch"]) for r in read_csv(out / "train_log.csv")] == [0, 1]
+
     def test_resume_guards_the_architecture(self, tmp_path, capsys):
         out = tmp_path / "run"
         main(["train", "--config", str(write_config(tmp_path / "a.cfg", out,
@@ -196,8 +211,7 @@ class TestResolveSplit:
             resolve_splits(str(tmp_path), "train")
 
     @pytest.mark.parametrize("kind", ["evt", "evt+val", "synth"])
-    def test_train_validates_an_event_file_only_with_val_data(
-            self, kind, tmp_path, monkeypatch):
+    def test_train_resolves_its_own_spec_in_one_call(self, kind, tmp_path, monkeypatch):
         evt = tmp_path / "d.evt"
         save_events(evt, synth_events("two-class-motion", 8, 4, 12, 12, seed=1))
         spec = SPEC if kind == "synth" else str(evt)
@@ -211,9 +225,24 @@ class TestResolveSplit:
                            epochs=1)
         extra = ["--val-data", SPEC] if kind == "evt+val" else []
         assert main(["train", "--config", str(cfg), *extra]) == 0
-        assert calls == {"evt": [(str(evt), ("train",))],
+        assert calls == {"evt": [(str(evt), ("train", "test"))],
                          "evt+val": [(str(evt), ("train",)), (SPEC, ("test",))],
                          "synth": [(SPEC, ("train", "test"))]}[kind]
+
+    def test_an_event_file_validates_on_itself_with_or_without_val_data(self, tmp_path):
+        """An .evt file serves both splits, so naming it again as --val-data
+        changes no log row; --limit draws the same samples for both."""
+        evt = tmp_path / "d.evt"
+        save_events(evt, synth_events("two-class-motion", 12, 4, 12, 12, seed=1))
+        cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run", dataset=str(evt))
+        logs = []
+        for extra in ([], ["--val-data", str(evt)]):
+            out = tmp_path / f"run{len(logs)}"
+            assert main(["train", "--config", str(cfg), "--out", str(out),
+                         "--limit", "10", *extra]) == 0
+            logs.append([{k: v for k, v in r.items() if k != "seconds"}
+                         for r in read_csv(out / "train_log.csv")])
+        assert logs[0] == logs[1]
 
     @pytest.mark.parametrize("val", [False, True], ids=["own-split", "val-data"])
     def test_train_generates_a_synth_set_once_per_spec(self, val, tmp_path, monkeypatch):
@@ -432,6 +461,59 @@ class TestReport:
     def test_missing_run_dir(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
         assert "ERROR DatasetNotFound:" in capsys.readouterr().err
+
+    def test_undecodable_files_fail_typed_or_read_as_bytes(self, tmp_path, capsys):
+        (tmp_path / "train_log.csv").write_bytes(b"epoch,val_acc\n0,\xff\xfe\n")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 2
+        assert "ERROR DataFormatError:" in capsys.readouterr().err
+        write_csv(tmp_path / "train_log.csv", [LOG_ROW])
+        (tmp_path / "audit.txt").write_bytes(b"PASS: \xff\xfe")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "summary.csv")[0]["spike_driven"] == "yes"
+
+
+LOG_ROW = {"epoch": 0, "train_loss": 0.7, "train_acc": 0.5, "val_loss": 0.7,
+           "val_acc": 0.5, "spikes_per_sample": 10.0, "flagged": "-", "seconds": 0.1}
+TRACE_ROW = {"epoch": 1, "layer": "block1.shortcut_lif", "rate": 0.5}
+ENERGY_ROW = {"layer": "encoder", "kind": "conv", "klass": "MAC",
+              "ops_per_sample": 10.0, "energy_pj": 46.0}
+
+
+def edited(row, **changes):
+    """row with `changes` applied; a change to None drops that column."""
+    row = {**row, **changes}
+    return {k: v for k, v in row.items() if v is not None}
+
+
+PRUNE = lambda d, ckpt: ["prune", "--ckpt", ckpt, "--trace", f"{d}/trace.csv",
+                         "--out", f"{d}/p.ckpt"]
+REPORT = lambda d, ckpt: ["report", "--run-dir", d]
+RESUME = lambda d, ckpt: ["train", "--config", f"{d}/exp.cfg", "--resume", ckpt]
+
+
+@pytest.mark.parametrize("files,bad,command", [
+    ({"trace.csv": edited(TRACE_ROW, rate="fast")}, ("trace.csv", "rate"), PRUNE),
+    ({"trace.csv": edited(TRACE_ROW, rate=None)}, ("trace.csv", "rate"), PRUNE),
+    ({"trace.csv": edited(TRACE_ROW, epoch="1.5")}, ("trace.csv", "epoch"), PRUNE),
+    ({"train_log.csv": edited(LOG_ROW, val_acc="n/a")},
+     ("train_log.csv", "val_acc"), REPORT),
+    ({"train_log.csv": LOG_ROW, "energy.csv": edited(ENERGY_ROW, ops_per_sample=None)},
+     ("energy.csv", "ops_per_sample"), REPORT),
+    ({"train_log.csv": edited(LOG_ROW, epoch="zero")}, ("train_log.csv", "epoch"), RESUME),
+], ids=["prune-rate-not-a-number", "prune-no-rate", "prune-epoch-not-an-integer",
+        "report-val-acc-not-a-number", "report-energy-no-ops", "resume-epoch-not-an-integer"])
+def test_a_malformed_run_artifact_fails_typed(files, bad, command, tmp_path, capsys):
+    """A run artifact read back with a bad value exits 2 with one typed
+    error line naming the file, the row and the column."""
+    ckpt = tmp_path / "net.ckpt"
+    save_net(ckpt)
+    write_config(tmp_path / "exp.cfg", tmp_path)
+    for name, row in files.items():
+        write_csv(tmp_path / name, [row])
+    assert main(command(str(tmp_path), str(ckpt))) == 2
+    name, column = bad
+    assert (f"ERROR DataFormatError: {tmp_path / name}: row 1, column {column!r}: "
+            in capsys.readouterr().err)
 
 
 class TestSynth:

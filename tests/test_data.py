@@ -13,6 +13,7 @@ from orsnn.data import (
     IdxDataset,
     Transform,
     augment,
+    csv_column,
     find_idx_pair,
     load_events,
     load_idx,
@@ -24,6 +25,7 @@ from orsnn.data import (
     save_events,
     save_idx_images,
     save_idx_labels,
+    subset,
     synth_events,
     write_csv,
 )
@@ -135,14 +137,25 @@ class TestIdx:
         for i in range(20):
             imgs[i] = i / 255.0
         labels = np.arange(20, dtype=np.int64) % 4
-        ds = IdxDataset(imgs, labels)
-        sub1 = ds.subset(8, seed=5)
-        sub2 = ds.subset(8, seed=5)
-        np.testing.assert_array_equal(sub1.images, sub2.images)
-        assert len(sub1) == 8
-        for img, label in zip(sub1.images, sub1.labels):
+        sub1 = subset((imgs, labels), 8, seed=5)
+        sub2 = subset((imgs, labels), 8, seed=5)
+        np.testing.assert_array_equal(sub1[0], sub2[0])
+        assert len(sub1[0]) == 8
+        for img, label in zip(*sub1):
             idx = int(round(float(img[0, 0, 0]) * 255.0))
             assert labels[idx] == label
+
+    @pytest.mark.parametrize("total,n,seed", [(20, 8, 5), (40, 5, 3), (7, 6, 0), (9, 1, 11)])
+    def test_subset_keeps_the_sorted_prefix_of_one_seeded_permutation(self, total, n, seed):
+        """The rule --limit and the IDX gate have always drawn with: the
+        first n of a seeded permutation, in their original order."""
+        x, y = np.arange(total) * 10, np.arange(total)
+        picked = np.sort(np.random.default_rng(seed).permutation(total)[:n])
+        sx, sy = subset((x, y), n, seed)
+        np.testing.assert_array_equal(sy, picked)
+        np.testing.assert_array_equal(sx, picked * 10)
+        for everything in (None, total, total + 1):
+            assert subset((x, y), everything, seed) == (x, y)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -245,6 +258,36 @@ class TestSynth:
         ds = synth_events("two-class-motion", 2, 2, 3, 12, seed=0)
         # w // 6 = 2 columns lit per frame
         assert int(ds.frames[0, 0, 0, 0].sum()) == 2
+
+    @pytest.mark.parametrize("kind,n,t,h,w,seed,bar_width", [
+        ("moving-bar", 1000, 16, 16, 16, 0, None),
+        ("two-class-motion", 7, 3, 5, 2, 0, None),
+        ("moving-bar", 33, 5, 4, 9, 3, 4),
+        ("two-class-motion", 50, 8, 3, 13, 7, 20),
+        ("moving-bar", 9, 2, 2, 3, 1, 0),
+        ("two-class-motion", 40, 4, 12, 12, 5, None),
+    ])
+    def test_matches_the_per_sample_loop(self, kind, n, t, h, w, seed, bar_width):
+        """The broadcast generator writes, byte for byte, the frames and
+        labels of a loop that draws each sample and step in turn."""
+        velocities = (1, -1) if kind == "two-class-motion" else (1, -1, 2, -2)
+        width = max(1, w // 6) if bar_width is None else bar_width
+        frames = np.zeros((n, t, 2, h, w), dtype=np.uint8)
+        labels = np.empty(n, dtype=np.int64)
+        starts = [0] * len(velocities)
+        for i in range(n):
+            label = i % len(velocities)
+            x0 = starts[label] % w
+            starts[label] += 1
+            labels[i] = label
+            for step in range(t):
+                x = (x0 + velocities[label] * step) % w
+                frames[i, step, :, :, [(x + d) % w for d in range(width)]] = 1
+        order = np.random.default_rng(seed).permutation(n)
+        ds = synth_events(kind, n, t, h, w, seed=seed, bar_width=bar_width)
+        assert (ds.frames.dtype, ds.labels.dtype) == (np.uint8, np.int64)
+        assert ds.frames.tobytes() == frames[order].tobytes()
+        assert ds.labels.tobytes() == labels[order].tobytes()
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError, match="unknown synthetic kind"):
@@ -386,6 +429,21 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetNotFound):
             read_csv(tmp_path / "absent.csv")
+
+    def test_undecodable_file_is_a_format_error(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(b"epoch,rate\n1,\xbc\xff\n")
+        with pytest.raises(DataFormatError, match="t.csv: not a CSV table"):
+            read_csv(tmp_path / "t.csv")
+
+    def test_csv_column_names_the_row_and_column_of_a_bad_value(self, tmp_path):
+        write_csv(tmp_path / "t.csv", [{"epoch": "0", "rate": "0.5"},
+                                       {"epoch": "1", "rate": ""}])
+        rows = read_csv(tmp_path / "t.csv")
+        assert csv_column("t.csv", rows, "epoch", int) == [0, 1]
+        with pytest.raises(DataFormatError, match="^t.csv: row 2, column 'rate': "):
+            csv_column("t.csv", rows, "rate", float)
+        with pytest.raises(DataFormatError, match="^t.csv: row 1, column 'layer': no value"):
+            csv_column("t.csv", rows, "layer", str)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         """A writer that fails part-way leaves the previous file byte for

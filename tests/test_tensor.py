@@ -533,6 +533,69 @@ def test_adaptive_pool_identity_and_window_match():
     assert np.allclose(nchw(halved.data), x.reshape(1, 2, 3, 2, 3, 2).mean(axis=(3, 5)))
 
 
+def adaptive_pool_loop(x4, g4, out):
+    """The per-bin oracle on [B, H, W, C]: output bin (i, j) is the mean of
+    rows floor(i*H/out) .. ceil((i+1)*H/out) and the same columns of W, and
+    the gradient spreads each bin's g evenly over its window."""
+    _, h, wid, _ = x4.shape
+    rows = [(i * h // out, -(-((i + 1) * h) // out)) for i in range(out)]
+    cols = [(j * wid // out, -(-((j + 1) * wid) // out)) for j in range(out)]
+    y = np.empty(x4.shape[:1] + (out, out) + x4.shape[3:], dtype=x4.dtype)
+    dx = np.zeros_like(x4)
+    for i, (h0, h1) in enumerate(rows):
+        for j, (w0, w1) in enumerate(cols):
+            y[:, i, j] = x4[:, h0:h1, w0:w1].mean(axis=(1, 2))
+            dx[:, h0:h1, w0:w1] += (g4[:, i, j] / ((h1 - h0) * (w1 - w0)))[:, None, None]
+    return y, dx
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)],
+                         ids=["f32", "f64"])
+@pytest.mark.parametrize("shape,out", [
+    ((2, 3, 8, 8, 2), 4), ((2, 3, 6, 4, 3), 2), ((2, 3, 16, 16, 2), 8),
+    ((2, 3, 5, 5, 2), 3), ((2, 3, 7, 7, 2), 3), ((2, 3, 5, 7, 2), 3),
+    ((1, 2, 128, 128, 2), 48), ((2, 3, 3, 3, 2), 5), ((2, 3, 7, 5, 2), 1),
+    ((2, 3, 6, 6, 2), 6),
+], ids=["8to4", "6x4to2", "16to8", "5to3", "7to3", "5x7to3", "128to48", "3to5",
+        "7x5to1", "identity"])
+def test_adaptive_pool_matches_the_per_bin_loop(shape, out, dtype, tol):
+    """Output and dX agree with the per-bin loop on standard-normal data,
+    within a bound that holds 1/len products against sums divided by len."""
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal(shape).astype(dtype)
+    g = rng.standard_normal(shape[:2] + (out, out, shape[-1])).astype(dtype)
+    x = Tensor(data, requires_grad=True)
+    y = tz.adaptive_avg_pool2d(x, out)
+    backward(y, seed=g)
+    fold = lambda a: a.reshape((-1,) + a.shape[2:])
+    want_y, want_dx = adaptive_pool_loop(fold(data), fold(g), out)
+    assert (y.data.dtype, x.grad.dtype) == (dtype, dtype)
+    assert np.abs(fold(y.data) - want_y).max() <= tol
+    assert np.abs(fold(x.grad) - want_dx).max() <= tol
+
+
+@pytest.mark.parametrize("shape,out", [((1, 2, 5, 7, 2), 3), ((2, 1, 3, 3, 1), 5),
+                                       ((1, 1, 7, 6, 2), 1)])
+def test_adaptive_pool_gradcheck(shape, out):
+    x = np.random.default_rng(5).standard_normal(shape)
+    gradcheck(lambda a: tz.reduce_mean(tz.mul(tz.adaptive_avg_pool2d(a, out),
+                                              tz.adaptive_avg_pool2d(a, out)),
+                                       (0, 1, 2, 3, 4)), x)
+
+
+def test_adaptive_pool_is_one_node_and_leaves_a_frozen_input_alone():
+    data = np.random.default_rng(6).standard_normal((2, 3, 9, 9, 2))
+    x = Tensor(data, requires_grad=True)
+    y = tz.adaptive_avg_pool2d(x, 4)
+    assert y.index > 0 and y.parents == (x,)
+    frozen = Tensor(data)
+    w = Tensor(np.random.default_rng(7).standard_normal((3, 2, 3, 3)), requires_grad=True)
+    pooled = tz.adaptive_avg_pool2d(frozen, 4)
+    assert pooled.index == 0 and pooled.parents == ()
+    backward(tz.reduce_mean(tz.conv2d(pooled, w, 1, 1), (0, 1, 2, 3, 4)))
+    assert frozen.grad is None and w.grad is not None
+
+
 # ---------------------------------------------------------------------------
 # Batchnorm
 
