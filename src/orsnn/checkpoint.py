@@ -64,8 +64,16 @@ def _write_blocks(fh, named_arrays) -> None:
 
 
 def save_checkpoint(network, path, epoch: int = 0) -> None:
+    """Write network to path, replacing it only once the whole file is
+    written. The blocks hold float32 alone, so a network holding any other
+    dtype, which would load back rounded, is refused before any write."""
     params = [(n, p.data) for n, p in network.named_params()]
     buffers = network.named_buffers()
+    for name, arr in params + buffers:
+        if arr.dtype != np.float32:
+            raise CheckpointError(
+                f"{name} is {arr.dtype}: checkpoint {CKPT_VERSION} stores float32 "
+                "only, and loading it back would round it")
     with replacing(path, "wb") as fh:
         fh.write(_header_text(network, epoch).encode("utf-8"))
         _write_blocks(fh, params)

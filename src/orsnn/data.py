@@ -15,6 +15,7 @@ import gzip
 import os
 import re
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,7 +94,12 @@ def _read_file(path) -> bytes:
         raise DatasetNotFound(f"no such file: {path}")
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except EOFError as err:
+            raise Truncated(f"{path}: gzip stream ends early: {err}") from err
+        except (gzip.BadGzipFile, zlib.error) as err:
+            raise DataFormatError(f"{path}: corrupt gzip stream: {err}") from err
     return raw
 
 

@@ -114,9 +114,12 @@ def census(arr: np.ndarray) -> tuple[int, bool, float]:
 
 @dataclass
 class SpikeRecord:
+    """inputs=False keeps spike counts alone, all that firing_rates and
+    spikes_per_sample read: note_input then takes no census."""
     layers: dict[str, LayerStats] = field(default_factory=dict)
     samples: int = 0
     time_steps: int = 0
+    inputs: bool = True
 
     def stats(self, name: str, kind: str) -> LayerStats:
         if name not in self.layers:
@@ -125,7 +128,9 @@ class SpikeRecord:
 
     def note_input(self, name: str, kind: str, literal: np.ndarray,
                    audit_ref: np.ndarray, flops: int,
-                   is_encoder: bool = False) -> LayerStats:
+                   is_encoder: bool = False) -> None:
+        if not self.inputs:
+            return
         st = self.stats(name, kind)
         st.is_encoder = st.is_encoder or is_encoder
         st.total_flops += flops
@@ -136,7 +141,6 @@ class SpikeRecord:
         st.in_total += literal.size
         st.binary_input = st.binary_input and ok
         st.max_nonbinary = max(st.max_nonbinary, worst)
-        return st
 
     def note_spikes(self, name: str, kind: str, out: np.ndarray) -> LayerStats:
         st = self.stats(name, kind)

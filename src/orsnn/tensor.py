@@ -37,6 +37,7 @@ read and write them without transposing copies and BN works on whole
 H*W*C rows; conv kernels stay [Cout, Cin, k, k]. When enough of a conv's
 input images hold no nonzero value, its forward correlates only the others
 and gives the silent ones an exact +0 output; its backward stays dense.
+One copy of the gradient's taps per chunk feeds both conv gradients.
 Training runs in float32 by default; tests build float64 tensors for
 finite-difference comparisons.
 """
@@ -360,17 +361,17 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 _CONV_CHUNK = 1 << 15
 
 
-def _correlate(xp, kh, kw, stride, oh, ow):
-    """Yield (samples, cols) per batch chunk of the zero-padded NHWC input
-    xp: samples slices the batch and cols is the im2col block
+def _correlate(xp, kh, kw, stride, oh, ow, step):
+    """Yield (samples, cols) per chunk of `step` images of the zero-padded
+    NHWC input xp: samples slices the batch and cols is the im2col block
     [samples * oh * ow, kh*kw*Cin] of its flat output rows, taps (i, j, c),
     copied from a read-only view whose last axis is the kw*Cin contiguous
-    floats of one kernel row."""
+    floats of one kernel row (a view, not a copy, for a 1x1 read of
+    contiguous rows)."""
     batch, _, _, cin = xp.shape
     sb, sh, sw, sc = xp.strides
     runs = as_strided(xp, (batch, oh, ow, kh, kw * cin),
                       (sb, stride * sh, stride * sw, sh, sc), writeable=False)
-    step = max(1, _CONV_CHUNK // (oh * ow * kh * kw * cin))
     for b0 in range(0, batch, step):
         samples = slice(b0, min(b0 + step, batch))
         yield samples, runs[samples].reshape(-1, kh * kw * cin)
@@ -414,20 +415,28 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     x is channels-last [N, H, W, C] or [T, N, H, W, C]; T and N are folded
     into one batch axis inside the node. w is [Cout, Cin, k, k] and the
     output is [..., H', W', Cout], extent floor((H + 2p - k) / s) + 1; an
-    extent below 1 raises. All three directions are chunked im2col GEMMs
-    (_correlate) that read and write the channels-last arrays in place:
+    extent below 1 raises. Both directions are chunked im2col GEMMs
+    (_correlate) that read and write the channels-last arrays in place, over
+    the same chunks of images (as many as fit _CONV_CHUNK floats of x's
+    im2col, or one):
       forward  y = corr_s(pad_p(x), W), each chunk's GEMM written into y;
-      dX       polyphase: padded row q = s*m + r receives
+      backward polyphase: padded row q = s*m + r receives
                sum_a g[m - a] W[s*a + r] (columns alike), so each of the s^2
                input phases dx[d::s, e::s] is corr_1 of g, zero-padded by
                ceil(k/s) - 1 rows ahead, with the flipped sub-kernel
-               W[r::s, c::s], r = (d + p) % s and c = (e + p) % s. No multiply
-               touches a zero inserted between gradient rows, and stride 1 is
-               the one-phase case, whose GEMMs write into dx. A phase whose
-               sub-kernel is empty (k < s) and input rows the forward never
-               reads get exactly 0. For k = 1 the one other phase is g W:
-               one GEMM over g's own rows, with no padded copy of g;
-      dW       sum over chunks of cols^T g.
+               W[r::s, c::s], r = (d + p) % s and c = (e + p) % s, and these
+               are the only kernel taps the phase's x rows meet. So per
+               phase and chunk one copy of g's taps feeds both GEMMs:
+               dX = taps sub, and dW[taps] += taps^T x[d::s, e::s] (a view
+               at stride 1). No multiply touches a zero inserted between
+               gradient rows; stride 1 is the one-phase case, whose dX GEMMs
+               write into dx. A phase with an empty sub-kernel (k < s) or no
+               input row (H or W < s) runs no GEMM, and input rows the
+               forward never reads get exactly 0. When g needs no zero rows
+               (a 1x1 kernel, among others) its taps are its own rows. A
+               frozen input (the encoder's data) needs dW alone and sums
+               cols^T g over x's im2col, Cout/Cin times narrower there than
+               g's taps and measured faster.
     The forward skips silent images, those that hold no nonzero value (a
     spike map that a T gate or a silent path zeroed), when _live_images
     finds enough of them: it gathers the live images, correlates them in
@@ -440,9 +449,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     silent images' zero rows would re-block that sum: a version that did
     so, even inside the dense chunk boundaries, changed trained
     checkpoints' bytes.
-    Output dtype is result_type(x, w). No input copy is kept: backward
-    rebuilds pad_p(x), which is x itself when p = 0. dX is skipped for a
-    frozen input, dW for a frozen kernel.
+    Output dtype is result_type(x, w). No input copy is kept, and a
+    backward that computes dX makes none: only a frozen input's dW rebuilds
+    pad_p(x), which is x itself when p = 0. dX is skipped for a frozen
+    input, dW for a frozen kernel.
     """
     if w.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-D kernel, got {w.shape}")
@@ -472,10 +482,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     dtype = np.result_type(x.data, w.data)
     wm = w.data.transpose(2, 3, 1, 0).reshape(-1, cout)  # [(i, j, Cin), Cout]
+    step = max(1, _CONV_CHUNK // (out_h * out_w * k * k * cin))  # images per chunk
 
     def correlated(images):
         y = np.empty((len(images), out_h, out_w, cout), dtype=dtype)
-        for samples, cols in _correlate(padded(images), k, k, stride, out_h, out_w):
+        for samples, cols in _correlate(padded(images), k, k, stride, out_h, out_w, step):
             np.matmul(cols, wm, out=y[samples].reshape(-1, cout))
         return y
 
@@ -488,40 +499,45 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def bwd(g):
         g4 = g.reshape(batch, out_h, out_w, cout)
-        if w.requires_grad:
-            dw = sum((cols.T @ g4[samples].reshape(-1, cout) for samples, cols in
-                      _correlate(padded(x4), k, k, stride, out_h, out_w)),
-                     np.zeros((k * k * cin, cout), dtype=g.dtype))
-            accumulate_grad(w, dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
-        if x.requires_grad:  # false for the encoder, whose input is data
-            along_h = list(_phases(h, k, stride, padding))
-            along_w = list(_phases(wid, k, stride, padding))
-            lo = (k - 1) // stride  # ceil(k/s) - 1 zero rows ahead of g
-            if k > 1:
-                ext = [lo + max([n] + [m0 + m for *_, m0, m in axis])
-                       for n, axis in ((out_h, along_h), (out_w, along_w))]
-                gp = np.zeros((batch, *ext, cout), dtype=g.dtype)
-                gp[:, lo:lo + out_h, lo:lo + out_w] = g4
-            dx = np.empty((batch, h, wid, cin), dtype=np.result_type(g, w.data))
-            for d, r, kr, m0, mh in along_h:
-                for e, c, kc, n0, mw in along_w:
-                    phase = dx[:, d::stride, e::stride]
-                    if not (kr and kc):  # k < s: no tap reads these rows
-                        phase[...] = 0
-                        continue
-                    if k == 1:  # the one read phase is g W: one GEMM, no copy of g
-                        taps = g4[:, m0:m0 + mh, n0:n0 + mw].reshape(-1, cout)
-                        phase[...] = (taps @ w.data[:, :, 0, 0]).reshape(phase.shape)
-                        continue
-                    sub = w.data[:, :, r::stride, c::stride][:, :, ::-1, ::-1]
-                    sub = sub.transpose(2, 3, 0, 1).reshape(-1, cin)
-                    view = gp[:, m0 + lo - kr + 1:, n0 + lo - kc + 1:]
-                    for samples, taps in _correlate(view, kr, kc, 1, mh, mw):
-                        if stride == 1:  # the one phase is dx itself
-                            np.matmul(taps, sub, out=dx[samples].reshape(-1, cin))
-                        else:
-                            phase[samples] = (taps @ sub).reshape(-1, mh, mw, cin)
-            _give_grad(x, dx.reshape(x.shape))
+        dw = np.zeros((k, k, cin, cout), dtype=g.dtype) if w.requires_grad else None
+        if not x.requires_grad:  # the encoder's input is data: dW alone
+            for samples, cols in _correlate(padded(x4), k, k, stride, out_h, out_w, step):
+                dw += (cols.T @ g4[samples].reshape(-1, cout)).reshape(dw.shape)
+            accumulate_grad(w, dw.transpose(3, 2, 0, 1))
+            return
+        along_h = list(_phases(h, k, stride, padding))
+        along_w = list(_phases(wid, k, stride, padding))
+        lo = (k - 1) // stride  # ceil(k/s) - 1 zero rows ahead of g
+        ext = [lo + max([n] + [m0 + m for *_, m0, m in axis])
+               for n, axis in ((out_h, along_h), (out_w, along_w))]
+        gp = g4  # a 1x1 kernel's taps are g's own rows
+        if lo or ext != [out_h, out_w]:
+            gp = np.zeros((batch, *ext, cout), dtype=g.dtype)
+            gp[:, lo:lo + out_h, lo:lo + out_w] = g4
+        dx = np.empty((batch, h, wid, cin), dtype=np.result_type(g, w.data))
+        for d, r, kr, m0, mh in along_h:
+            for e, c, kc, n0, mw in along_w:
+                phase = dx[:, d::stride, e::stride]
+                if not (kr and kc and mh and mw):  # k < s, or h or w < s
+                    phase[...] = 0
+                    continue
+                sub = w.data[:, :, r::stride, c::stride][:, :, ::-1, ::-1]
+                sub = sub.transpose(2, 3, 0, 1).reshape(-1, cin)
+                acc = None if dw is None else np.zeros((kr * kc * cout, cin), dtype=g.dtype)
+                view = gp[:, m0 + lo - kr + 1:, n0 + lo - kc + 1:]
+                for samples, taps in _correlate(view, kr, kc, 1, mh, mw, step):
+                    if stride == 1:  # the one phase is dx itself
+                        np.matmul(taps, sub, out=dx[samples].reshape(-1, cin))
+                    else:
+                        phase[samples] = (taps @ sub).reshape(-1, mh, mw, cin)
+                    if acc is not None:  # this phase's taps of dW, [(a, b, Cout), Cin]
+                        acc += taps.T @ x4[samples, d::stride, e::stride].reshape(-1, cin)
+                if acc is not None:
+                    dw[r::stride, c::stride][::-1, ::-1] = acc.reshape(
+                        kr, kc, cout, cin).transpose(0, 1, 3, 2)
+        _give_grad(x, dx.reshape(x.shape))
+        if dw is not None:
+            accumulate_grad(w, dw.transpose(3, 2, 0, 1))
 
     return make_node(out.reshape(x.shape[:-3] + out.shape[1:]), (x, w), bwd)
 

@@ -225,7 +225,7 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
             opt.step()
             loss_sum += float(loss.data) * xb.shape[0]
             hits += int((logits.data.argmax(axis=1) == yb).sum())
-        rec = SpikeRecord()
+        rec = SpikeRecord(inputs=False)  # the rates below read spikes alone
         val_loss, val_acc = evaluate(network, rate_data,
                                      batch_size=cfg.batch_size, record=rec,
                                      strict=cfg.strict_joins)

@@ -19,6 +19,7 @@ from orsnn.errors import (
     ArchError,
     ArchMismatch,
     BadMagic,
+    CheckpointError,
     CorruptPayload,
     DatasetNotFound,
     VersionMismatch,
@@ -185,6 +186,18 @@ class TestRoundTrip:
         monkeypatch.setattr(checkpoint, "_write_blocks", fail_after_header)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(trained_like_net(seed=2), path, epoch=3)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
+
+    def test_a_float64_network_is_refused_before_any_write(self, tmp_path):
+        """v1 stores float32 blocks: a float64 network would load back rounded,
+        so saving it raises and leaves an existing file as it was."""
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(trained_like_net(seed=1), path)
+        before = path.read_bytes()
+        net = build_network(SMALL, time_steps=2, in_channels=1, seed=1, dtype=np.float64)
+        with pytest.raises(CheckpointError, match="encoder.weight is float64"):
+            save_checkpoint(net, path, epoch=3)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 

@@ -1,6 +1,8 @@
 """Command-line interface: in-process exit codes, artifacts, and error
 reporting for every subcommand."""
 
+import gzip
+
 import numpy as np
 import pytest
 
@@ -365,6 +367,38 @@ class TestEval:
         assert main(["eval", "--ckpt", str(run_dir / "checkpoint.ckpt"),
                      "--data", str(bad)]) == 2
         assert "ERROR BadMagic:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("container", ["idx", "evt"])
+    @pytest.mark.parametrize("damage,kind", [("truncated", "Truncated"),
+                                             ("bad-crc", "DataFormatError"),
+                                             ("bad-header", "DataFormatError")])
+    def test_a_corrupt_gzip_input_is_a_usage_error(self, container, damage, kind,
+                                                   run_dir, tmp_path, capsys):
+        """A gzip-compressed IDX file or event container that is cut short,
+        fails its CRC or names an unknown compression method exits 2 with a
+        typed error naming the file, not a traceback."""
+        if container == "idx":
+            write_idx_dir(tmp_path / "idx")
+            plain = tmp_path / "idx" / "t10k-images-idx3-ubyte"
+            ckpt, data, path = tmp_path / "net.ckpt", tmp_path / "idx", plain.with_suffix(".gz")
+            save_net(ckpt, in_channels=1, time_steps=2)
+        else:
+            plain = tmp_path / "plain.evt"
+            save_events(plain, synth_events("two-class-motion", 8, 4, 12, 12, seed=1))
+            ckpt, data = run_dir / "checkpoint.ckpt", tmp_path / "data.evt"
+            path = data
+        packed = bytearray(gzip.compress(plain.read_bytes()))
+        plain.unlink()
+        if damage == "truncated":
+            packed = packed[:len(packed) // 2]
+        elif damage == "bad-crc":
+            packed[-8] ^= 0x01
+        else:
+            packed[2] = 9  # compression method: only 8 (deflate) is defined
+        path.write_bytes(bytes(packed))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"ERROR {kind}:" in err and str(path) in err
 
     def test_stochastic_transforms_are_rejected(self, run_dir, capsys):
         assert main(["eval", "--ckpt", str(run_dir / "checkpoint.ckpt"),

@@ -182,6 +182,9 @@ def test_conv_kernel_gradient_vs_finite_differences(seed):
     pytest.param(2, 0, 3, (6, 6), id="2-0"),
     pytest.param(2, 0, 1, (6, 6), id="shortcut-k1-s2-p0"),
     pytest.param(2, 1, 3, (5, 7), id="nonsquare-5x7"),
+    # an extent below the stride leaves a phase with no input row
+    pytest.param(2, 1, 3, (1, 5), id="1-row-s2"),
+    pytest.param(3, 1, 3, (2, 2), id="2x2-s3"),
 ])
 def test_conv_strided_padded_gradient(stride, padding, k, hw):
     rng = np.random.default_rng(7)
@@ -335,7 +338,13 @@ def test_conv_node_retains_only_its_output():
         # 16*16 positions * 9 taps * 16 channels > _CONV_CHUNK: one sample per chunk
         ("one-sample-per-chunk", ((3, 16, 16, 16), (5, 16, 3, 3), 1, 1)),
         # 70 positions * 27 taps fit 17 samples per chunk: 20 = 17 + a ragged 3
-        ("ragged-last-chunk", ((20, 3, 7, 10), (4, 3, 3, 3), 1, 1))]])
+        ("ragged-last-chunk", ((20, 3, 7, 10), (4, 3, 3, 3), 1, 1)),
+        # 6x5 positions * 72 taps fit 15 samples: 40 = 15 + 15 + 10, and each
+        # of the four phases' dX and dW GEMMs runs over the same three chunks
+        ("stride-2-three-chunks", ((40, 8, 11, 9), (16, 8, 3, 3), 2, 1)),
+        # Cin 8 > Cout 3: chunks of 6 samples hold 70 * 27 g taps per sample,
+        # so the copy that dX and dW share is narrower than x's im2col
+        ("cin-above-cout", ((20, 8, 7, 10), (3, 8, 3, 3), 1, 1))]])
 def test_conv_chunking_matches_loop_reference(xshape, wshape, stride, padding, kind):
     rng = np.random.default_rng(11)
     data, silent = silence(rng.standard_normal(xshape), kind)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 import orsnn
 from orsnn import tensor as tz
@@ -23,6 +24,7 @@ from orsnn.config import parse_config
 from orsnn.data import synth_events
 from orsnn.errors import ConfigError, DivergenceError, ShapeError
 from orsnn.network import build_network, frames_to_input
+from orsnn.record import instrumented_pass
 from orsnn.residual import JoinMode
 from orsnn.tensor import Tensor
 from orsnn.training import (
@@ -376,6 +378,120 @@ class TestTrainStepMemory:
                              text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) <= 100, run.stdout
+
+
+def conv_backward_two_copies(x4, w, g4, stride, padding):
+    """conv2d's backward as it was before dX and dW shared each chunk's
+    copy of g: dW sums cols^T g over chunks of an im2col of pad_p(x), and
+    dX runs the polyphase phases over a padded copy of g (g's own rows for
+    a 1x1 kernel). Each copy is chunked by its own row width, at most
+    _CONV_CHUNK floats or one image."""
+    def chunks(xp, kh, kw, s, oh, ow):
+        b, _, _, c = xp.shape
+        sb, sh, sw, sc = xp.strides
+        runs = as_strided(xp, (b, oh, ow, kh, kw * c), (sb, s * sh, s * sw, sh, sc),
+                          writeable=False)
+        step = max(1, tz._CONV_CHUNK // (oh * ow * kh * kw * c))
+        for b0 in range(0, b, step):
+            yield slice(b0, b0 + step), runs[b0:b0 + step].reshape(-1, kh * kw * c)
+
+    batch, h, wid, cin = x4.shape
+    cout, _, k, _ = w.shape
+    _, out_h, out_w, _ = g4.shape
+    xp = np.pad(x4, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    dw = sum((cols.T @ g4[sl].reshape(-1, cout)
+              for sl, cols in chunks(xp, k, k, stride, out_h, out_w)),
+             np.zeros((k * k * cin, cout), dtype=g4.dtype))
+    dw = dw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+    along_h = list(tz._phases(h, k, stride, padding))
+    along_w = list(tz._phases(wid, k, stride, padding))
+    lo = (k - 1) // stride
+    ext = [lo + max([n] + [m0 + m for *_, m0, m in axis])
+           for n, axis in ((out_h, along_h), (out_w, along_w))]
+    gp = np.zeros((batch, *ext, cout), dtype=g4.dtype)
+    gp[:, lo:lo + out_h, lo:lo + out_w] = g4
+    dx = np.empty((batch, h, wid, cin), dtype=np.result_type(g4, w))
+    for d, r, kr, m0, mh in along_h:
+        for e, c, kc, n0, mw in along_w:
+            phase = dx[:, d::stride, e::stride]
+            if not (kr and kc):
+                phase[...] = 0
+            elif k == 1:
+                taps = g4[:, m0:m0 + mh, n0:n0 + mw].reshape(-1, cout)
+                phase[...] = (taps @ w[:, :, 0, 0]).reshape(phase.shape)
+            else:
+                sub = w[:, :, r::stride, c::stride][:, :, ::-1, ::-1]
+                sub = sub.transpose(2, 3, 0, 1).reshape(-1, cin)
+                view = gp[:, m0 + lo - kr + 1:, n0 + lo - kc + 1:]
+                for sl, taps in chunks(view, kr, kc, 1, mh, mw):
+                    if stride == 1:
+                        np.matmul(taps, sub, out=dx[sl].reshape(-1, cin))
+                    else:
+                        phase[sl] = (taps @ sub).reshape(-1, mh, mw, cin)
+    return dx, dw
+
+
+@pytest.mark.parametrize("which", sorted(TRAIN_NETS))
+def test_conv_backward_bytes_match_the_two_copy_formulation(which, monkeypatch):
+    """At every conv of both benchmark train networks, in one training
+    forward, conv2d's dX and dW are byte-equal to the formulation that
+    built a second im2col copy, of x, for dW. Both sum the same products;
+    only the GEMM blocking could differ, so the comparison holds on the
+    stack the step digests were pinned on."""
+    stack = (platform.machine(), np.__version__)
+    if stack == TestTrainStepMemory.DIGEST_STACK[:2]:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        stack += (f"{blas.get('name')} {blas.get('version')}",)
+    if stack != TestTrainStepMemory.DIGEST_STACK:
+        pytest.skip(f"pinned on {TestTrainStepMemory.DIGEST_STACK}, this is {stack}")
+    calls, conv2d = [], tz.conv2d
+
+    def recorded(x, w, stride=1, padding=0):
+        out = conv2d(x, w, stride, padding)
+        calls.append((x.data, w.data, stride, padding, out))
+        return out
+
+    monkeypatch.setattr(tz, "conv2d", recorded)
+    net, inp, _ = train_net_batch(which)
+    with tz.no_grad():
+        net.forward(inp, training=True)
+    assert len(calls) == {"train-conv": 11, "train-longT": 6}[which]
+    rng = np.random.default_rng(5)
+    for i, (x, w, stride, padding, out) in enumerate(calls):
+        x4 = np.ascontiguousarray(x).reshape(-1, *x.shape[-3:])
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        xt, wt = Tensor(x4, requires_grad=True), Tensor(w, requires_grad=True)
+        tz.backward(conv2d(xt, wt, stride, padding), seed=g.reshape(-1, *g.shape[-3:]))
+        dx, dw = conv_backward_two_copies(x4, w, g.reshape(-1, *g.shape[-3:]), stride, padding)
+        assert xt.grad.tobytes() == dx.tobytes(), (i, x.shape, w.shape, stride)
+        assert wt.grad.tobytes() == dw.tobytes(), (i, x.shape, w.shape, stride)
+
+
+def test_validation_keeps_the_rates_of_a_full_instrumented_pass():
+    """train validates with a record that keeps spike counts alone; its
+    firing rates (every spiking layer, in order) and spikes/sample are
+    byte-equal to those of instrumented_pass, which also takes the input
+    census, over the same batches after each epoch."""
+    net = build_network(SMALL, attention=AttentionPlan.parse("T/a"), time_steps=4,
+                        in_channels=1, seed=3)
+    for name, p in net.named_params():
+        if name.endswith(".beta"):
+            p.data[...] = 1.0  # neurons fire, so the rates are not all zero
+    val = tiny_dataset(n=10, seed=4)
+    full = []
+
+    def on_epoch(stats):
+        batches = [net.to_input(val[0][i:i + 4]) for i in range(0, 10, 4)]
+        rec = instrumented_pass(net, batches)
+        full.append((list(rec.firing_rates().items()), rec.spikes_per_sample()))
+
+    log = train(net, tiny_dataset(n=12, seed=3),
+                TrainConfig(lr=1e-2, time_steps=4, batch_size=4, epochs=2, seed=3),
+                val_data=val, on_epoch=on_epoch)
+    for i, (rates, per_sample) in enumerate(full):
+        assert [(n, series[i]) for n, series in log.trace.rates.items()] == rates
+        assert log.epochs[i].spikes_per_sample == per_sample
+        assert per_sample > 0 and len(rates) > 4
 
 
 class TestReleasedActivations:
