@@ -7,7 +7,7 @@ errors print one machine-readable line to stderr: "ERROR {kind}: {msg}".
 
 Dataset specs accepted by --data/--val-data and the config dataset field:
   synth:KIND:N:T:H:W[:SEED]   generated in memory (KIND per `orsnn synth`)
-  path/to/set.evt             framed event container
+  path/to/set.evt[.gz]        framed event container, plain or gzip
   path/to/idx-dir             directory with IDX files (split selectable)
   mnist | fashion-mnist       IDX directory from $ORSNN_MNIST_DIR /
                               $ORSNN_FASHION_MNIST_DIR, else ./data/<name>
@@ -72,7 +72,7 @@ def resolve_splits(spec: str, *splits: str):
     refused when empty. The spec's source is generated or read once for all
     of them: a synth spec's first 4/5 of samples are "train" and the rest
     "test", an IDX directory has a file pair per split, and an .evt file
-    serves both."""
+    (plain, or gzip as .evt.gz) serves both."""
     if spec.startswith("synth:"):
         x, y = _parse_synth_spec(spec).xy()
         cut = max(1, (x.shape[0] * 4) // 5)
@@ -81,7 +81,7 @@ def resolve_splits(spec: str, *splits: str):
     elif spec in _ENV_DIRS:
         directory = os.environ.get(_ENV_DIRS[spec], os.path.join("data", spec))
         read = lambda split: load_idx_dir(directory, split).xy()
-    elif Path(spec).suffix == ".evt":
+    elif spec.endswith((".evt", ".evt.gz")):
         events = load_events(spec).xy()
         read = lambda split: events
     elif Path(spec).is_dir():

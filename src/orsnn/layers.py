@@ -9,14 +9,11 @@ inside their own autograd node, so each of these layers adds exactly one
 node; a spiking layer hands the whole [T, ...] input to the fused LIF op,
 which threads the membrane step to step inside one node and starts from
 rest on every forward (see neuron.py).
-A ForwardContext carries the training flag, the optional SpikeRecord, and
-the audit reference: the array whose binarity decides MAC-vs-AC for the
-classifier. A conv is audited on its own input; the classifier is audited
-on the spike map entering the global average pool, because averaging is
-linear. The pool is the one layer that sets the reference, and the
-classifier the one that reads it. Network and ResidualBlock run their
-modules through forward_chain, which releases each activation once its
-consumer's forward has returned; a layer called directly keeps its output.
+A ForwardContext carries the training flag and the optional SpikeRecord,
+which each op-counted layer tells its literal input. Network and
+ResidualBlock run their modules through forward_chain, which releases each
+activation once its consumer's forward has returned; a layer called
+directly keeps its output.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ from .tensor import Tensor
 class ForwardContext:
     training: bool = False
     record: SpikeRecord | None = None
-    strict: bool = False
-    audit_ref: np.ndarray | None = None
 
 
 def forward_chain(x: Tensor, mods: list["Module"], ctx: ForwardContext) -> Tensor:
@@ -125,7 +120,7 @@ class ConvLayer(Module):
         out = tz.conv2d(x, self.weight, self.stride, self.padding)
         if ctx.record is not None:
             ctx.record.note_input(
-                self.name, "conv", x.data, x.data,
+                self.name, "conv", x.data,
                 flops=self.flops_per_step(out.shape[2], out.shape[3]) * t * n,
                 is_encoder=self.is_encoder)
         return out
@@ -200,16 +195,15 @@ class AdaptiveAvgPoolLayer(Module):
 
 
 class GlobalAvgPoolLayer(Module):
-    """[T, N, H, W, C] -> [T, N, C]. Averaging is linear, so the binarity
-    that matters for the following classifier is that of the spike map
-    entering this pool: it becomes the audit reference."""
+    """[T, N, H, W, C] -> [T, N, C]. Averaging is linear, so the input type
+    that classifies the following head is that of the map entering this
+    pool (Network.input_types)."""
 
     def __init__(self, name: str):
         super().__init__(name)
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        ctx.audit_ref = x.data
         return tz.global_avg_pool(x)
 
 
@@ -237,8 +231,7 @@ class DenseLayer(Module):
                 f"{self.name}: expected {self.in_features} features, got {x.shape[2]}")
         out = tz.dense(x, self.weight, self.bias)
         if ctx.record is not None:
-            ref = ctx.audit_ref if ctx.audit_ref is not None else x.data
             ctx.record.note_input(
-                self.name, "fc", x.data, ref,
+                self.name, "fc", x.data,
                 flops=self.in_features * self.out_features * x.shape[0] * x.shape[1])
         return out

@@ -8,9 +8,8 @@ entry: cast to its dtype in the C-contiguous channels-last
 [T, N, H, W, C] layout that every module inside runs on. The modules are
 an ordered list ending in a global-average-pool plus classifier head
 whose per-step outputs are averaged over time into the logits. The
-first convolution is the encoder stage (real-valued input, MAC class by
-definition); the spiking neuron after it performs the actual spike
-encoding.
+first convolution is the encoder stage (real-valued input, so MAC
+class); the spiking neuron after it performs the actual spike encoding.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .layers import (AdaptiveAvgPoolLayer, BatchNormLayer, ConvLayer, DenseLayer
                      Module, forward_chain)
 from .neuron import LIFConfig
 from .record import SpikeRecord
-from .residual import JoinMode, ResidualBlock, build_block
+from .residual import BITWISE_MODES, JoinMode, ResidualBlock, build_block
 from .tensor import Tensor
 
 
@@ -59,15 +58,38 @@ class Network(Module):
     def shortcut_lif_names(self) -> list[str]:
         return [b.shortcut_lif_name for b in self.blocks() if not b.pruned]
 
-    def arithmetic_stat_names(self) -> list[str]:
-        """Stat keys of every op-counted layer, in execution order."""
-        names = []
-        for mod in self.walk():
-            if isinstance(mod, (ConvLayer, DenseLayer)):
-                names.append(mod.name)
-            elif isinstance(mod, AttentionGate):
-                names.extend([mod.name, f"{mod.name}.pool"])
-        return names
+    def input_types(self) -> dict[str, str | None]:
+        """Each op-counted layer's input type by stat key, in execution
+        order: None where it is binary by construction, else the source of
+        its real values. The network input is real. LIF outputs and gate
+        masks are binary, and a gate keeps its input's type. OR, AND and
+        IAND of binary operands are binary, ADD is not, and a pruned block
+        passes on its backbone's type. Conv, BN and adaptive pooling give
+        real values; max pooling (padding below its window) and the global
+        average pool keep their input's type."""
+        types: dict[str, str | None] = {}
+
+        def run(mods: list[Module], src: str | None) -> str | None:
+            for mod in mods:
+                if isinstance(mod, ResidualBlock):
+                    out = run(mod.backbone, src)
+                    if not mod.pruned:
+                        spikes = (out, run(mod.shortcut, src)) == (None, None)
+                        if not (spikes and mod.join_mode in BITWISE_MODES):
+                            out = f"{mod.name} {mod.join_mode.value} join"
+                    src = run(mod.post, out)
+                elif isinstance(mod, (ConvLayer, DenseLayer)):
+                    types[mod.name], src = src, mod.name
+                elif isinstance(mod, AttentionGate):  # its transform reads its pool
+                    types[mod.name], types[f"{mod.name}.pool"] = f"{mod.name}.pool", src
+                elif isinstance(mod, LIFLayer):
+                    src = None
+                elif isinstance(mod, (BatchNormLayer, AdaptiveAvgPoolLayer)):
+                    src = mod.name
+            return src
+
+        run(self.nodes, "network input")
+        return types
 
     def count_parameters(self) -> int:
         return sum(t.size for _, t in self.named_params())
@@ -86,9 +108,10 @@ class Network(Module):
         return frames_to_input(batch)
 
     def forward(self, x, *, record: SpikeRecord | None = None,
-                training: bool = False, strict: bool = True) -> Tensor:
+                training: bool = False, strict=None) -> Tensor:
         """Logits [N, classes] of a [T, N, C, H, W] input: an array or
-        view of any dtype, or a Tensor that does not require grad."""
+        view of any dtype, or a Tensor that does not require grad. strict
+        is ignored: spike types hold by construction (input_types)."""
         if isinstance(x, Tensor) and x.requires_grad:
             raise GraphError("the network input's gradient is not taken")
         x = np.asarray(x.data if isinstance(x, Tensor) else x)
@@ -101,7 +124,7 @@ class Network(Module):
         if x.shape[2] != self.in_channels:
             raise ShapeError(
                 f"network built for {self.in_channels} input channels, got {x.shape[2]}")
-        ctx = ForwardContext(training=training, record=record, strict=strict)
+        ctx = ForwardContext(training=training, record=record)
         if record is not None:
             record.samples += x.shape[1]
             record.time_steps = x.shape[0]
@@ -166,6 +189,8 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
             nodes.append(LIFLayer(f"lif{bump('lif')}", lif))
         elif tok.kind == "maxpool":
             k, s, p = tok.args
+            if p >= k:  # a window of padding alone would output -inf
+                raise BuildError(f"max pool padding {p} must be below its window {k}{off}")
             nodes.append(MaxPoolLayer(f"maxpool{bump('maxpool')}", k, s, p))
         elif tok.kind == "adaptive_ap":
             nodes.append(AdaptiveAvgPoolLayer(

@@ -2,11 +2,11 @@
 
 A SpikeRecord accumulates across batches: spike counts, input nonzero
 fractions (the firing-rate proxy the energy model consumes), binarity of
-each arithmetic layer's audited input, and arithmetic-op counts.
+each arithmetic layer's literal input, and arithmetic-op counts.
 instrumented_pass is the one forward loop that fills it. Pruning
 verification and firing-rate tracing read its spike counts, and
 layer_table turns it into the one classified per-layer table that both
-the audit and the energy estimate report.
+the audit and the energy estimate report, classed by Network.input_types.
 """
 
 from __future__ import annotations
@@ -21,34 +21,32 @@ from .tensor import Tensor, no_grad
 SPIKING_KINDS = ("lif", "gate")
 
 
-def layer_class(st: "LayerStats") -> str:
+def layer_class(kind: str, source: str | None) -> str:
     """MAC/AC classification shared by the auditor and the energy model.
 
     Attention transforms run on real-valued pooled descriptors and are
     MAC by policy; their pooling reductions are AC by policy. Feature
-    conv/fc layers are AC exactly when their audited input is binary,
-    with the encoder conv forced MAC.
+    conv/fc layers are AC exactly when their input is binary by
+    construction (source None), so the encoder is MAC.
     """
-    if st.kind in ("attn_fc", "attn_conv"):
+    if kind in ("attn_fc", "attn_conv"):
         return "MAC"
-    if st.kind == "attn_pool":
+    if kind == "attn_pool":
         return "AC"
-    if st.is_encoder or not st.binary_input:
-        return "MAC"
-    return "AC"
+    return "AC" if source is None else "MAC"
 
 
 @dataclass
 class LayerLine:
     """One op-counted layer, per sample, as the audit and the energy
-    estimate both report it."""
+    estimate both report it. source names where a real input comes from
+    (a layer, a join, or the network input); it is None for spikes."""
     name: str
     kind: str
     klass: str
     flops_per_sample: float
     input_rate: float
-    binary_input: bool
-    max_nonbinary: float
+    source: str | None
     is_encoder: bool
 
 
@@ -60,16 +58,15 @@ def layer_table(network, record: "SpikeRecord") -> list[LayerLine]:
         raise EngineError("the spike record holds no sample; the audit and the "
                           "energy estimate need at least one sample")
     lines = []
-    for name in network.arithmetic_stat_names():
+    for name, source in network.input_types().items():
         st = record.layers.get(name)
         if st is None:
             raise EngineError(f"spike record has no entry for layer {name!r}; "
                               "run an instrumented forward pass first")
         lines.append(LayerLine(
-            name=name, kind=st.kind, klass=layer_class(st),
+            name=name, kind=st.kind, klass=layer_class(st.kind, source),
             flops_per_sample=st.total_flops / record.samples,
-            input_rate=st.input_rate, binary_input=st.binary_input,
-            max_nonbinary=st.max_nonbinary, is_encoder=st.is_encoder))
+            input_rate=st.input_rate, source=source, is_encoder=st.is_encoder))
     return lines
 
 
@@ -82,7 +79,6 @@ class LayerStats:
     in_nonzero: int = 0
     in_total: int = 0
     binary_input: bool = True
-    max_nonbinary: float = 0.0
     out_spikes: float = 0.0
     out_total: int = 0
 
@@ -96,20 +92,12 @@ class LayerStats:
         return self.out_spikes / self.out_total if self.out_total else 0.0
 
 
-def census(arr: np.ndarray) -> tuple[int, bool, float]:
-    """The nonzero count of arr, whether every element is exactly 0 or 1,
-    and the largest offender's magnitude (0.0 when binary), in two compare
-    passes: arr is binary exactly when its nonzeros are all ones. A
-    magnitude above 1 belongs to an offender, so the largest one is found
-    from max and min; below that, or with a NaN, from the offenders."""
+def census(arr: np.ndarray) -> tuple[int, bool]:
+    """The nonzero count of arr and whether every element is exactly 0 or
+    1, in two compare passes: arr is binary exactly when its nonzeros are
+    all ones."""
     nonzero = int(np.count_nonzero(arr != 0))
-    if nonzero == np.count_nonzero(arr == 1):
-        return nonzero, True, 0.0
-    worst = max(arr.max(), -arr.min())
-    if worst > 1:
-        return nonzero, False, float(worst)
-    offenders = (arr != 0) & (arr != 1)
-    return nonzero, False, float(np.abs(arr[offenders]).max())
+    return nonzero, nonzero == int(np.count_nonzero(arr == 1))
 
 
 @dataclass
@@ -127,20 +115,16 @@ class SpikeRecord:
         return self.layers[name]
 
     def note_input(self, name: str, kind: str, literal: np.ndarray,
-                   audit_ref: np.ndarray, flops: int,
-                   is_encoder: bool = False) -> None:
+                   flops: int, is_encoder: bool = False) -> None:
         if not self.inputs:
             return
         st = self.stats(name, kind)
         st.is_encoder = st.is_encoder or is_encoder
         st.total_flops += flops
-        nonzero, ok, worst = census(literal)
-        if audit_ref is not literal:
-            _, ok, worst = census(audit_ref)
+        nonzero, binary = census(literal)
         st.in_nonzero += nonzero
         st.in_total += literal.size
-        st.binary_input = st.binary_input and ok
-        st.max_nonbinary = max(st.max_nonbinary, worst)
+        st.binary_input = st.binary_input and binary
 
     def note_spikes(self, name: str, kind: str, out: np.ndarray) -> LayerStats:
         st = self.stats(name, kind)
@@ -162,12 +146,19 @@ class SpikeRecord:
 
 
 def instrumented_pass(network, batches) -> SpikeRecord:
-    """Record one no-grad, non-strict forward of each [T, N, C, H, W] batch:
-    one array or Tensor, or an iterable of them."""
+    """Record one no-grad forward of each [T, N, C, H, W] batch: one array
+    or Tensor, or an iterable of them. A layer typed binary that read a
+    value other than 0 or 1 is an engine bug (EngineError), but for the
+    head, which reads the global pool's averages of its typed spike map."""
     if isinstance(batches, (np.ndarray, Tensor)):
         batches = [batches]
     rec = SpikeRecord()
     with no_grad():
         for batch in batches:
-            network.forward(batch, record=rec, training=False, strict=False)
+            network.forward(batch, record=rec, training=False)
+    for name, source in network.input_types().items():
+        st = rec.layers.get(name)
+        if source is None and st is not None and st.kind != "fc" and not st.binary_input:
+            raise EngineError(f"{name} is typed binary by construction but read "
+                              "a value other than 0 or 1: an engine bug")
     return rec

@@ -7,8 +7,9 @@ one autograd node with gx = g - g*y = g(1 - y) and gy = g - g*x, rounded as
 its composed add, mul and sub nodes rounded them. A block is two backbone
 conv stages, a stride-2 projection shortcut that ends in its own spiking
 neuron, the join of the two spike maps, and two post-join conv stages. The
-join mode (OR, ADD, AND or IAND) is the only thing that varies. The
-auditor reports record.layer_table's MAC/AC classification of every
+join mode (OR, ADD, AND or IAND) is the only thing that varies: OR, AND
+and IAND of two spike maps are spikes, ADD is not (Network.input_types).
+The auditor reports record.layer_table's MAC/AC classification of every
 arithmetic layer and fails a non-encoder MAC feature layer.
 """
 
@@ -24,7 +25,7 @@ from .errors import AuditError, BuildError, ShapeError
 from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module,
                      forward_chain)
 from .neuron import LIFConfig
-from .record import LayerLine, census, instrumented_pass, layer_table
+from .record import LayerLine, instrumented_pass, layer_table
 from .tensor import Tensor, _give_grad, make_node
 
 
@@ -46,20 +47,10 @@ class JoinMode(enum.Enum):
 BITWISE_MODES = (JoinMode.AND, JoinMode.IAND, JoinMode.OR)
 
 
-def join(x: Tensor, y: Tensor, mode: JoinMode, *, strict: bool = False,
-         name: str = "join") -> Tensor:
-    """Combine two residual branches element-wise; strict refuses a
-    non-binary operand of a bitwise join."""
+def join(x: Tensor, y: Tensor, mode: JoinMode, *, name: str = "join") -> Tensor:
+    """Combine two residual branches element-wise."""
     if x.shape != y.shape:
         raise ShapeError(f"{name}: join operands differ in shape: {x.shape} vs {y.shape}")
-    if mode in BITWISE_MODES and strict:
-        for side, op in (("left", x), ("right", y)):
-            _, ok, worst = census(op.data)
-            if not ok:
-                bad = int(np.count_nonzero((op.data != 0) & (op.data != 1)))
-                raise AuditError(
-                    f"{name}: {side} operand of {mode.value} join has {bad} "
-                    f"non-binary elements (max magnitude {worst:g})")
     if mode is JoinMode.ADD:
         return x + y
     if mode is JoinMode.AND:
@@ -123,8 +114,7 @@ class ResidualBlock(Module):
         if self.pruned:
             return out
         s = forward_chain(x, self.shortcut, ctx)
-        return join(out, s, self.join_mode, strict=ctx.strict,
-                    name=f"{self.name}.join")
+        return join(out, s, self.join_mode, name=f"{self.name}.join")
 
     def render_layout(self) -> str:
         """Table-style layout string: backbone | shortcut | post-join."""
@@ -206,10 +196,11 @@ def build_block(in_channels: int, channels: int, join_mode: JoinMode,
 
 
 AUDIT_POLICY = (
-    "classification: conv/fc layers are AC when every audited input element is "
-    "exactly 0 or 1, MAC otherwise; the encoder conv is MAC by definition. "
-    "Linear pooling chains (global average pool, time averaging) are "
-    "transparent: the classifier head is audited on the spike map entering "
+    "classification: conv/fc layers are AC when their input is binary by "
+    "construction (spikes, or OR/AND/IAND joins of them), MAC when it is real "
+    "(network input, conv, BN, adaptive pool or ADD join), so the encoder is "
+    "MAC. Linear pooling chains (global average pool, time averaging) are "
+    "transparent: the classifier head takes the type of the map entering "
     "them. Attention transforms are MAC by policy, their pooling reductions "
     "AC by policy. Bias adds and BN arithmetic are excluded from op counts."
 )
@@ -244,7 +235,8 @@ class AuditReport:
             lines.append(f"{e.name:32s} {e.kind:10s} {e.klass:5s} {e.input_rate:10.6f}")
         verdict = "PASS: fully spike-driven outside the encoder" \
             if self.fully_spike_driven else \
-            "FAIL: non-binary inputs at " + ", ".join(v.name for v in self.violations)
+            "FAIL: non-binary inputs at " + ", ".join(
+                f"{v.name} ({v.source})" for v in self.violations)
         lines.append(verdict)
         return "\n".join(lines)
 
@@ -253,8 +245,10 @@ def audit_spike_drivenness(network, batches, mode: str = "strict") -> AuditRepor
     """Run instrumented forwards and classify every arithmetic layer.
 
     batches: one [T, N, C, H, W] array or an iterable of them, holding at
-    least one sample (EngineError otherwise). mode "strict" raises on any
-    non-encoder MAC feature layer; "permissive" only reports.
+    least one sample (EngineError otherwise). The classes follow from the
+    network's construction, and the batches give the input rates. mode
+    "strict" raises on any non-encoder MAC feature layer; "permissive" only
+    reports.
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown audit mode {mode!r}")

@@ -389,10 +389,11 @@ def _live_images(x4, k, stride):
     of 11 interleaved runs at 8x8 to 16x16 inputs, 2 to 32 channels), it
     pays from about 15-25% silent images at k3 stride 1, 22-30% at k3
     stride 2 and 65-85% at 1x1 stride 2, where the test alone adds 25-45%
-    to the conv (5-10% at k3). So a 1x1 conv is never tested, and a larger
-    kernel skips from 20% silent images at stride 1 and 30% at stride 2.
+    to the conv (5-10% at k3). Only a 3x3 conv skips, from 20% silent
+    images at stride 1 and 30% at stride 2: at k5 the GEMM's row count
+    alone changed some outputs' rounding, so a skip was not exact there.
     """
-    if k == 1:
+    if k != 3:
         return None
     live = (x4 != 0).any(axis=(1, 2, 3))
     silent = len(live) - np.count_nonzero(live)
@@ -437,18 +438,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                frozen input (the encoder's data) needs dW alone and sums
                cols^T g over x's im2col, Cout/Cin times narrower there than
                g's taps and measured faster.
-    The forward skips silent images, those that hold no nonzero value (a
+    A 3x3 forward skips silent images, those that hold no nonzero value (a
     spike map that a T gate or a silent path zeroed), when _live_images
     finds enough of them: it gathers the live images, correlates them in
     chunks of their own and scatters their rows into a zeroed output. That
     is exact. A silent image reads only zeros, so its output is +0; every
     other output pixel is still the one K-long dot product of its row, and
-    the BLAS sums a row alike whatever rows share its GEMM (the tests pin
-    this). Backward stays dense. dX reads g and W, not x, so a silent image
-    still has a gradient. dW sums over the batch rows, so dropping the
-    silent images' zero rows would re-block that sum: a version that did
-    so, even inside the dense chunk boundaries, changed trained
-    checkpoints' bytes.
+    at k3 the BLAS sums a row alike whatever rows share its GEMM (the tests
+    pin this; at k5 it does not). Backward stays dense. dX reads g and W,
+    not x, so a silent image still has a gradient. dW sums over the batch
+    rows, so dropping the silent images' zero rows would re-block that sum:
+    a version that did so, even inside the dense chunk boundaries, changed
+    trained checkpoints' bytes.
     Output dtype is result_type(x, w). No input copy is kept, and a
     backward that computes dX makes none: only a frozen input's dW rebuilds
     pad_p(x), which is x itself when p = 0. dX is skipped for a frozen

@@ -40,7 +40,6 @@ class TrainConfig:
     seed: int = 0
     transforms: tuple[str, ...] = ()
     patience: int = 5
-    strict_joins: bool = True
 
     def validate(self) -> "TrainConfig":
         if self.lr < 0:
@@ -146,8 +145,7 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate(network, data, *, batch_size: int = 256,
-             record: SpikeRecord | None = None, strict: bool = True
-             ) -> tuple[float, float]:
+             record: SpikeRecord | None = None) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over the whole split, without grads,
     at the network's own time_steps. An empty split and a batch_size below
     1 are refused."""
@@ -162,7 +160,7 @@ def evaluate(network, data, *, batch_size: int = 256,
             xb = x[start:start + batch_size]
             yb = y[start:start + batch_size]
             logits = network.forward(network.to_input(xb), record=record,
-                                     training=False, strict=strict)
+                                     training=False)
             loss = tz.softmax_cross_entropy(logits, yb)
             loss_sum += float(loss.data) * xb.shape[0]
             hits += int((logits.data.argmax(axis=1) == yb).sum())
@@ -210,8 +208,7 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
                 xb = augment(xb, transforms, rng_augment)
             opt.zero_grad()
             try:
-                logits = network.forward(network.to_input(xb), training=True,
-                                         strict=cfg.strict_joins)
+                logits = network.forward(network.to_input(xb), training=True)
                 loss = tz.softmax_cross_entropy(logits, yb)
             except NumericError as err:
                 raise DivergenceError(
@@ -227,8 +224,7 @@ def train(network, train_data, cfg: TrainConfig, val_data=None, *,
             hits += int((logits.data.argmax(axis=1) == yb).sum())
         rec = SpikeRecord(inputs=False)  # the rates below read spikes alone
         val_loss, val_acc = evaluate(network, rate_data,
-                                     batch_size=cfg.batch_size, record=rec,
-                                     strict=cfg.strict_joins)
+                                     batch_size=cfg.batch_size, record=rec)
         log.trace.append(epoch, rec.firing_rates())
         shortcuts = network.shortcut_lif_names()
         report = detect_natural_pruning(log.trace, shortcuts,

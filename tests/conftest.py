@@ -159,7 +159,7 @@ def unreleased_forward(net, x: np.ndarray) -> Tensor:
     """A training Network.forward's logits from the same modules called in
     the same order, block paths included, but with every activation kept:
     the reference the releasing chains must match bit for bit."""
-    ctx = ForwardContext(training=True, strict=True)
+    ctx = ForwardContext(training=True)
     h = tz.permute(Tensor(np.asarray(x, dtype=net.dtype)), (0, 1, 3, 4, 2))
     for node in net.nodes:
         if not isinstance(node, ResidualBlock):
@@ -171,7 +171,7 @@ def unreleased_forward(net, x: np.ndarray) -> Tensor:
         if not node.pruned:
             for mod in node.shortcut:
                 s = mod.forward(s, ctx)
-            out = join(out, s, node.join_mode, strict=True, name=f"{node.name}.join")
+            out = join(out, s, node.join_mode, name=f"{node.name}.join")
         for mod in node.post:
             out = mod.forward(out, ctx)
         h = out

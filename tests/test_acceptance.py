@@ -288,11 +288,14 @@ def test_06_energy_oracle():
     failures = []
 
     class StubNet:
+        """Its layers in order: the encoder reads real input, the rest spikes."""
+
         def __init__(self, names):
             self._names = names
 
-        def arithmetic_stat_names(self):
-            return list(self._names)
+        def input_types(self):
+            return {n: "network input" if n == "encoder" else None
+                    for n in self._names}
 
     def rated(total, nonzero):
         arr = np.zeros(total, dtype=np.float32)
@@ -302,10 +305,9 @@ def test_06_energy_oracle():
     # three layers, two samples: encoder 1000 FLOPs/sample (MAC), one conv
     # at 500 FLOPs/sample with input rate 1/4, one fc at 100 with rate 1/2
     rec = SpikeRecord(samples=2)
-    rec.note_input("encoder", "conv", rated(8, 3), rated(8, 3), flops=2000,
-                   is_encoder=True)
-    rec.note_input("conv1", "conv", rated(8, 2), rated(8, 2), flops=1000)
-    rec.note_input("fc", "fc", rated(8, 4), rated(8, 4), flops=200)
+    rec.note_input("encoder", "conv", rated(8, 3), flops=2000, is_encoder=True)
+    rec.note_input("conv1", "conv", rated(8, 2), flops=1000)
+    rec.note_input("fc", "fc", rated(8, 4), flops=200)
     report = estimate_energy(StubNet(["encoder", "conv1", "fc"]), rec)
     expected = 4.6 * 1000 + 0.9 * (500 * 0.25) + 0.9 * (100 * 0.5)
     if not np.isclose(report.energy_pj_per_sample, expected, rtol=1e-9, atol=0):
@@ -317,8 +319,8 @@ def test_06_energy_oracle():
         failures.append(f"AC ops {report.ac_ops_per_sample} != 175")
 
     rec = SpikeRecord(samples=1)
-    rec.note_input("encoder", "conv", rated(4, 2), rated(4, 2),
-                   flops=1_000_000, is_encoder=True)
+    rec.note_input("encoder", "conv", rated(4, 2), flops=1_000_000,
+                   is_encoder=True)
     report = estimate_energy(StubNet(["encoder"]), rec)
     if not np.isclose(report.energy_pj_per_sample, 4.6e6, rtol=1e-9, atol=0):
         failures.append(f"encoder-only {report.energy_pj_per_sample} pJ "

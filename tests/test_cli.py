@@ -110,6 +110,13 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "ERROR DatasetNotFound:" in capsys.readouterr().err
 
+    def test_a_max_pool_window_of_padding_alone_is_a_usage_error(self, tmp_path, capsys):
+        arch = "c8k3s1p1-BN-LIF-MPk2s2p2-c8k3s1p1-BN-LIF-AP-FC2"
+        cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run", arch=arch)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert ("ERROR BuildError: max pool padding 2 must be below its window 2"
+                in capsys.readouterr().err)
+
     def test_bad_transform_is_rejected_before_any_write(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run")
         cfg.write_text(cfg.read_text() + "transforms = rotate(3)\n")
@@ -368,15 +375,28 @@ class TestEval:
                      "--data", str(bad)]) == 2
         assert "ERROR BadMagic:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("container", ["idx", "evt"])
+    def test_a_gzip_event_file_reads_like_the_plain_one(self, run_dir, tmp_path, capsys):
+        plain = tmp_path / "data.evt"
+        save_events(plain, synth_events("two-class-motion", 8, 4, 12, 12, seed=1))
+        packed = tmp_path / "data.evt.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        outs = []
+        for data in (plain, packed):
+            assert main(["eval", "--ckpt", str(run_dir / "checkpoint.ckpt"),
+                         "--data", str(data)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "samples 8 " in outs[0]
+
+    @pytest.mark.parametrize("container", ["idx", "evt", "evt.gz"])
     @pytest.mark.parametrize("damage,kind", [("truncated", "Truncated"),
                                              ("bad-crc", "DataFormatError"),
                                              ("bad-header", "DataFormatError")])
     def test_a_corrupt_gzip_input_is_a_usage_error(self, container, damage, kind,
                                                    run_dir, tmp_path, capsys):
-        """A gzip-compressed IDX file or event container that is cut short,
-        fails its CRC or names an unknown compression method exits 2 with a
-        typed error naming the file, not a traceback."""
+        """A gzip-compressed IDX file or event container (named .evt or
+        .evt.gz) that is cut short, fails its CRC or names an unknown
+        compression method exits 2 with a typed error naming the file, not a
+        traceback."""
         if container == "idx":
             write_idx_dir(tmp_path / "idx")
             plain = tmp_path / "idx" / "t10k-images-idx3-ubyte"
@@ -385,7 +405,7 @@ class TestEval:
         else:
             plain = tmp_path / "plain.evt"
             save_events(plain, synth_events("two-class-motion", 8, 4, 12, 12, seed=1))
-            ckpt, data = run_dir / "checkpoint.ckpt", tmp_path / "data.evt"
+            ckpt, data = run_dir / "checkpoint.ckpt", tmp_path / f"data.{container}"
             path = data
         packed = bytearray(gzip.compress(plain.read_bytes()))
         plain.unlink()
@@ -442,6 +462,17 @@ class TestAudit:
         assert "FAIL" in text
         assert "block1.conv3" in text
         assert "block1.conv3" in (out / "audit.txt").read_text()
+
+    def test_an_add_network_fails_by_construction(self, tmp_path, capsys):
+        """On all-zero events nothing past the encoder fires, yet the ADD
+        join's type is real: exit 1, and the verdict names the join."""
+        ckpt, data = tmp_path / "add.ckpt", tmp_path / "zeros.evt"
+        save_net(ckpt, join=JoinMode.ADD)
+        save_events(data, FramedEventSet(np.zeros((4, 4, 2, 12, 12), np.uint8),
+                                         np.zeros(4, np.int64)))
+        assert main(["audit", "--ckpt", str(ckpt), "--data", str(data)]) == 1
+        assert capsys.readouterr().out.endswith(
+            "FAIL: non-binary inputs at block1.conv3 (block1 ADD join)\n")
 
     def test_failed_report_write_keeps_previous_report(self, run_dir, tmp_path,
                                                         monkeypatch):

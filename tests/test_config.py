@@ -47,7 +47,6 @@ loss = cross-entropy
 seed = 11
 transforms = flip(0.5),normalize(0.5,0.5)
 patience = 3
-strict_joins = false
 """
 
 
@@ -68,7 +67,7 @@ def custom_config():
                       surrogate_alpha=4.0, detach_reset=False),
         train=TrainConfig(lr=1 / 3, time_steps=8, batch_size=32, epochs=12,
                           seed=11, transforms=("flip(0.5)", "normalize(0.5,0.5)"),
-                          patience=3, strict_joins=False),
+                          patience=3),
     )
 
 
@@ -99,7 +98,6 @@ class TestRoundTrip:
         assert "\n[lif]\n" in text
         assert "\n[train]\n" in text
         assert "detach_reset = true" in text
-        assert "strict_joins = true" in text
 
     def test_file_round_trip(self, tmp_path):
         cfg = custom_config()
@@ -224,7 +222,7 @@ class TestParseErrors:
 
     def test_bad_bool_value(self):
         with pytest.raises(ConfigError, match="expected a boolean"):
-            parse_config(self.BASE + "[train]\nstrict_joins = maybe\n")
+            parse_config(self.BASE + "[lif]\ndetach_reset = maybe\n")
 
     def test_bad_lif_value_is_wrapped(self):
         with pytest.raises(ConfigError, match=r"bad \[lif\] section"):

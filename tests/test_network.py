@@ -11,6 +11,7 @@ import pytest
 
 import orsnn.tensor as tz
 from orsnn.attention import AttentionGate, AttentionPlan
+from orsnn.data import synth_events
 from orsnn.errors import AuditError, BuildError, EngineError, GraphError, ShapeError
 from orsnn.layers import (
     AdaptiveAvgPoolLayer,
@@ -27,6 +28,7 @@ from orsnn.network import Network, build_network, frames_to_input
 from orsnn.record import SpikeRecord, instrumented_pass
 from orsnn.residual import JoinMode, ResidualBlock, audit_spike_drivenness
 from orsnn.tensor import Tensor, backward
+from orsnn.training import TrainConfig, train
 
 # Reference stacks: a static-image classifier (single-stride encoder stack,
 # three downsampling residual blocks) and an event-camera variant with a
@@ -40,6 +42,7 @@ EVENT_ARCH = (
     "(OR-SEW Block(c256))-(OR-SEW Block(c512))-AP-FC11"
 )
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
+TWO_BLOCKS = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c16))-AP-FC4"
 
 
 def binary_batch(shape, seed, p=0.5):
@@ -352,6 +355,18 @@ class TestBuildErrors:
         with pytest.raises(BuildError, match="time_steps"):
             build_network(SMALL, time_steps=0, in_channels=1)
 
+    def test_max_pool_padding_must_be_below_its_window(self):
+        """A window of padding alone would put out -inf into the next
+        neuron; below that, every window holds an input element, so a max
+        pool of spikes is spikes."""
+        arch = "c8k3s1p1-BN-LIF-MPk2s2p2-c8k3s1p1-BN-LIF-AP-FC4"
+        with pytest.raises(BuildError, match=r"padding 2 must be below its window 2 "
+                                             r"\(token at byte offset 16\)"):
+            build_network(arch, time_steps=2, in_channels=1)
+        net = build_network(arch.replace("p2", "p1"), time_steps=2, in_channels=1)
+        assert net.input_types()["conv1"] is None
+        instrumented_pass(net, binary_batch((2, 3, 1, 12, 12), seed=5))
+
 
 def test_standalone_gate_builds_with_plan():
     plan = AttentionPlan("T", "b", temporal_reduction=2)
@@ -397,6 +412,52 @@ class TestAudit:
         assert flagged == ["block1.conv3", "block2.conv3"]
         assert "FAIL: non-binary inputs at" in report.render_text()
 
+    def test_add_join_fails_at_the_first_conv_after_each_join_on_any_input(self):
+        """The ADD join's type is real whatever its operands fired: on an
+        all-zero batch, where nothing past the encoder fires, and at init.
+        The verdict names each join; a pruned block's join is gone."""
+        net = build_network(TWO_BLOCKS, join=JoinMode.ADD, time_steps=3,
+                            in_channels=1, seed=11)
+        for batch in (np.zeros((3, 4, 1, 12, 12), np.float32),
+                      binary_batch((3, 4, 1, 12, 12), seed=19)):
+            report = audit_spike_drivenness(net, batch, mode="permissive")
+            assert sorted(v.name for v in report.violations) == [
+                "block1.conv3", "block2.conv3"]
+            assert report.render_text().endswith(
+                "FAIL: non-binary inputs at block1.conv3 (block1 ADD join), "
+                "block2.conv3 (block2 ADD join)")
+        net.blocks()[1].prune()
+        report = audit_spike_drivenness(net, np.zeros((3, 4, 1, 12, 12)),
+                                        mode="permissive")
+        assert [v.name for v in report.violations] == ["block1.conv3"]
+
+    @pytest.mark.parametrize("join,plan", [
+        (JoinMode.OR, "none"), (JoinMode.OR, "T/a"), (JoinMode.OR, "C/a"),
+        (JoinMode.OR, "S/a"), (JoinMode.AND, "none"), (JoinMode.IAND, "none")])
+    def test_joins_of_spikes_pass_at_init_after_training_and_pruned(self, join, plan):
+        """OR, AND and IAND networks, gated or not, are AC past the encoder
+        by construction. Each audit's instrumented pass checks every input
+        typed binary against the values it read: at init, after two epochs,
+        and (OR) with a pruned shortcut."""
+        x, y = synth_events("two-class-motion", 16, 3, 12, 12, seed=1).xy()
+        net = build_network(TWO_BLOCKS, join=join, attention=AttentionPlan.parse(plan),
+                             time_steps=3, in_channels=2, seed=11)
+        push_beta(net, (".beta",), 1.5)
+
+        def audit():
+            report = audit_spike_drivenness(net, net.to_input(x), mode="strict")
+            assert [e.name for e in report.feature_entries if e.klass == "MAC"] == [
+                "encoder"]
+            return {e.name: e.input_rate for e in report.entries}
+
+        rates = audit()
+        assert rates["block1.conv3"] > 0 and rates["block2.conv3"] > 0  # joins fired
+        train(net, (x, y), TrainConfig(lr=0.01, time_steps=3, batch_size=8, epochs=2))
+        audit()
+        if join is JoinMode.OR:
+            net.blocks()[0].prune()
+            audit()
+
     def test_strict_mode_raises_on_violation(self):
         arch = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
         net = build_network(arch, join=JoinMode.ADD, time_steps=3,
@@ -425,9 +486,8 @@ class TestAudit:
         batch = binary_batch((3, 4, 1, 12, 12), seed=17)
         rec = SpikeRecord()
         net.forward(batch, record=rec)
-        fc = rec.layers["fc"]
-        assert fc.binary_input  # audited against the pre-pool spike map
-        assert fc.input_rate > 0
+        assert net.input_types()["fc"] is None  # typed by the pre-pool spike map
+        assert rec.layers["fc"].input_rate > 0
         report = audit_spike_drivenness(net, batch, mode="strict")
         assert {e.name: e.klass for e in report.entries}["fc"] == "AC"
 

@@ -1,5 +1,5 @@
 """Residual joins and block assembly: elementwise truth tables, gradient
-flow through the arithmetic join forms, strict binarity enforcement,
+flow through the arithmetic join forms, the spike types of joins,
 layout fixtures for every gate placement, and prune semantics.
 """
 
@@ -10,10 +10,11 @@ import pytest
 
 import orsnn.tensor as tz
 from orsnn.attention import AttentionPlan
-from orsnn.errors import AuditError, BuildError, ShapeError
+from orsnn.errors import BuildError, EngineError, ShapeError
 from orsnn.layers import ForwardContext
+from orsnn.network import build_network
 from orsnn.neuron import LIFConfig
-from orsnn.record import SpikeRecord
+from orsnn.record import SpikeRecord, instrumented_pass
 from orsnn.residual import JoinMode, build_block, join
 from orsnn.tensor import Tensor
 
@@ -100,15 +101,26 @@ def test_join_shape_mismatch():
         join(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))), JoinMode.OR)
 
 
-def test_strict_mode_rejects_nonbinary_operand():
-    x = Tensor(np.array([0.0, 0.5, 1.0]))
-    y = Tensor(np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(AuditError) as err:
-        join(x, y, JoinMode.OR, strict=True, name="blockX.join")
-    msg = str(err.value)
-    assert "blockX.join" in msg and "1 non-binary" in msg and "0.5" in msg
-    # ADD tolerates real operands even in strict mode
-    join(x, y, JoinMode.ADD, strict=True)
+TWO_BLOCKS = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-(OR-SEW Block(c16))-AP-FC4"
+
+
+def test_only_a_bitwise_join_of_spikes_is_typed_binary():
+    """Both join operands are spikes by construction, so OR, AND and IAND
+    type the post-join conv binary and ADD types it real, naming the join;
+    a pruned block hands on its backbone's spikes."""
+    for mode in JoinMode:
+        net = build_network(TWO_BLOCKS, join=mode, time_steps=2, in_channels=1)
+        types = net.input_types()
+        assert types["encoder"] == "network input"
+        real = {name: src for name, src in types.items() if src is not None}
+        if mode is JoinMode.ADD:
+            assert real == {"encoder": "network input",
+                            "block1.conv3": "block1 ADD join",
+                            "block2.conv3": "block2 ADD join"}
+            net.blocks()[1].prune()
+            assert net.input_types()["block2.conv3"] is None
+        else:
+            assert list(real) == ["encoder"], mode
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +138,11 @@ def spikes(shape, seed=0, density=0.4):
     return (rng.random(shape) < density).astype(np.float32)
 
 
-def run_block(block, x, training=False, strict=True, record=None):
+def run_block(block, x, training=False, record=None):
     """Forward [T, N, C, H, W] spikes through a block, which runs on
     channels-last data; the output comes back as [T, N, C, H, W]."""
     x = nhwc(x)
-    ctx = ForwardContext(training=training, record=record, strict=strict)
+    ctx = ForwardContext(training=training, record=record)
     return Tensor(nchw(block.forward(Tensor(x), ctx).data))
 
 
@@ -235,12 +247,17 @@ def test_add_join_block_prunes():
     assert block.pruned
 
 
-def test_strict_block_flags_real_shortcut_operand():
-    # a real-valued operand fed into a bitwise join must trip the audit
-    x = Tensor(np.array([[0.3, 1.0]]))
-    y = Tensor(np.array([[1.0, 0.0]]))
-    with pytest.raises(AuditError):
-        join(x, y, JoinMode.IAND, strict=True)
+def test_a_typed_binary_layer_reading_a_real_value_is_an_engine_error():
+    """A shortcut whose neuron put out 0.5 would make the OR join real
+    where its type says spikes: the instrumented pass refuses that as an
+    engine bug rather than classing the post-join conv by it."""
+    net = build_network(TWO_BLOCKS, time_steps=2, in_channels=1)
+    x = spikes((2, 3, 1, 12, 12), seed=4)
+    instrumented_pass(net, x)
+    lif = net.blocks()[0].shortcut[-1]
+    lif.forward = lambda x, ctx: Tensor(np.full(x.shape, 0.5, dtype=x.data.dtype))
+    with pytest.raises(EngineError, match="block1.conv3 is typed binary"):
+        instrumented_pass(net, x)
 
 
 def test_shortcut_firing_recorded_per_layer():
