@@ -36,7 +36,10 @@ Images are channels-last, [N, H, W, C] or [T, N, H, W, C], so conv's GEMMs
 read and write them without transposing copies and BN works on whole
 H*W*C rows; conv kernels stay [Cout, Cin, k, k]. When enough of a conv's
 input images hold no nonzero value, its forward correlates only the others
-and gives the silent ones an exact +0 output; its backward stays dense.
+and gives the silent ones an exact +0 output, and its backward runs no dW
+GEMM over a chunk of silent images: for finite g that product is all +-0,
+which leaves every bit of a sum that starts at +0 (an inf or NaN in g there
+would have made it NaN).
 One copy of the gradient's taps per chunk feeds both conv gradients.
 Training runs in float32 by default; tests build float64 tensors for
 finite-difference comparisons.
@@ -392,6 +395,9 @@ def _live_images(x4, k, stride):
     to the conv (5-10% at k3). Only a 3x3 conv skips, from 20% silent
     images at stride 1 and 30% at stride 2: at k5 the GEMM's row count
     alone changed some outputs' rounding, so a skip was not exact there.
+    conv2d's backward reuses the mask to skip the dW GEMM of each chunk of
+    silent images: for finite g that product is all +-0, which leaves the
+    +0-started sum bit for bit (an inf in g there would give NaN; conv2d).
     """
     if k != 3:
         return None
@@ -445,11 +451,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     is exact. A silent image reads only zeros, so its output is +0; every
     other output pixel is still the one K-long dot product of its row, and
     at k3 the BLAS sums a row alike whatever rows share its GEMM (the tests
-    pin this; at k5 it does not). Backward stays dense. dX reads g and W,
-    not x, so a silent image still has a gradient. dW sums over the batch
-    rows, so dropping the silent images' zero rows would re-block that sum:
-    a version that did so, even inside the dense chunk boundaries, changed
-    trained checkpoints' bytes.
+    pin this; at k5 it does not). dX reads g and W, not x, so a silent image
+    still has a gradient. dW skips its GEMM for each chunk whose images the
+    mask marks all silent, over unchanged chunks in unchanged order: with
+    finite g the skipped product is all +-0, and the sum, started at +0, is
+    never -0 (in round to nearest +0 + -0 and exact cancellation give +0),
+    so adding +-0 leaves every bit of it. (Dropping silent rows from the
+    live chunks' GEMMs would re-block the sum; a version that did changed
+    trained checkpoints' bytes.) An inf or NaN in g at a silent chunk's rows
+    gives the dense path NaN; the skip keeps dW finite, as the forward's
+    +0 ignores an inf in W.
     Output dtype is result_type(x, w). No input copy is kept, and a
     backward that computes dX makes none: only a frozen input's dW rebuilds
     pad_p(x), which is x itself when p = 0. dX is skipped for a frozen
@@ -498,12 +509,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         out = np.zeros((batch, out_h, out_w, cout), dtype=dtype)
         out[live] = correlated(x4[live])
 
+    def live_rows(samples):  # False: the forward found these images all silent
+        return live is None or live[samples].any()
+
     def bwd(g):
         g4 = g.reshape(batch, out_h, out_w, cout)
         dw = np.zeros((k, k, cin, cout), dtype=g.dtype) if w.requires_grad else None
         if not x.requires_grad:  # the encoder's input is data: dW alone
             for samples, cols in _correlate(padded(x4), k, k, stride, out_h, out_w, step):
-                dw += (cols.T @ g4[samples].reshape(-1, cout)).reshape(dw.shape)
+                if live_rows(samples):
+                    dw += (cols.T @ g4[samples].reshape(-1, cout)).reshape(dw.shape)
             accumulate_grad(w, dw.transpose(3, 2, 0, 1))
             return
         along_h = list(_phases(h, k, stride, padding))
@@ -531,7 +546,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
                         np.matmul(taps, sub, out=dx[samples].reshape(-1, cin))
                     else:
                         phase[samples] = (taps @ sub).reshape(-1, mh, mw, cin)
-                    if acc is not None:  # this phase's taps of dW, [(a, b, Cout), Cin]
+                    if acc is not None and live_rows(samples):  # this phase's taps of dW
                         acc += taps.T @ x4[samples, d::stride, e::stride].reshape(-1, cin)
                 if acc is not None:
                     dw[r::stride, c::stride][::-1, ::-1] = acc.reshape(

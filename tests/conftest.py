@@ -73,6 +73,12 @@ def nchw(a) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.asarray(a), -1, -3))
 
 
+def silent_chunks(live: np.ndarray, step: int) -> int:
+    """How many of conv2d's chunks of `step` images the live-image mask
+    marks all silent: the chunks whose dW GEMM the backward skips."""
+    return sum(not live[b0:b0 + step].any() for b0 in range(0, len(live), step))
+
+
 def margin_random(rng: np.random.Generator, shape, margin: float = 1e-2,
                   scale: float = 1.0) -> np.ndarray:
     """Uniform values in [-scale, scale] pushed away from zero by margin,

@@ -12,7 +12,7 @@ import orsnn.tensor as tz
 from orsnn.errors import GraphError, NumericError, ShapeError
 from orsnn.tensor import Tensor, backward, no_grad
 
-from conftest import distinct_random, gradcheck, margin_random, nchw, nhwc
+from conftest import distinct_random, gradcheck, margin_random, nchw, nhwc, silent_chunks
 
 
 def t(data, requires_grad=False, dtype=np.float64):
@@ -381,6 +381,90 @@ def test_skipping_silent_images_leaves_active_rows_bit_identical(active, dtype, 
     assert skipped[1::3][:active].tobytes() == dense.tobytes()
     quiet = np.delete(skipped, np.arange(1, 3 * active, 3), axis=0)
     assert not quiet.any() and not np.signbit(quiet).any()
+
+
+def chunk_silence(batch, step, layout):
+    """The indices of the silent images of a batch chunked by `step`:
+    every other whole chunk ("whole-chunks"); runs of `step` images that
+    start mid-chunk, so no chunk is all silent ("straddling"); the ragged
+    last chunk and every other image before it ("ragged-last"); or all."""
+    if layout == "whole-chunks":
+        return [i for i in range(batch) if i // step % 2 == 0]
+    if layout == "straddling":
+        return [i for i in range(batch) if (i - step // 2) % (2 * step) < step
+                and i >= step // 2]
+    if layout == "ragged-last":
+        return [i for i in range(batch) if i >= batch - batch % step or i % 2 == 0]
+    return list(range(batch))
+
+
+def conv_grads(data, w, stride, frozen_input):
+    """(dX or None, dW) of conv2d(data, w), k3 p1, under a fixed seed g."""
+    x = Tensor(data, requires_grad=not frozen_input)
+    wt = Tensor(w, requires_grad=True)
+    out = tz.conv2d(x, wt, stride, 1)
+    g = np.random.default_rng(8).standard_normal(out.shape).astype(data.dtype)
+    backward(out, seed=g)
+    return x.grad, wt.grad
+
+
+@pytest.mark.parametrize("frozen_input", [False, True], ids=["phase-loop", "frozen-input"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("layout", ["whole-chunks", "straddling", "ragged-last", "all",
+                                    "negzero"])
+def test_dw_skip_of_silent_chunks_matches_a_dense_backward_bit_for_bit(
+        layout, stride, dtype, frozen_input, monkeypatch):
+    """The backward runs no dW GEMM over a chunk whose images the forward
+    found all silent, and dX and dW keep every byte of the dense backward's
+    (the mask forced to None). 29 images of 12x12x8 make chunks of 3 at
+    stride 1 (a ragged 2 last) and of 12 at stride 2 (a ragged 5 last)."""
+    rng = np.random.default_rng(31)
+    batch = 29
+    data = nhwc(rng.standard_normal((batch, 8, 12, 12))).astype(dtype)
+    w = rng.standard_normal((4, 8, 3, 3)).astype(dtype)
+    step = max(1, tz._CONV_CHUNK // (len(range(0, 12, stride)) ** 2 * 9 * 8))
+    assert batch % step, "case no longer ends in a ragged chunk"
+    silent = chunk_silence(batch, step, "whole-chunks" if layout == "negzero" else layout)
+    data[silent] = -0.0 if layout == "negzero" else 0.0
+    live = tz._live_images(data, 3, stride)
+    assert live is not None and np.flatnonzero(~live).tolist() == silent
+    skipped = silent_chunks(live, step)
+    assert (skipped == 0) == (layout == "straddling"), skipped
+    dx, dw = conv_grads(data, w, stride, frozen_input)
+    monkeypatch.setattr(tz, "_live_images", lambda *args: None)
+    dense_dx, dense_dw = conv_grads(data, w, stride, frozen_input)
+    assert dw.tobytes() == dense_dw.tobytes()
+    assert (dx is None) == frozen_input
+    if not frozen_input:
+        assert dx.tobytes() == dense_dx.tobytes()
+    if layout == "all":
+        assert not dw.any() and not np.signbit(dw).any()
+
+
+@pytest.mark.parametrize("frozen_input", [False, True], ids=["phase-loop", "frozen-input"])
+def test_an_inf_gradient_at_a_skipped_chunk_leaves_dw_finite(frozen_input, monkeypatch):
+    """The skip's one departure from the dense sum, matching the forward's
+    +0 for a silent image whatever W holds: an inf in g at a wholly silent
+    chunk's rows meets only zeros, which the dense GEMM turns into NaN in
+    dW, while the skipped GEMM leaves dW finite."""
+    rng = np.random.default_rng(32)
+    data = nhwc(rng.standard_normal((12, 8, 12, 12))).astype(np.float32)
+    data[:6] = 0  # chunks of 3: the first two are silent
+    w = rng.standard_normal((4, 8, 3, 3)).astype(np.float32)
+    grads = []
+    for mask in (tz._live_images, lambda *args: None):
+        monkeypatch.setattr(tz, "_live_images", mask)
+        wt = Tensor(w, requires_grad=True)
+        out = tz.conv2d(Tensor(data, requires_grad=not frozen_input), wt, 1, 1)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        g[1, 5, 5, 2] = np.inf
+        with np.errstate(invalid="ignore"):  # inf * 0 in the dense GEMM, inf - inf in dX
+            backward(out, seed=g)
+        grads.append(wt.grad)
+    skipped, dense = grads
+    assert np.isfinite(skipped).all()
+    assert np.isnan(dense).any()
 
 
 @pytest.mark.parametrize("k", [1, 3])
