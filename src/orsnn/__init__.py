@@ -3,8 +3,8 @@ synergistic spike-gated attention, spike-drivenness auditing, MAC/AC
 energy estimation, and natural shortcut pruning.
 """
 
-from .attention import (AttentionGate, AttentionPlan, ChannelAttention,
-                        SpatialAttention, TemporalAttention, make_attention)
+from .attention import (AttentionGate, AttentionPlan, SpatialAttention,
+                        make_attention)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ExperimentConfig, load_config, parse_config, render_config,
                      save_config)
@@ -12,7 +12,7 @@ from .data import (FramedEventSet, IdxDataset, Transform, augment, load_events,
                    load_idx, load_idx_dir, parse_transforms, read_csv,
                    save_events, save_idx_images, save_idx_labels, synth_events,
                    write_csv)
-from .errors import (ArchError, ArchMismatch, AuditError, BadMagic, BuildError,
+from .errors import (ArchError, ArchMismatch, BadMagic, BuildError,
                      CheckpointError, ConfigError, CorruptPayload,
                      CountMismatch, DataFormatError, DatasetNotFound,
                      DivergenceError, EngineError, GraphError, NumericError,

@@ -105,13 +105,18 @@ class AttentionGate(Module):
 
 
 class _PooledGate(AttentionGate):
-    """The T and C recipe of the module docstring. `axis` is where the
-    MLP's features lie, in x and in the descriptor: 0 for T, -1 for C."""
+    """The T and C recipe of the module docstring: a gate over time steps
+    (letter "T", descriptor and mask [T, N, 1]) or over channels ("C",
+    [T, N, C]). `axis` is where the MLP's features lie, in x and in the
+    descriptor: 0 for T, -1 for C."""
 
-    def __init__(self, name: str, role: str, extent: int, reduction: int,
-                 lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype):
+    def __init__(self, name: str, role: str, letter: str, extent: int, reduction: int,
+                 lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype=np.float32):
         super().__init__(name, role, lif_cfg)
-        what = f"{'channel' if self.axis else 'temporal'} reduction"
+        self.letter, self.axis = letter, (0 if letter == "T" else -1)
+        what = f"{'temporal' if letter == 'T' else 'channel'} reduction"
+        if extent < 1:
+            raise BuildError(f"{name}: {letter} must be >= 1, got {extent}")
         if reduction < 1:
             raise BuildError(f"{name}: {what} must be >= 1, got {reduction}")
         if reduction < extent and extent % reduction != 0:
@@ -182,28 +187,6 @@ class _PooledGate(AttentionGate):
         return make_node(xd * mask5, (x, w0, w1), bwd), mask
 
 
-class TemporalAttention(_PooledGate):
-    """Gate over time steps: descriptor and mask [T, N, 1]."""
-
-    axis, letter = 0, "T"
-
-    def __init__(self, name: str, role: str, time_steps: int, reduction: int,
-                 lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype=np.float32):
-        if time_steps < 1:
-            raise BuildError(f"{name}: time_steps must be >= 1, got {time_steps}")
-        super().__init__(name, role, time_steps, reduction, lif_cfg, rng=rng, dtype=dtype)
-
-
-class ChannelAttention(_PooledGate):
-    """Gate over channels: descriptor and mask [T, N, C]."""
-
-    axis, letter = -1, "C"
-
-    def __init__(self, name: str, role: str, channels: int, reduction: int,
-                 lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype=np.float32):
-        super().__init__(name, role, channels, reduction, lif_cfg, rng=rng, dtype=dtype)
-
-
 class SpatialAttention(AttentionGate):
     """Gate over pixels: channel-max and channel-mean maps stacked into a
     2-channel image, one small odd-kernel convolution, mask [T, N, H, W, 1]."""
@@ -235,10 +218,10 @@ def make_attention(plan: AttentionPlan, role: str, name: str, channels: int,
                    time_steps: int, lif_cfg: LIFConfig, *,
                    rng: np.random.Generator, dtype=np.float32) -> AttentionGate:
     if plan.flavor == "T":
-        return TemporalAttention(name, role, time_steps, plan.temporal_reduction,
-                                 lif_cfg, rng=rng, dtype=dtype)
+        return _PooledGate(name, role, "T", time_steps, plan.temporal_reduction,
+                           lif_cfg, rng=rng, dtype=dtype)
     if plan.flavor == "C":
-        return ChannelAttention(name, role, channels, plan.channel_reduction,
-                                lif_cfg, rng=rng, dtype=dtype)
+        return _PooledGate(name, role, "C", channels, plan.channel_reduction,
+                           lif_cfg, rng=rng, dtype=dtype)
     return SpatialAttention(name, role, plan.spatial_kernel, lif_cfg,
                             rng=rng, dtype=dtype)

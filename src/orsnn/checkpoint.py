@@ -169,6 +169,8 @@ def load_checkpoint(path, expect_arch: str | None = None):
                                         if k.startswith("lif_")}, "lif")
     except ConfigError as err:
         raise CorruptPayload(f"{path}: bad LIF setting in header: {err}") from err
+    if not meta["epoch"].isdecimal():
+        raise CorruptPayload(f"{path}: epoch {meta['epoch']!r} is not an integer >= 0")
     try:
         join = JoinMode.parse(meta["join"])
         tr, cr, sk = (int(v) for v in meta["attention_reductions"].split(","))

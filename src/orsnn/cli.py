@@ -28,8 +28,8 @@ from .config import load_config, save_config
 from .data import (SYNTH_KINDS, augment, csv_column, load_events, load_idx_dir,
                    parse_transforms, read_csv, replacing, save_events, subset,
                    synth_events, write_csv)
-from .errors import (AuditError, ConfigError, DataFormatError, DatasetNotFound,
-                     EngineError, NumericError, PruneRefused)
+from .errors import (ConfigError, DataFormatError, DatasetNotFound, EngineError,
+                     NumericError, PruneRefused)
 from .metrics import (FiringRateTrace, apply_pruning, detect_natural_pruning,
                       estimate_energy)
 from .record import instrumented_pass
@@ -189,8 +189,7 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     network, _ = load_checkpoint(args.ckpt)
-    report = audit_spike_drivenness(network, _batches(network, args),
-                                    mode="permissive")
+    report = audit_spike_drivenness(network, _batches(network, args))
     text = report.render_text()
     print(text)
     if args.out:
@@ -381,7 +380,7 @@ def keep_freed_memory() -> None:
 
 
 def _exit_code_for(err: EngineError) -> int:
-    if isinstance(err, (AuditError, PruneRefused, NumericError)):
+    if isinstance(err, (PruneRefused, NumericError)):
         return EXIT_FAIL
     return EXIT_USAGE
 

@@ -7,6 +7,7 @@ settings() and from_settings(), which checkpoint headers use too.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -119,7 +120,10 @@ def _parse_value(text: str, like):
     if isinstance(like, tuple):
         return _split_top_level(text)
     if isinstance(like, (int, float)):
-        return type(like)(text)
+        value = type(like)(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text!r} is not finite")
+        return value
     return text
 
 

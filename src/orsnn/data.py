@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 import os
 import re
 import struct
@@ -245,14 +246,14 @@ def load_events(path) -> FramedEventSet:
 SYNTH_KINDS = ("moving-bar", "two-class-motion")
 
 
-def synth_events(kind: str, n: int, t: int, h: int, w: int, seed: int = 0,
-                 bar_width: int | None = None) -> FramedEventSet:
+def synth_events(kind: str, n: int, t: int, h: int, w: int, seed: int = 0) -> FramedEventSet:
     """Binary uint8 frame sequences whose class is carried only by motion.
 
-    Every sample is a full-height vertical bar sliding horizontally with
-    wrap-around; the class fixes the signed velocity. Start columns cycle
-    round-robin within each class, so any single frame carries a bar at a
-    class-independent position and a time-blind model sits at chance.
+    Every sample is a full-height vertical bar max(1, W // 6) columns wide,
+    sliding horizontally with wrap-around; the class fixes the signed
+    velocity. Start columns cycle round-robin within each class, so any
+    single frame carries a bar at a class-independent position and a
+    time-blind model sits at chance.
     Both polarity channels carry the same frame.
 
     two-class-motion: velocities +1 and -1 column per step (2 classes).
@@ -267,10 +268,8 @@ def synth_events(kind: str, n: int, t: int, h: int, w: int, seed: int = 0,
         raise ConfigError(f"bad extents N={n} H={h} W={w}")
     velocities = (1, -1) if kind == "two-class-motion" else (1, -1, 2, -2)
     classes = len(velocities)
-    if bar_width is None:
-        bar_width = max(1, w // 6)
     # sample i: label i % classes, start column (i // classes) % w
-    i, step, d = np.ogrid[:n, :t, :bar_width]
+    i, step, d = np.ogrid[:n, :t, :max(1, w // 6)]
     labels = i[:, 0, 0] % classes
     cols = (i // classes + np.array(velocities)[labels][:, None, None] * step + d) % w
     frames = np.zeros((n, t, 2, h, w), dtype=np.uint8)
@@ -314,6 +313,8 @@ def parse_transforms(specs) -> tuple[Transform, ...]:
             args = tuple(float(a) for a in raw_args)
         except ValueError as err:
             raise ConfigError(f"non-numeric args in {spec!r}") from err
+        if not all(map(math.isfinite, args)):
+            raise ConfigError(f"non-finite args in {spec!r}")
         if kind == "flip" and not 0.0 <= args[0] <= 1.0:
             raise ConfigError(f"flip probability must be in [0,1], got {args[0]}")
         if kind == "translate" and any(a < 0 or a >= 1 for a in args):

@@ -37,10 +37,6 @@ class BuildError(EngineError, ValueError):
     """Architecture parsed fine but the network cannot be assembled."""
 
 
-class AuditError(EngineError, RuntimeError):
-    """Strict-mode spike-drivenness violation during a forward pass."""
-
-
 class NumericError(EngineError, FloatingPointError):
     """Non-finite value reached a neuron input or a loss."""
 

@@ -127,14 +127,12 @@ class ConvLayer(Module):
 
 
 class BatchNormLayer(Module):
-    """BatchNorm over channels; statistics pool the folded T x batch axis."""
+    """BatchNorm over channels; statistics pool the folded T x batch axis.
+    eps and momentum are batchnorm2d's defaults, 1e-5 and 0.1."""
 
-    def __init__(self, name: str, channels: int, *, dtype=np.float32,
-                 eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, name: str, channels: int, *, dtype=np.float32):
         super().__init__(name)
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -150,8 +148,7 @@ class BatchNormLayer(Module):
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
         return tz.batchnorm2d(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, training=ctx.training,
-                              eps=self.eps, momentum=self.momentum)
+                              self.running_var, training=ctx.training)
 
 
 class LIFLayer(Module):

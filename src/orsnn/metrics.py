@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import csv_column
-from .errors import EngineError, PruneRefused
+from .errors import DataFormatError, EngineError, PruneRefused
 from .record import (SPIKING_KINDS, LayerLine, SpikeRecord, instrumented_pass,
                      layer_table)
 from .residual import AUDIT_POLICY, JoinMode
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -167,12 +166,15 @@ class FiringRateTrace:
 
     @classmethod
     def from_rows(cls, rows: list[dict], source="trace rows") -> "FiringRateTrace":
-        """The trace of to_rows() rows, such as those of a CSV at `source`."""
+        """The trace of to_rows() rows, such as those of a CSV at `source`.
+        A second row for an (epoch, layer) pair is refused."""
         by_epoch: dict[int, dict[str, float]] = {}
-        for epoch, layer, rate in zip(csv_column(source, rows, "epoch", int),
-                                      csv_column(source, rows, "layer", str),
-                                      csv_column(source, rows, "rate", float)):
-            by_epoch.setdefault(epoch, {})[layer] = rate
+        for i, (epoch, layer, rate) in enumerate(zip(
+                csv_column(source, rows, "epoch", int), csv_column(source, rows, "layer", str),
+                csv_column(source, rows, "rate", float)), start=1):
+            if layer in by_epoch.setdefault(epoch, {}):
+                raise DataFormatError(f"{source}: row {i} repeats epoch {epoch}, layer {layer!r}")
+            by_epoch[epoch][layer] = rate
         trace = cls()
         for epoch in sorted(by_epoch):
             trace.append(epoch, by_epoch[epoch])
@@ -235,7 +237,7 @@ def apply_pruning(network, flagged_names, verify_batches):
     index, and so does an empty list of batches (a batch of no sample is a
     ShapeError from the forward). The original network is left untouched.
     """
-    if isinstance(verify_batches, (np.ndarray, Tensor)):
+    if isinstance(verify_batches, np.ndarray):
         verify_batches = [verify_batches]
     if network.join_mode not in (JoinMode.OR, JoinMode.ADD):
         raise PruneRefused(

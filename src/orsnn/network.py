@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as tz
 from .arch import ArchToken, parse_arch, render_arch
 from .attention import AttentionGate, AttentionPlan, make_attention
-from .errors import BuildError, GraphError, ShapeError
+from .errors import BuildError, ShapeError
 from .layers import (AdaptiveAvgPoolLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      ForwardContext, GlobalAvgPoolLayer, LIFLayer, MaxPoolLayer,
                      Module, forward_chain)
@@ -109,12 +109,10 @@ class Network(Module):
 
     def forward(self, x, *, record: SpikeRecord | None = None,
                 training: bool = False, strict=None) -> Tensor:
-        """Logits [N, classes] of a [T, N, C, H, W] input: an array or
-        view of any dtype, or a Tensor that does not require grad. strict
-        is ignored: spike types hold by construction (input_types)."""
-        if isinstance(x, Tensor) and x.requires_grad:
-            raise GraphError("the network input's gradient is not taken")
-        x = np.asarray(x.data if isinstance(x, Tensor) else x)
+        """Logits [N, classes] of a [T, N, C, H, W] input array or view of
+        any dtype. strict is ignored: spike types hold by construction
+        (input_types)."""
+        x = np.asarray(x)
         if x.ndim != 5 or not x.shape[1]:
             raise ShapeError(f"network input must be [T, N, C, H, W] with N >= 1, "
                              f"got {x.shape}")

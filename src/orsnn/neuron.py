@@ -88,12 +88,11 @@ def lif_multistep(x: Tensor, cfg: LIFConfig,
     return _lif(x, x.data, cfg, smooth)
 
 
-def lif_step(current: Tensor, cfg: LIFConfig,
-             smooth: bool = False) -> tuple[Tensor, np.ndarray]:
+def lif_step(current: Tensor, cfg: LIFConfig) -> tuple[Tensor, np.ndarray]:
     """One time step from rest: the T=1 case of lif_multistep, with the same
     fused node, its BPTT backward, and the reset factor (1 - S) detached
     from the graph when cfg.detach_reset is set."""
-    return _lif(current, current.data[None], cfg, smooth)
+    return _lif(current, current.data[None], cfg, False)
 
 
 # Elements per backward time chunk: a chunk's surrogate slopes are computed in

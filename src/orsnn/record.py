@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EngineError
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 SPIKING_KINDS = ("lif", "gate")
 
@@ -147,10 +147,10 @@ class SpikeRecord:
 
 def instrumented_pass(network, batches) -> SpikeRecord:
     """Record one no-grad forward of each [T, N, C, H, W] batch: one array
-    or Tensor, or an iterable of them. A layer typed binary that read a
-    value other than 0 or 1 is an engine bug (EngineError), but for the
-    head, which reads the global pool's averages of its typed spike map."""
-    if isinstance(batches, (np.ndarray, Tensor)):
+    or an iterable of them. A layer typed binary that read a value other
+    than 0 or 1 is an engine bug (EngineError), but for the head, which
+    reads the global pool's averages of its typed spike map."""
+    if isinstance(batches, np.ndarray):
         batches = [batches]
     rec = SpikeRecord()
     with no_grad():

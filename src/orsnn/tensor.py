@@ -114,34 +114,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # Operator sugar. Scalars become constant tensors of the partner dtype.
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other, self))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _coerce(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
-
 
 def recording(*parents: Tensor) -> bool:
     """Whether an op over parents records a node: gradients are live and

@@ -63,8 +63,9 @@ class TrainConfig:
 class Adam:
     """Adam with bias correction; a parameter with grad None is skipped."""
 
-    def __init__(self, named_params, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, lr: float):
         self.params = list(named_params)
         seen = set()
         for name, _ in self.params:
@@ -72,8 +73,6 @@ class Adam:
                 raise ConfigError(f"duplicate parameter name {name!r}")
             seen.add(name)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from orsnn import tensor as tz
-from orsnn.attention import TemporalAttention
 from orsnn.layers import ForwardContext
 from orsnn.neuron import LIFConfig, _fire, lif_step, surrogate_grad
 from orsnn.residual import ResidualBlock, join
@@ -145,7 +144,7 @@ def composed_gate(gate, x: Tensor) -> tuple[Tensor, Tensor]:
     permutes to [N, T] rows for T), the branch sum, a fresh lif_step, the
     mask reshaped to [T, N, 1, 1, 1 or C] and a broadcast mul. The fused
     node must match it bit for bit."""
-    temporal = isinstance(gate, TemporalAttention)
+    temporal = gate.letter == "T"
     axes = (2, 3, 4) if temporal else (2, 3)
 
     def mlp(desc):
@@ -156,7 +155,7 @@ def composed_gate(gate, x: Tensor) -> tuple[Tensor, Tensor]:
 
     avg = tz.reduce_mean(x, axes)
     mx = tz.reduce_max(x, axes)
-    mask, _ = lif_step(mlp(avg) + mlp(mx), gate.lif_cfg)
+    mask, _ = lif_step(tz.add(mlp(avg), mlp(mx)), gate.lif_cfg)
     lead = mask.shape[:2]
     return tz.mul(x, tz.reshape(mask, lead + (1, 1) + (mask.shape[2:] or (1,)))), mask
 

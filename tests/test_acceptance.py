@@ -116,7 +116,7 @@ def test_03_spike_drivenness_classification():
     or_net = active_net(JoinMode.OR)
     add_net = active_net(JoinMode.ADD)
     for i, batch in enumerate(batches):
-        rep = audit_spike_drivenness(or_net, [batch], mode="permissive")
+        rep = audit_spike_drivenness(or_net, [batch])
         audited = [e for e in rep.entries
                    if e.kind in ("conv", "fc") and e.name != "encoder"]
         if not rep.fully_spike_driven:
@@ -126,7 +126,7 @@ def test_03_spike_drivenness_classification():
         joins_fed = [e for e in audited if e.name in expected_flags]
         if any(e.input_rate <= 0 for e in joins_fed):
             failures.append(f"OR batch {i}: a join saw no spikes (vacuous)")
-        rep = audit_spike_drivenness(add_net, [batch], mode="permissive")
+        rep = audit_spike_drivenness(add_net, [batch])
         flagged = sorted(e.name for e in rep.violations)
         if flagged != expected_flags:
             failures.append(f"ADD batch {i}: flagged {flagged}, "
@@ -176,7 +176,7 @@ def test_04_lif_recurrence_hand_trace():
 
 def _weighted_scalar(t: Tensor, weights: Tensor) -> Tensor:
     """Non-uniform scalar objective so index mix-ups cannot cancel out."""
-    return tz.reduce_mean(t * weights, tuple(range(t.ndim)))
+    return tz.reduce_mean(tz.mul(t, weights), tuple(range(t.ndim)))
 
 
 def _gradient_cases():
@@ -197,12 +197,12 @@ def _gradient_cases():
     attached = LIFConfig(detach_reset=False)
     cases = [
         case("add-broadcast", lambda r: (n(r, 3, 4), n(r, 4)),
-             lambda a, b: a + b),
+             tz.add),
         case("sub-broadcast", lambda r: (n(r, 2, 3, 2), n(r, 1, 3, 1)),
-             lambda a, b: a - b),
+             tz.sub),
         case("mul", lambda r: (n(r, 3, 4), n(r, 3, 4)),
-             lambda a, b: a * b),
-        case("neg", lambda r: (n(r, 5),), lambda a: -a),
+             tz.mul),
+        case("neg", lambda r: (n(r, 5),), tz.neg),
         case("relu", lambda r: (margin_random(r, (3, 4)),), tz.relu),
         case("dense-bias", lambda r: (n(r, 3, 5), n(r, 2, 5), n(r, 2)),
              tz.dense),
@@ -253,7 +253,8 @@ def _gradient_cases():
             c = tz.conv2d(x, w1, 1, 1)
             step = tz.reshape(c, (1,) + c.shape)  # the same drive at each of 3 steps
             s, _ = lif_multistep(tz.concat([step] * 3, axis=0), cfg, smooth=True)
-            feats = tz.reduce_mean(tz.global_avg_pool(s), (0,)) * 3.0  # sum over steps
+            # times 3: the sum over steps
+            feats = tz.mul(tz.reduce_mean(tz.global_avg_pool(s), (0,)), Tensor(3.0))
             return tz.softmax_cross_entropy(tz.dense(feats, w2), labels)
 
         gradcheck(fn, nhwc(0.8 * n(rng, 2, 1, 6, 6)), 0.4 * n(rng, 4, 1, 3, 3),

@@ -6,13 +6,7 @@ gates run on channels-last [T, N, H, W, C]."""
 import numpy as np
 import pytest
 
-from orsnn.attention import (
-    AttentionPlan,
-    ChannelAttention,
-    SpatialAttention,
-    TemporalAttention,
-    make_attention,
-)
+from orsnn.attention import AttentionPlan, SpatialAttention, make_attention
 from orsnn.errors import BuildError, ShapeError
 from orsnn.layers import ForwardContext
 from orsnn.neuron import LIFConfig
@@ -33,12 +27,20 @@ def gate_spike(drive: np.ndarray, cfg: LIFConfig = CFG) -> np.ndarray:
     return (u >= cfg.u_threshold).astype(np.float64)
 
 
+def pooled_gate(flavor: str, extent: int, reduction: int, rng, name="g"):
+    """A T or C gate over `extent` time steps or channels, built through
+    make_attention as the networks build it."""
+    plan = AttentionPlan(flavor, temporal_reduction=reduction, channel_reduction=reduction)
+    return make_attention(plan, "promote", name, channels=extent, time_steps=extent,
+                          lif_cfg=CFG, rng=rng)
+
+
 def mlp_rows(rows: np.ndarray, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
     hid = np.maximum(rows @ w0.T, 0.0)
     return hid @ w1.T
 
 
-def temporal_oracle(x: np.ndarray, gate: TemporalAttention) -> np.ndarray:
+def temporal_oracle(x: np.ndarray, gate) -> np.ndarray:
     w0 = gate.w0.data.astype(np.float64)
     w1 = gate.w1.data.astype(np.float64)
     avg = x.mean(axis=(2, 3, 4))  # [T, N]
@@ -47,7 +49,7 @@ def temporal_oracle(x: np.ndarray, gate: TemporalAttention) -> np.ndarray:
     return gate_spike(drive, gate.lif_cfg)
 
 
-def channel_oracle(x: np.ndarray, gate: ChannelAttention) -> np.ndarray:
+def channel_oracle(x: np.ndarray, gate) -> np.ndarray:
     t, n, c = x.shape[:3]
     w0 = gate.w0.data.astype(np.float64)
     w1 = gate.w1.data.astype(np.float64)
@@ -92,8 +94,7 @@ def random_activation(shape, seed, scale=3.0):
 class TestTemporal:
     def test_mask_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
-        gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
-                                 lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("T", 4, 2, rng)
         x = random_activation((4, 2, 3, 5, 5), seed=11)
         mask = gate.apply(Tensor(nhwc(x)), ForwardContext())[1]
         expected = temporal_oracle(x.astype(np.float64), gate)
@@ -102,8 +103,7 @@ class TestTemporal:
 
     def test_mask_is_binary_and_not_degenerate(self):
         rng = np.random.default_rng(3)
-        gate = TemporalAttention("g", "promote", time_steps=8, reduction=4,
-                                 lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("T", 8, 4, rng)
         seen = set()
         for seed in range(6):
             x = random_activation((8, 2, 4, 6, 6), seed=seed, scale=6.0)
@@ -114,15 +114,13 @@ class TestTemporal:
 
     def test_time_step_mismatch_raises(self):
         rng = np.random.default_rng(0)
-        gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
-                                 lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("T", 4, 2, rng)
         with pytest.raises(ShapeError, match="built for T=4"):
             gate.forward(Tensor(nhwc(random_activation((3, 2, 3, 5, 5), 0))), ForwardContext())
 
     def test_rank_mismatch_raises(self):
         rng = np.random.default_rng(0)
-        gate = TemporalAttention("g", "promote", time_steps=4, reduction=2,
-                                 lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("T", 4, 2, rng)
         with pytest.raises(ShapeError, match="expects"):
             gate.forward(Tensor(np.zeros((4, 2, 3, 5), dtype=np.float32)), ForwardContext())
 
@@ -130,8 +128,7 @@ class TestTemporal:
 class TestChannel:
     def test_mask_matches_loop_oracle(self):
         rng = np.random.default_rng(17)
-        gate = ChannelAttention("g", "promote", channels=8, reduction=4,
-                                lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("C", 8, 4, rng)
         x = random_activation((3, 2, 8, 4, 4), seed=23)
         mask = gate.apply(Tensor(nhwc(x)), ForwardContext())[1]
         expected = channel_oracle(x.astype(np.float64), gate)
@@ -140,8 +137,7 @@ class TestChannel:
 
     def test_channel_mismatch_raises(self):
         rng = np.random.default_rng(0)
-        gate = ChannelAttention("g", "promote", channels=8, reduction=4,
-                                lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("C", 8, 4, rng)
         with pytest.raises(ShapeError, match="built for C=8"):
             gate.forward(Tensor(nhwc(random_activation((3, 2, 4, 4, 4), 0))), ForwardContext())
 
@@ -252,32 +248,32 @@ def test_fused_gate_is_bit_identical_to_the_composed_graph(flavor, shape, dtype,
 class TestReduction:
     def test_reduction_larger_than_extent_clamps_to_one(self):
         rng = np.random.default_rng(0)
-        gate = TemporalAttention("g", "promote", time_steps=6, reduction=8,
-                                 lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("T", 6, 8, rng)
         assert gate.w0.shape == (1, 6)
         assert gate.w1.shape == (6, 1)
 
     def test_nondividing_reduction_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(BuildError, match="temporal reduction 4 must divide 6"):
-            TemporalAttention("g", "promote", time_steps=6, reduction=4,
-                              lif_cfg=CFG, rng=rng)
+            pooled_gate("T", 6, 4, rng)
         with pytest.raises(BuildError, match="channel reduction 3 must divide 8"):
-            ChannelAttention("g", "promote", channels=8, reduction=3,
-                             lif_cfg=CFG, rng=rng)
+            pooled_gate("C", 8, 3, rng)
 
     def test_dividing_reduction_sets_hidden_width(self):
         rng = np.random.default_rng(0)
-        gate = ChannelAttention("g", "promote", channels=16, reduction=4,
-                                lif_cfg=CFG, rng=rng)
+        gate = pooled_gate("C", 16, 4, rng)
         assert gate.w0.shape == (4, 16)
         assert gate.w1.shape == (16, 4)
 
     def test_reduction_below_one_rejected(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(BuildError, match=">= 1"):
-            TemporalAttention("g", "promote", time_steps=4, reduction=0,
-                              lif_cfg=CFG, rng=rng)
+        with pytest.raises(BuildError, match="temporal reduction must be >= 1"):
+            pooled_gate("T", 4, 0, rng)
+
+    @pytest.mark.parametrize("flavor", ["T", "C"])
+    def test_extent_below_one_rejected(self, flavor):
+        with pytest.raises(BuildError, match=f"{flavor} must be >= 1, got 0"):
+            pooled_gate(flavor, 0, 1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +315,13 @@ class TestPlan:
 
     def test_make_attention_dispatches_on_flavor(self):
         rng = np.random.default_rng(0)
-        kinds = {"T": TemporalAttention, "C": ChannelAttention, "S": SpatialAttention}
-        for flavor, klass in kinds.items():
+        for flavor in ("T", "C", "S"):
             plan = AttentionPlan(flavor=flavor, temporal_reduction=2,
                                  channel_reduction=2, spatial_kernel=3)
             gate = make_attention(plan, "inhibit", "blk.ia", channels=4,
                                   time_steps=4, lif_cfg=CFG, rng=rng)
-            assert isinstance(gate, klass)
+            assert isinstance(gate, SpatialAttention) == (flavor == "S")
+            assert getattr(gate, "letter", "S") == flavor
             assert gate.role == "inhibit"
             assert gate.name == "blk.ia"
 
@@ -337,8 +333,7 @@ class TestPlan:
 
 def test_gate_records_spikes_and_arithmetic():
     rng = np.random.default_rng(67)
-    gate = ChannelAttention("blk.ma1", "promote", channels=4, reduction=2,
-                            lif_cfg=CFG, rng=rng)
+    gate = pooled_gate("C", 4, 2, rng, name="blk.ma1")
     record = SpikeRecord(samples=2, time_steps=3)
     ctx = ForwardContext(record=record)
     x = Tensor(nhwc(random_activation((3, 2, 4, 4, 4), seed=71)))

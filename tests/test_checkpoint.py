@@ -273,6 +273,26 @@ class TestGuards:
         assert main(["eval", "--ckpt", str(p), "--data", "synth:moving-bar:4:2:12:12"]) == 2
         assert "ERROR CorruptPayload:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epoch", ["x", "", "1.5", "-1", " 1"])
+    def test_a_bad_epoch_fails_typed_through_the_cli(self, epoch, tmp_path, capsys):
+        p = self.save_one(tmp_path)
+        tamper_header(p, lambda ls: [f"epoch={epoch}" if l.startswith("epoch=") else l
+                                     for l in ls])
+        data = ["--data", "synth:moving-bar:4:2:12:12"]
+        prune = ["--trace", str(tmp_path / "t.csv"), "--out", str(tmp_path / "p.ckpt")]
+        for args in (["eval"] + data, ["audit"] + data, ["energy"] + data, ["prune"] + prune):
+            assert main(args + ["--ckpt", str(p)]) == 2
+            assert (f"ERROR CorruptPayload: {p}: epoch {epoch!r} is not an integer >= 0"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_lif_setting_is_refused(self, value, tmp_path):
+        p = self.save_one(tmp_path)
+        tamper_header(p, lambda ls: [f"lif_tau={value}" if l.startswith("lif_tau=") else l
+                                     for l in ls])
+        with pytest.raises(CorruptPayload, match=f"bad value '{value}' for \\[lif\\] tau"):
+            load_checkpoint(p)
+
     def test_undecodable_block_name_fails_typed_through_the_cli(self, tmp_path, capsys):
         p = self.save_one(tmp_path)
         raw = bytearray(p.read_bytes())

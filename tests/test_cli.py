@@ -124,6 +124,20 @@ class TestTrain:
         assert "ERROR ConfigError: unknown transform 'rotate'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("extra,what", [
+        ("[lif]\ntau = nan\n", "bad value 'nan' for [lif] tau"),
+        ("[lif]\nu_threshold = inf\n", "bad value 'inf' for [lif] u_threshold"),
+        ("transforms = translate(nan,0)\n", "non-finite args in 'translate(nan,0)'"),
+        ("transforms = normalize(0,inf)\n", "non-finite args in 'normalize(0,inf)'")],
+        ids=["tau-nan", "u_threshold-inf", "translate-nan", "normalize-inf"])
+    def test_a_non_finite_setting_is_rejected_before_any_write(self, extra, what, tmp_path,
+                                                              capsys):
+        cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run")
+        cfg.write_text(cfg.read_text() + extra)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"ERROR ConfigError: {what}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_resume_extends_the_same_log(self, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", str(write_config(tmp_path / "a.cfg", out,
@@ -556,6 +570,20 @@ class TestPrune:
                      "--out", str(tmp_path / "p.ckpt"), "--patience", "3",
                      "--data", SPEC]) == 1
         assert "ERROR PruneRefused:" in capsys.readouterr().err
+
+
+    def test_a_repeated_trace_row_is_refused(self, run_dir, tmp_path, capsys):
+        """Two rows for one (epoch, layer) pair would read back as the last
+        one, so a shortcut that fired could be flagged as silent."""
+        trace = tmp_path / "t.csv"
+        write_csv(trace, [{"epoch": 0, "layer": "block1.shortcut_lif", "rate": r}
+                          for r in (0.5, 0.0)], fieldnames=TRACE_FIELDS)
+        assert main(["prune", "--ckpt", str(run_dir / "checkpoint.ckpt"),
+                     "--trace", str(trace), "--out", str(tmp_path / "p.ckpt"),
+                     "--patience", "1", "--data", SPEC]) == 2
+        assert (f"ERROR DataFormatError: {trace}: row 2 repeats epoch 0, layer "
+                "'block1.shortcut_lif'" in capsys.readouterr().err)
+        assert not (tmp_path / "p.ckpt").exists()
 
 
 class TestReport:

@@ -228,6 +228,20 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=r"bad \[lif\] section"):
             parse_config(self.BASE + "[lif]\ntau = 0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", [
+        ("lif", "tau"), ("lif", "u_threshold"), ("lif", "u_reset"),
+        ("lif", "surrogate_alpha"), ("train", "lr")])
+    def test_a_non_finite_number_is_refused(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"bad value '{value}' for \[{section}\] {key}"):
+            parse_config(self.BASE + f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("spec", ["translate(nan,0)", "translate(0,inf)",
+                                      "normalize(0,inf)", "normalize(nan)", "flip(nan)"])
+    def test_a_non_finite_transform_argument_is_refused(self, spec):
+        with pytest.raises(ConfigError, match="non-finite args"):
+            parse_config(self.BASE + f"[train]\ntransforms = {spec}\n")
+
     def test_malformed_ini(self):
         with pytest.raises(ConfigError, match="malformed config"):
             parse_config("not an ini file at all")

@@ -239,7 +239,7 @@ class TestSynth:
 
     def test_bar_follows_its_class_velocity_with_wraparound(self):
         velocities = {0: 1, 1: -1, 2: 2, 3: -2}
-        ds = synth_events("moving-bar", 16, 7, 3, 5, seed=3, bar_width=1)
+        ds = synth_events("moving-bar", 16, 7, 3, 5, seed=3)  # 1 column wide
         for frames, label in zip(ds.frames, ds.labels):
             cols = frames[:, 0, 0, :].argmax(axis=-1)
             v = velocities[int(label)]
@@ -259,19 +259,19 @@ class TestSynth:
         # w // 6 = 2 columns lit per frame
         assert int(ds.frames[0, 0, 0, 0].sum()) == 2
 
-    @pytest.mark.parametrize("kind,n,t,h,w,seed,bar_width", [
-        ("moving-bar", 1000, 16, 16, 16, 0, None),
-        ("two-class-motion", 7, 3, 5, 2, 0, None),
-        ("moving-bar", 33, 5, 4, 9, 3, 4),
-        ("two-class-motion", 50, 8, 3, 13, 7, 20),
-        ("moving-bar", 9, 2, 2, 3, 1, 0),
-        ("two-class-motion", 40, 4, 12, 12, 5, None),
+    @pytest.mark.parametrize("kind,n,t,h,w,seed", [
+        ("moving-bar", 1000, 16, 16, 16, 0),
+        ("two-class-motion", 7, 3, 5, 2, 0),
+        ("moving-bar", 33, 5, 4, 27, 3),
+        ("two-class-motion", 50, 8, 3, 13, 7),
+        ("moving-bar", 9, 2, 2, 3, 1),
+        ("two-class-motion", 40, 4, 12, 12, 5),
     ])
-    def test_matches_the_per_sample_loop(self, kind, n, t, h, w, seed, bar_width):
+    def test_matches_the_per_sample_loop(self, kind, n, t, h, w, seed):
         """The broadcast generator writes, byte for byte, the frames and
         labels of a loop that draws each sample and step in turn."""
         velocities = (1, -1) if kind == "two-class-motion" else (1, -1, 2, -2)
-        width = max(1, w // 6) if bar_width is None else bar_width
+        width = max(1, w // 6)
         frames = np.zeros((n, t, 2, h, w), dtype=np.uint8)
         labels = np.empty(n, dtype=np.int64)
         starts = [0] * len(velocities)
@@ -284,7 +284,7 @@ class TestSynth:
                 x = (x0 + velocities[label] * step) % w
                 frames[i, step, :, :, [(x + d) % w for d in range(width)]] = 1
         order = np.random.default_rng(seed).permutation(n)
-        ds = synth_events(kind, n, t, h, w, seed=seed, bar_width=bar_width)
+        ds = synth_events(kind, n, t, h, w, seed=seed)
         assert (ds.frames.dtype, ds.labels.dtype) == (np.uint8, np.int64)
         assert ds.frames.tobytes() == frames[order].tobytes()
         assert ds.labels.tobytes() == labels[order].tobytes()

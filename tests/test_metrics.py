@@ -419,11 +419,3 @@ class TestApplyPruning:
         (batch,) = binary_batches(1, (2, 4, 1, 12, 12), seed=5)
         pruned = apply_pruning(net, ["block1.shortcut_lif"], batch)
         assert pruned.pruned_block_names() == ["block1"]
-
-    def test_single_tensor_accepted_as_batches(self):
-        net = build_network(SMALL, time_steps=2, in_channels=1, seed=1)
-        silence_shortcut(net)
-        (batch,) = binary_batches(1, (2, 4, 1, 12, 12), seed=5)
-        pruned = apply_pruning(net, ["block1.shortcut_lif"], Tensor(batch))
-        assert pruned.pruned_block_names() == ["block1"]
-        assert pruned.forward(batch).data.tobytes() == net.forward(batch).data.tobytes()

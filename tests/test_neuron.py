@@ -192,12 +192,18 @@ def _stack(parts):
 def _per_step_rollout(steps, cfg, smooth):
     """The per-step Tensor graph the fused op replaced, as the reference."""
     fire = smooth_spike_fn if smooth else spike_fn
+
+    def const(value, like):  # a scalar as a constant tensor of like's dtype
+        return Tensor(np.asarray(value, dtype=like.dtype))
+
     h = Tensor(np.full(steps[0].shape, cfg.u_reset))
     outs = []
     for x_t in steps:
-        u = h + (x_t - (h - cfg.u_reset)) * (1.0 / cfg.tau)
-        s = fire(u - cfg.u_threshold, cfg.surrogate_alpha)
-        h = u * (1.0 - (Tensor(s.data) if cfg.detach_reset else s))
+        u = tz.add(h, tz.mul(tz.sub(x_t, tz.sub(h, const(cfg.u_reset, h))),
+                             const(1.0 / cfg.tau, x_t)))
+        s = fire(tz.sub(u, const(cfg.u_threshold, u)), cfg.surrogate_alpha)
+        kept = Tensor(s.data) if cfg.detach_reset else s
+        h = tz.mul(u, tz.sub(const(1.0, kept), kept))
         outs.append(s)
     return _stack(outs), h
 
@@ -227,11 +233,11 @@ def test_multistep_gradient_matches_per_step_graph(detach, smooth, shape):
 
     xf = Tensor(x, requires_grad=True)
     fused, final = lif_multistep(xf, cfg, smooth=smooth)
-    backward(tz.reduce_mean(fused * w_s, (0, 1, 2)))
+    backward(tz.reduce_mean(tz.mul(fused, w_s), (0, 1, 2)))
 
     steps = [Tensor(x_t, requires_grad=True) for x_t in x]
     ref, membrane = _per_step_rollout(steps, cfg, smooth)
-    backward(tz.reduce_mean(ref * w_s, (0, 1, 2)))
+    backward(tz.reduce_mean(tz.mul(ref, w_s), (0, 1, 2)))
 
     assert np.array_equal(fused.data, ref.data)
     assert np.array_equal(final, membrane.data)
@@ -276,7 +282,7 @@ def test_a_rollout_writes_only_its_own_arrays(multistep):
         assert not np.shares_memory(membrane, other)
     assert np.array_equal(xt.data, x)
 
-    backward(tz.reduce_mean(spikes * Tensor(rng.normal(size=x.shape)),
+    backward(tz.reduce_mean(tz.mul(spikes, Tensor(rng.normal(size=x.shape))),
                             tuple(range(x.ndim))))
     assert np.array_equal(xt.data, x)
     assert np.any(xt.grad != 0)
@@ -350,10 +356,12 @@ def test_lif_layer_retains_little_beyond_its_output():
     assert retained <= 2.05 * out.data.nbytes, (retained, out.data.nbytes)
 
 
-@pytest.mark.parametrize("smooth", [False, True], ids=["step", "smooth"])
-@pytest.mark.parametrize("steps", [1, 32])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("multistep", [True, False], ids=["lif_multistep", "lif_step"])
+@pytest.mark.parametrize("multistep,dtype,steps,smooth", [
+    pytest.param(multistep, dtype, steps, smooth, id="-".join((
+        "lif_multistep" if multistep else "lif_step", np.dtype(dtype).name, str(steps),
+        "smooth" if smooth else "step")))
+    for multistep in (True, False) for dtype in (np.float32, np.float64)
+    for steps in (1, 32) for smooth in (False, True) if multistep or not smooth])
 def test_a_pass_that_records_nothing_fires_the_same_bytes(multistep, dtype, steps, smooth):
     """No-grad, the step kernel builds U in the spike buffer and fires it in
     place; the smooth twin keeps its own U. Either way spikes and final
@@ -364,11 +372,14 @@ def test_a_pass_that_records_nothing_fires_the_same_bytes(multistep, dtype, step
     shape = (steps, 6, 5) if multistep else (6, 5)
     x = rng.normal(0.9, 1.0, size=shape).astype(dtype)
     x.reshape(-1)[:3] = [2.0, 1.0, -0.0]  # fires at threshold from rest
-    run = lif_multistep if multistep else lif_step
-    recorded, recorded_h = run(Tensor(x, requires_grad=True), cfg, smooth)
+
+    def run(t):
+        return lif_multistep(t, cfg, smooth) if multistep else lif_step(t, cfg)
+
+    recorded, recorded_h = run(Tensor(x, requires_grad=True))
     with tz.no_grad():
-        quiet, quiet_h = run(Tensor(x, requires_grad=True), cfg, smooth)
-    frozen, frozen_h = run(Tensor(x), cfg, smooth)
+        quiet, quiet_h = run(Tensor(x, requires_grad=True))
+    frozen, frozen_h = run(Tensor(x))
     assert recorded.backward_fn is not None
     assert quiet.backward_fn is None and frozen.backward_fn is None
     assert recorded.dtype == quiet.dtype == dtype

@@ -86,7 +86,7 @@ def test_fused_or_join_matches_the_arithmetic_form_on_binary_operands(dtype):
     results = []
     for fused in (True, False):
         x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        out = join(x, y, JoinMode.OR) if fused else (x + y) - (x * y)
+        out = join(x, y, JoinMode.OR) if fused else tz.sub(tz.add(x, y), tz.mul(x, y))
         if fused:
             assert out.parents == (x, y)
         tz.backward(out, seed=g)

@@ -227,10 +227,10 @@ def test_every_parameter_receives_gradient():
 def test_training_leaves_other_graphs_intact():
     """A graph built before a training run still backpropagates after it."""
     x = Tensor(np.array(2.0), requires_grad=True)
-    y = x * x
+    y = tz.mul(x, x)
     train(tiny_net(), tiny_dataset(n=4),
           TrainConfig(lr=1e-3, time_steps=2, batch_size=4, epochs=1))
-    tz.backward(y * y)
+    tz.backward(tz.mul(y, y))
     assert x.grad == 32.0
 
 
