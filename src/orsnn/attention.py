@@ -95,8 +95,7 @@ class AttentionGate(Module):
             raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
         out, mask = self._gate(x, ctx)
         if ctx.record is not None:
-            ctx.record.note_input(f"{self.name}.pool", "attn_pool", x.data,
-                                  flops=2 * x.size)
+            ctx.record.note_input(f"{self.name}.pool", x.data)
             ctx.record.note_spikes(f"{self.name}.gate", "gate", mask)
         return out, mask
 
@@ -164,8 +163,7 @@ class _PooledGate(AttentionGate):
         mask = unrows(_fire(u - thr, cfg.surrogate_alpha, False))
         mask5 = mask.reshape(t, n, 1, 1, kept)
         if ctx.record is not None:
-            ctx.record.note_input(self.name, "attn_fc", avg,
-                                  flops=4 * avg.size * w0.shape[0])
+            ctx.record.note_input(self.name, avg)
 
         def bwd(g):
             gmask = rows(_unbroadcast(g * xd, mask5.shape).reshape(mask.shape))
@@ -207,9 +205,8 @@ class SpatialAttention(AttentionGate):
         avg = tz.reduce_mean(x, (4,), keepdims=True)
         stacked = tz.concat([mx, avg], axis=4)
         drive = tz.conv2d(stacked, self.weight, stride=1, padding=(self.kernel - 1) // 2)
-        if ctx.record is not None:  # 2 k^2 per pixel of every step and sample
-            ctx.record.note_input(self.name, "attn_conv", stacked.data,
-                                  flops=2 * self.kernel ** 2 * (x.size // x.shape[4]))
+        if ctx.record is not None:
+            ctx.record.note_input(self.name, stacked.data)
         mask, _ = lif_step(drive, self.lif_cfg)
         return tz.mul(x, mask), mask.data
 

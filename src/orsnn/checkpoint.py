@@ -169,8 +169,12 @@ def load_checkpoint(path, expect_arch: str | None = None):
                                         if k.startswith("lif_")}, "lif")
     except ConfigError as err:
         raise CorruptPayload(f"{path}: bad LIF setting in header: {err}") from err
-    if not meta["epoch"].isdecimal():
-        raise CorruptPayload(f"{path}: epoch {meta['epoch']!r} is not an integer >= 0")
+    for key, count in (("epoch", 1), ("time_steps", 1), ("in_channels", 1), ("seed", 1),
+                       ("attention_reductions", 3)):
+        parts = meta[key].split(",")
+        if len(parts) != count or not all(p.isdecimal() for p in parts):
+            what = "an integer" if count == 1 else f"{count} integers"
+            raise CorruptPayload(f"{path}: {key} {meta[key]!r} is not {what} >= 0")
     try:
         join = JoinMode.parse(meta["join"])
         tr, cr, sk = (int(v) for v in meta["attention_reductions"].split(","))

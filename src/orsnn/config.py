@@ -63,6 +63,8 @@ class ExperimentConfig:
 
 
 _SECTIONS = ("experiment", "lif", "train")
+# retired [train] keys, each with the one value it ever took, which a file may still set
+_FIXED = {"optimizer": "adam", "loss": "cross-entropy"}
 
 
 def settings(obj) -> list[tuple[str, str]]:
@@ -176,6 +178,10 @@ def parse_config(text: str) -> ExperimentConfig:
     raw = {s: dict(parser.items(s)) if parser.has_section(s) else {}
            for s in _SECTIONS}
     cfg = from_settings(ExperimentConfig, raw["experiment"], "experiment")
+    for key, only in _FIXED.items():
+        value = raw["train"].pop(key, only)
+        if value != only:
+            raise ConfigError(f"unknown {key} {value!r}")
     table = TrainConfig(**TABLE_DEFAULTS.get(cfg.dataset, {}))
     return replace(cfg, lif=from_settings(LIFConfig, raw["lif"], "lif"),
                    train=from_settings(TrainConfig, raw["train"], "train", table)

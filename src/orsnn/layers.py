@@ -96,34 +96,26 @@ class ConvLayer(Module):
 
     def __init__(self, name: str, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, *, rng: np.random.Generator,
-                 dtype=np.float32, is_encoder: bool = False):
+                 dtype=np.float32):
         super().__init__(name)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.is_encoder = is_encoder
         self.weight = he_uniform(rng, (out_channels, in_channels, kernel, kernel),
                                  in_channels * kernel * kernel, dtype)
 
     def named_params(self):
         return [(f"{self.name}.weight", self.weight)]
 
-    def flops_per_step(self, out_h: int, out_w: int) -> int:
-        return out_h * out_w * self.kernel * self.kernel * self.in_channels * self.out_channels
-
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        t, n, h, w, c = _require_5d(x, self.name)
+        c = _require_5d(x, self.name)[4]
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} channels, got {c}")
-        out = tz.conv2d(x, self.weight, self.stride, self.padding)
         if ctx.record is not None:
-            ctx.record.note_input(
-                self.name, "conv", x.data,
-                flops=self.flops_per_step(out.shape[2], out.shape[3]) * t * n,
-                is_encoder=self.is_encoder)
-        return out
+            ctx.record.note_input(self.name, x.data)
+        return tz.conv2d(x, self.weight, self.stride, self.padding)
 
 
 class BatchNormLayer(Module):
@@ -170,15 +162,15 @@ class LIFLayer(Module):
 
 
 class MaxPoolLayer(Module):
-    def __init__(self, name: str, window: int, stride: int, padding: int = 0):
+    def __init__(self, name: str, kernel: int, stride: int, padding: int = 0):
         super().__init__(name)
-        self.window = window
+        self.kernel = kernel
         self.stride = stride
         self.padding = padding
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         _require_5d(x, self.name)
-        return tz.max_pool2d(x, self.window, self.stride, self.padding)
+        return tz.max_pool2d(x, self.kernel, self.stride, self.padding)
 
 
 class AdaptiveAvgPoolLayer(Module):
@@ -194,7 +186,7 @@ class AdaptiveAvgPoolLayer(Module):
 class GlobalAvgPoolLayer(Module):
     """[T, N, H, W, C] -> [T, N, C]. Averaging is linear, so the input type
     that classifies the following head is that of the map entering this
-    pool (Network.input_types)."""
+    pool (Network.layer_ops)."""
 
     def __init__(self, name: str):
         super().__init__(name)
@@ -226,9 +218,6 @@ class DenseLayer(Module):
         if x.shape[2] != self.in_features:
             raise ShapeError(
                 f"{self.name}: expected {self.in_features} features, got {x.shape[2]}")
-        out = tz.dense(x, self.weight, self.bias)
         if ctx.record is not None:
-            ctx.record.note_input(
-                self.name, "fc", x.data,
-                flops=self.in_features * self.out_features * x.shape[0] * x.shape[1])
-        return out
+            ctx.record.note_input(self.name, x.data)
+        return tz.dense(x, self.weight, self.bias)

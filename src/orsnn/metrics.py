@@ -1,11 +1,13 @@
-"""Spike counting, FLOP accounting, the MAC/AC energy model, and
-natural-pruning detection and application.
+"""The MAC/AC energy model, firing-rate traces, and natural-pruning
+detection and application.
 
-Energy per sample follows the additive model: the encoder convolution
-pays the full multiply-accumulate price for every op; every other
-counted layer pays the accumulate price scaled by the nonzero fraction
-of its input. Constants default to 4.6 pJ per MAC and 0.9 pJ per AC
-(45 nm process figures).
+Energy per sample follows the additive model over record.layer_table:
+a MAC-class layer pays the full multiply-accumulate price for every op;
+an AC-class layer pays the accumulate price scaled by the nonzero
+fraction of its input. Classes and FLOPs come from the network's
+construction (Network.layer_ops), input rates from the record.
+Constants default to 4.6 pJ per MAC and 0.9 pJ per AC (45 nm process
+figures).
 """
 
 from __future__ import annotations

@@ -18,13 +18,13 @@ import numpy as np
 
 from . import tensor as tz
 from .arch import ArchToken, parse_arch, render_arch
-from .attention import AttentionGate, AttentionPlan, make_attention
+from .attention import AttentionGate, AttentionPlan, SpatialAttention, make_attention
 from .errors import BuildError, ShapeError
 from .layers import (AdaptiveAvgPoolLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      ForwardContext, GlobalAvgPoolLayer, LIFLayer, MaxPoolLayer,
                      Module, forward_chain)
 from .neuron import LIFConfig
-from .record import SpikeRecord
+from .record import LayerOps, SpikeRecord
 from .residual import BITWISE_MODES, JoinMode, ResidualBlock, build_block
 from .tensor import Tensor
 
@@ -58,38 +58,65 @@ class Network(Module):
     def shortcut_lif_names(self) -> list[str]:
         return [b.shortcut_lif_name for b in self.blocks() if not b.pruned]
 
-    def input_types(self) -> dict[str, str | None]:
-        """Each op-counted layer's input type by stat key, in execution
-        order: None where it is binary by construction, else the source of
-        its real values. The network input is real. LIF outputs and gate
+    def layer_ops(self, h: int, w: int) -> dict[str, LayerOps]:
+        """Every op-counted layer for an h x w input, by stat key in
+        execution order, from one walk that carries each activation's H, W,
+        C and type: None where it is binary by construction, else the source
+        of its real values. The network input is real; LIF outputs and gate
         masks are binary, and a gate keeps its input's type. OR, AND and
         IAND of binary operands are binary, ADD is not, and a pruned block
         passes on its backbone's type. Conv, BN and adaptive pooling give
         real values; max pooling (padding below its window) and the global
-        average pool keep their input's type."""
-        types: dict[str, str | None] = {}
+        average pool keep their input's type. A layer is AC exactly when its
+        input is binary, so the encoder (the first conv) and a gate's
+        transform (of its pooled descriptor) are MAC; the pool is AC by
+        policy. FLOPs per sample, all T steps: a conv's output pixels x k^2 x
+        Cin x Cout, fc's weights, 2 per element of a gate's pool, and of its
+        transform 2 k^2 per pixel (S) or 4 x hidden per descriptor value (T:
+        one per step, C: C per step)."""
+        t, ops = self.time_steps, {}
 
-        def run(mods: list[Module], src: str | None) -> str | None:
+        def count(name: str, kind: str, src: str | None, flops: int) -> None:
+            klass = "AC" if src is None or kind == "attn_pool" else "MAC"
+            ops[name] = LayerOps(name, kind, klass, t * flops, src, not ops)
+
+        def run(mods: list[Module], src: str | None, shape: tuple[int, int, int]):
             for mod in mods:
+                h, w, c = shape
                 if isinstance(mod, ResidualBlock):
-                    out = run(mod.backbone, src)
+                    out, shape = run(mod.backbone, src, shape)
                     if not mod.pruned:
-                        spikes = (out, run(mod.shortcut, src)) == (None, None)
+                        spikes = (out, run(mod.shortcut, src, (h, w, c))[0]) == (None, None)
                         if not (spikes and mod.join_mode in BITWISE_MODES):
                             out = f"{mod.name} {mod.join_mode.value} join"
-                    src = run(mod.post, out)
-                elif isinstance(mod, (ConvLayer, DenseLayer)):
-                    types[mod.name], src = src, mod.name
-                elif isinstance(mod, AttentionGate):  # its transform reads its pool
-                    types[mod.name], types[f"{mod.name}.pool"] = f"{mod.name}.pool", src
+                    src, shape = run(mod.post, out, shape)
+                elif isinstance(mod, (ConvLayer, MaxPoolLayer)):
+                    k, s, p = mod.kernel, mod.stride, mod.padding
+                    h, w = tz.out_extent(h, k, s, p), tz.out_extent(w, k, s, p)
+                    if isinstance(mod, ConvLayer):
+                        count(mod.name, "conv", src, h * w * k * k * c * mod.out_channels)
+                        src, c = mod.name, mod.out_channels
+                    shape = (h, w, c)
+                elif isinstance(mod, DenseLayer):
+                    count(mod.name, "fc", src, mod.in_features * mod.out_features)
+                    src = mod.name
+                elif isinstance(mod, SpatialAttention):  # a transform reads its pool
+                    count(mod.name, "attn_conv", f"{mod.name}.pool", 2 * mod.kernel ** 2 * h * w)
+                    count(f"{mod.name}.pool", "attn_pool", src, 2 * h * w * c)
+                elif isinstance(mod, AttentionGate):
+                    per_step = c if mod.letter == "C" else 1  # descriptor values
+                    count(mod.name, "attn_fc", f"{mod.name}.pool", 4 * per_step * mod.w0.shape[0])
+                    count(f"{mod.name}.pool", "attn_pool", src, 2 * h * w * c)
                 elif isinstance(mod, LIFLayer):
                     src = None
-                elif isinstance(mod, (BatchNormLayer, AdaptiveAvgPoolLayer)):
+                elif isinstance(mod, BatchNormLayer):
                     src = mod.name
-            return src
+                elif isinstance(mod, AdaptiveAvgPoolLayer):
+                    src, shape = mod.name, (mod.out_size, mod.out_size, c)
+            return src, shape
 
-        run(self.nodes, "network input")
-        return types
+        run(self.nodes, "network input", (h, w, self.in_channels))
+        return ops
 
     def count_parameters(self) -> int:
         return sum(t.size for _, t in self.named_params())
@@ -110,8 +137,8 @@ class Network(Module):
     def forward(self, x, *, record: SpikeRecord | None = None,
                 training: bool = False, strict=None) -> Tensor:
         """Logits [N, classes] of a [T, N, C, H, W] input array or view of
-        any dtype. strict is ignored: spike types hold by construction
-        (input_types)."""
+        any dtype, recorded into a record of its H x W if given. strict is
+        ignored: spike types hold by construction (layer_ops)."""
         x = np.asarray(x)
         if x.ndim != 5 or not x.shape[1]:
             raise ShapeError(f"network input must be [T, N, C, H, W] with N >= 1, "
@@ -124,8 +151,10 @@ class Network(Module):
                 f"network built for {self.in_channels} input channels, got {x.shape[2]}")
         ctx = ForwardContext(training=training, record=record)
         if record is not None:
+            if record.size and record.size != x.shape[3:]:
+                raise ShapeError(f"record holds {record.size} inputs, batch is {x.shape[3:]}")
             record.samples += x.shape[1]
-            record.time_steps = x.shape[0]
+            record.time_steps, record.size = x.shape[0], x.shape[3:]
         # the one copy (cast and channels-last layout), held by the chain alone
         h = forward_chain(Tensor(np.ascontiguousarray(
             x.transpose(0, 1, 3, 4, 2), dtype=self.dtype)), self.nodes, ctx)
@@ -175,8 +204,7 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
         if tok.kind == "conv":
             out, k, s, p = tok.args
             name = "encoder" if not seen_conv else f"conv{bump('conv')}"
-            nodes.append(ConvLayer(name, channels, out, k, s, p, rng=rng,
-                                   dtype=dtype, is_encoder=not seen_conv))
+            nodes.append(ConvLayer(name, channels, out, k, s, p, rng=rng, dtype=dtype))
             channels = out
             seen_conv = True
         elif tok.kind == "bn":

@@ -32,16 +32,18 @@ finite-difference checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor, _give_grad, assert_finite, make_node, recording
 
 
 @dataclass(frozen=True)
 class LIFConfig:
-    """Neuron constants. Defaults follow the standard deep-SNN setting."""
+    """Neuron constants. Defaults follow the standard deep-SNN setting.
+    A constant out of range, nan or infinite is a ConfigError."""
 
     tau: float = 2.0
     u_threshold: float = 1.0
@@ -51,15 +53,16 @@ class LIFConfig:
     detach_reset: bool = True
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.u_threshold <= self.u_reset:
-            raise ValueError(
-                f"u_threshold ({self.u_threshold}) must exceed u_reset ({self.u_reset})")
+        if not 0 < self.tau < inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if not -inf < self.u_reset < self.u_threshold < inf:
+            raise ConfigError(f"u_threshold ({self.u_threshold}) must exceed u_reset "
+                              f"({self.u_reset}), both finite")
         if self.reset_mode != "hard":
-            raise ValueError(f"only hard reset is supported, got {self.reset_mode!r}")
-        if self.surrogate_alpha <= 0:
-            raise ValueError(f"surrogate_alpha must be positive, got {self.surrogate_alpha}")
+            raise ConfigError(f"only hard reset is supported, got {self.reset_mode!r}")
+        if not 0 < self.surrogate_alpha < inf:
+            raise ConfigError(f"surrogate_alpha must be positive and finite, "
+                              f"got {self.surrogate_alpha}")
 
 
 def surrogate_grad(v: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Per-layer measurement carrier filled during instrumented forward passes.
 
 A SpikeRecord accumulates across batches: spike counts, input nonzero
-fractions (the firing-rate proxy the energy model consumes), binarity of
-each arithmetic layer's literal input, and arithmetic-op counts.
+fractions (the firing-rate proxy the energy model consumes) and binarity
+of each arithmetic layer's literal input, at one T and H x W. It counts
+no op: Network.layer_ops gives each layer's kind, class and FLOPs.
 instrumented_pass is the one forward loop that fills it. Pruning
 verification and firing-rate tracing read its spike counts, and
-layer_table turns it into the one classified per-layer table that both
-the audit and the energy estimate report, classed by Network.input_types.
+layer_table adds its input rates to Network.layer_ops, in the one table
+that both the audit and the energy estimate report.
 """
 
 from __future__ import annotations
@@ -21,61 +22,46 @@ from .tensor import no_grad
 SPIKING_KINDS = ("lif", "gate")
 
 
-def layer_class(kind: str, source: str | None) -> str:
-    """MAC/AC classification shared by the auditor and the energy model.
-
-    Attention transforms run on real-valued pooled descriptors and are
-    MAC by policy; their pooling reductions are AC by policy. Feature
-    conv/fc layers are AC exactly when their input is binary by
-    construction (source None), so the encoder is MAC.
-    """
-    if kind in ("attn_fc", "attn_conv"):
-        return "MAC"
-    if kind == "attn_pool":
-        return "AC"
-    return "AC" if source is None else "MAC"
-
-
 @dataclass
-class LayerLine:
-    """One op-counted layer, per sample, as the audit and the energy
-    estimate both report it. source names where a real input comes from
-    (a layer, a join, or the network input); it is None for spikes."""
+class LayerOps:
+    """One op-counted layer, per sample, as construction fixes it. source
+    names a real input's origin (a layer, a join, the network input)."""
     name: str
     kind: str
     klass: str
-    flops_per_sample: float
-    input_rate: float
+    flops_per_sample: int
     source: str | None
     is_encoder: bool
 
 
+@dataclass
+class LayerLine(LayerOps):
+    """A LayerOps and the nonzero fraction of the input its layer read."""
+    input_rate: float
+
+
 def layer_table(network, record: "SpikeRecord") -> list[LayerLine]:
     """The classified line of every op-counted layer of network, in
-    execution order. A record without samples, or without an entry for
-    one of the layers, is refused rather than read as a clean table."""
+    execution order, at the input size record ran at. A record without
+    samples, or without an entry for one of the layers, is refused rather
+    than read as a clean table."""
     if record.samples < 1:
         raise EngineError("the spike record holds no sample; the audit and the "
                           "energy estimate need at least one sample")
     lines = []
-    for name, source in network.input_types().items():
+    for name, ops in network.layer_ops(*record.size).items():
         st = record.layers.get(name)
         if st is None:
             raise EngineError(f"spike record has no entry for layer {name!r}; "
                               "run an instrumented forward pass first")
-        lines.append(LayerLine(
-            name=name, kind=st.kind, klass=layer_class(st.kind, source),
-            flops_per_sample=st.total_flops / record.samples,
-            input_rate=st.input_rate, source=source, is_encoder=st.is_encoder))
+        lines.append(LayerLine(**vars(ops), input_rate=st.input_rate))
     return lines
 
 
 @dataclass
 class LayerStats:
     name: str
-    kind: str
-    is_encoder: bool = False
-    total_flops: int = 0
+    kind: str | None = None  # lif or gate; None for an op-counted layer's input
     in_nonzero: int = 0
     in_total: int = 0
     binary_input: bool = True
@@ -102,32 +88,26 @@ def census(arr: np.ndarray) -> tuple[int, bool]:
 
 @dataclass
 class SpikeRecord:
-    """inputs=False keeps spike counts alone, all that firing_rates and
+    """size is the (H, W) of the inputs, as time_steps is their T.
+    inputs=False keeps spike counts alone, all that firing_rates and
     spikes_per_sample read: note_input then takes no census."""
     layers: dict[str, LayerStats] = field(default_factory=dict)
     samples: int = 0
     time_steps: int = 0
+    size: tuple[int, ...] = ()
     inputs: bool = True
 
-    def stats(self, name: str, kind: str) -> LayerStats:
-        if name not in self.layers:
-            self.layers[name] = LayerStats(name=name, kind=kind)
-        return self.layers[name]
-
-    def note_input(self, name: str, kind: str, literal: np.ndarray,
-                   flops: int, is_encoder: bool = False) -> None:
+    def note_input(self, name: str, literal: np.ndarray) -> None:
         if not self.inputs:
             return
-        st = self.stats(name, kind)
-        st.is_encoder = st.is_encoder or is_encoder
-        st.total_flops += flops
+        st = self.layers.setdefault(name, LayerStats(name))
         nonzero, binary = census(literal)
         st.in_nonzero += nonzero
         st.in_total += literal.size
         st.binary_input = st.binary_input and binary
 
     def note_spikes(self, name: str, kind: str, out: np.ndarray) -> LayerStats:
-        st = self.stats(name, kind)
+        st = self.layers.setdefault(name, LayerStats(name, kind))
         st.out_spikes += float(out.sum())
         st.out_total += out.size
         return st
@@ -156,9 +136,9 @@ def instrumented_pass(network, batches) -> SpikeRecord:
     with no_grad():
         for batch in batches:
             network.forward(batch, record=rec, training=False)
-    for name, source in network.input_types().items():
-        st = rec.layers.get(name)
-        if source is None and st is not None and st.kind != "fc" and not st.binary_input:
-            raise EngineError(f"{name} is typed binary by construction but read "
+    for ops in network.layer_ops(*rec.size).values() if rec.samples else ():
+        st = rec.layers.get(ops.name)
+        if ops.source is None and st is not None and ops.kind != "fc" and not st.binary_input:
+            raise EngineError(f"{ops.name} is typed binary by construction but read "
                               "a value other than 0 or 1: an engine bug")
     return rec

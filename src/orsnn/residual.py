@@ -8,7 +8,7 @@ its composed add, mul and sub nodes rounded them. A block is two backbone
 conv stages, a stride-2 projection shortcut that ends in its own spiking
 neuron, the join of the two spike maps, and two post-join conv stages. The
 join mode (OR, ADD, AND or IAND) is the only thing that varies: OR, AND
-and IAND of two spike maps are spikes, ADD is not (Network.input_types).
+and IAND of two spike maps are spikes, ADD is not (Network.layer_ops).
 The auditor reports record.layer_table's MAC/AC classification of every
 arithmetic layer and fails a non-encoder MAC feature layer.
 """

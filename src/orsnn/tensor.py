@@ -388,13 +388,23 @@ def _phases(extent: int, k: int, stride: int, padding: int):
         yield d, r, len(range(r, k, stride)), m0, len(range(d, extent, stride))
 
 
+def out_extent(n: int, k: int, stride: int, padding: int) -> int:
+    """Outputs of a k-wide window at stride over n inputs padded both
+    sides; none at all is a ShapeError."""
+    out = (n + 2 * padding - k) // stride + 1
+    if out < 1:
+        raise ShapeError(f"window {k} at stride {stride}, padding {padding} has no "
+                         f"output over an extent of {n}")
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with square kernel and symmetric zero padding.
 
     x is channels-last [N, H, W, C] or [T, N, H, W, C]; T and N are folded
     into one batch axis inside the node. w is [Cout, Cin, k, k] and the
-    output is [..., H', W', Cout], extent floor((H + 2p - k) / s) + 1; an
-    extent below 1 raises. Both directions are chunked im2col GEMMs
+    output is [..., H', W', Cout], extent out_extent(H, k, s, p), which
+    raises for an extent below 1. Both directions are chunked im2col GEMMs
     (_correlate) that read and write the channels-last arrays in place, over
     the same chunks of images (as many as fit _CONV_CHUNK floats of x's
     im2col, or one):
@@ -449,12 +459,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
     if k < 1 or stride < 1 or padding < 0:
         raise ShapeError(f"conv2d invalid geometry: k={k} stride={stride} padding={padding}")
-    out_h = (h + 2 * padding - k) // stride + 1
-    out_w = (wid + 2 * padding - k) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"conv2d output extent below 1 for input {x.shape}, k={k}, "
-            f"stride={stride}, padding={padding}")
+    out_h, out_w = out_extent(h, k, stride, padding), out_extent(wid, k, stride, padding)
 
     def padded(images):
         if not padding:
@@ -531,13 +536,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def _pool_geometry(h: int, wid: int, window: int, stride: int, padding: int):
-    hp, wp = h + 2 * padding, wid + 2 * padding
-    if window > hp or window > wp:
-        raise ShapeError(
-            f"pool window {window} larger than padded input ({hp}x{wp})")
     if window < 1 or stride < 1 or padding < 0:
         raise ShapeError(f"pool invalid geometry: window={window} stride={stride} padding={padding}")
-    return (hp - window) // stride + 1, (wp - window) // stride + 1
+    return out_extent(h, window, stride, padding), out_extent(wid, window, stride, padding)
 
 
 def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int = 0) -> Tensor:

@@ -35,8 +35,6 @@ class TrainConfig:
     time_steps: int = 16
     batch_size: int = 128
     epochs: int = 100
-    optimizer: str = "adam"
-    loss: str = "cross-entropy"
     seed: int = 0
     transforms: tuple[str, ...] = ()
     patience: int = 5
@@ -50,10 +48,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.optimizer != "adam":
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss != "cross-entropy":
-            raise ConfigError(f"unknown loss {self.loss!r}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         parse_transforms(self.transforms)

@@ -17,6 +17,7 @@ import numpy as np
 from orsnn import tensor as tz
 from orsnn.layers import ForwardContext
 from orsnn.neuron import LIFConfig, _fire, lif_step, surrogate_grad
+from orsnn.record import LayerOps
 from orsnn.residual import ResidualBlock, join
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node, no_grad
 
@@ -60,6 +61,31 @@ def gradcheck(fn, *arrays, rel: float = 1e-4, step: float = 1e-5,
         assert worst <= rel, (
             f"input {idx}: worst relative gradient error {worst:.3e} > {rel:.0e}\n"
             f"analytic:\n{analytic}\nnumeric:\n{numeric}")
+
+
+class FakeWalk:
+    """Stands in for a network's static walk (Network.layer_ops): layers
+    is a list of (name, kind, class, FLOPs per sample) in execution order.
+    A MAC layer reads a real source, an AC one spikes; the layer named
+    encoder is the encoder. sizes lists the (h, w) each walk was asked for."""
+
+    def __init__(self, layers):
+        self.layers = layers
+        self.sizes = []
+
+    def layer_ops(self, h, w):
+        self.sizes.append((h, w))
+        return {name: LayerOps(name, kind, klass, flops,
+                               "a real source" if klass == "MAC" else None,
+                               name == "encoder")
+                for name, kind, klass, flops in self.layers}
+
+
+def rated(total: int, nonzero: int) -> np.ndarray:
+    """A float array with an exact nonzero fraction nonzero/total."""
+    arr = np.zeros(total, dtype=np.float32)
+    arr[:nonzero] = 1.0
+    return arr
 
 
 def nhwc(a) -> np.ndarray:

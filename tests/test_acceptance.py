@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import orsnn.tensor as tz
-from conftest import (distinct_random, gradcheck, lif_reference_trace, margin_random,
-                      nhwc, smooth_spike_fn)
+from conftest import (FakeWalk, distinct_random, gradcheck, lif_reference_trace,
+                      margin_random, nhwc, rated, smooth_spike_fn)
 from orsnn.attention import AttentionPlan, make_attention
 from orsnn.config import TrainConfig
 from orsnn.data import (load_idx_dir, save_idx_images, save_idx_labels, subset,
@@ -288,28 +288,15 @@ def test_06_energy_oracle():
     started = time.time()
     failures = []
 
-    class StubNet:
-        """Its layers in order: the encoder reads real input, the rest spikes."""
-
-        def __init__(self, names):
-            self._names = names
-
-        def input_types(self):
-            return {n: "network input" if n == "encoder" else None
-                    for n in self._names}
-
-    def rated(total, nonzero):
-        arr = np.zeros(total, dtype=np.float32)
-        arr[:nonzero] = 1.0
-        return arr
-
     # three layers, two samples: encoder 1000 FLOPs/sample (MAC), one conv
     # at 500 FLOPs/sample with input rate 1/4, one fc at 100 with rate 1/2
-    rec = SpikeRecord(samples=2)
-    rec.note_input("encoder", "conv", rated(8, 3), flops=2000, is_encoder=True)
-    rec.note_input("conv1", "conv", rated(8, 2), flops=1000)
-    rec.note_input("fc", "fc", rated(8, 4), flops=200)
-    report = estimate_energy(StubNet(["encoder", "conv1", "fc"]), rec)
+    rec = SpikeRecord(samples=2, size=(4, 4))
+    rec.note_input("encoder", rated(8, 3))
+    rec.note_input("conv1", rated(8, 2))
+    rec.note_input("fc", rated(8, 4))
+    report = estimate_energy(FakeWalk([("encoder", "conv", "MAC", 1000),
+                                       ("conv1", "conv", "AC", 500),
+                                       ("fc", "fc", "AC", 100)]), rec)
     expected = 4.6 * 1000 + 0.9 * (500 * 0.25) + 0.9 * (100 * 0.5)
     if not np.isclose(report.energy_pj_per_sample, expected, rtol=1e-9, atol=0):
         failures.append(f"three-layer total {report.energy_pj_per_sample} pJ, "
@@ -319,10 +306,9 @@ def test_06_energy_oracle():
     if not np.isclose(report.ac_ops_per_sample, 175, rtol=1e-9, atol=0):
         failures.append(f"AC ops {report.ac_ops_per_sample} != 175")
 
-    rec = SpikeRecord(samples=1)
-    rec.note_input("encoder", "conv", rated(4, 2), flops=1_000_000,
-                   is_encoder=True)
-    report = estimate_energy(StubNet(["encoder"]), rec)
+    rec = SpikeRecord(samples=1, size=(4, 4))
+    rec.note_input("encoder", rated(4, 2))
+    report = estimate_energy(FakeWalk([("encoder", "conv", "MAC", 1_000_000)]), rec)
     if not np.isclose(report.energy_pj_per_sample, 4.6e6, rtol=1e-9, atol=0):
         failures.append(f"encoder-only {report.energy_pj_per_sample} pJ "
                         "!= 4.6e6 pJ")

@@ -285,6 +285,22 @@ class TestGuards:
             assert (f"ERROR CorruptPayload: {p}: epoch {epoch!r} is not an integer >= 0"
                     in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key,value,what", [
+        ("time_steps", "x", "an integer"), ("in_channels", "-1", "an integer"),
+        ("seed", "1.5", "an integer"), ("seed", "", "an integer"),
+        ("attention_reductions", "4,x,7", "3 integers"),
+        ("attention_reductions", "4,16", "3 integers")])
+    def test_a_bad_integer_field_fails_typed_through_the_cli(self, key, value, what,
+                                                              tmp_path, capsys):
+        """A header integer that is no integer is a corrupt payload, not an
+        architecture mismatch."""
+        p = self.save_one(tmp_path)
+        tamper_header(p, lambda ls: [f"{key}={value}" if l.startswith(f"{key}=") else l
+                                     for l in ls])
+        assert main(["eval", "--ckpt", str(p), "--data", "synth:moving-bar:4:2:12:12"]) == 2
+        assert (f"ERROR CorruptPayload: {p}: {key} {value!r} is not {what} >= 0"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_a_non_finite_lif_setting_is_refused(self, value, tmp_path):
         p = self.save_one(tmp_path)

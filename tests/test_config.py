@@ -42,8 +42,6 @@ lr = 0.3333333333333333
 time_steps = 8
 batch_size = 32
 epochs = 12
-optimizer = adam
-loss = cross-entropy
 seed = 11
 transforms = flip(0.5),normalize(0.5,0.5)
 patience = 3
@@ -86,6 +84,16 @@ class TestRoundTrip:
 
     def test_rendered_text_is_pinned(self):
         assert render_config(custom_config()) == CUSTOM_TEXT
+
+    def test_the_one_optimizer_and_loss_still_load(self):
+        """optimizer and loss are no options any more, but a file that names
+        their one value loads as before, and any other value is refused."""
+        fixed = CUSTOM_TEXT.replace("seed = 11\n",
+                                    "optimizer = adam\nloss = cross-entropy\nseed = 11\n")
+        assert parse_config(fixed) == custom_config()
+        for key, value in (("optimizer", "sgd"), ("loss", "mse"), ("optimizer", "")):
+            with pytest.raises(ConfigError, match=f"unknown {key} '{value}'"):
+                parse_config(CUSTOM_TEXT + f"{key} = {value}\n")
 
     def test_render_is_stable(self):
         cfg = custom_config()

@@ -4,8 +4,8 @@ and natural-pruning detection and application."""
 import numpy as np
 import pytest
 
+from conftest import FakeWalk, rated
 from orsnn.errors import EngineError, PruneRefused, ShapeError
-from orsnn.layers import ConvLayer, DenseLayer, ForwardContext
 from orsnn.metrics import (
     EnergyModel,
     FiringRateTrace,
@@ -15,41 +15,8 @@ from orsnn.metrics import (
 )
 from orsnn.network import build_network
 from orsnn.record import SpikeRecord, census
-from orsnn.tensor import Tensor
 
 SMALL = "c8k3s1p1-BN-LIF-(OR-SEW Block(c16))-AP-FC4"
-
-
-class FakeNet:
-    """Stands in for a network: its layers in order, typed binary but for
-    the encoder and those named real."""
-
-    def __init__(self, names, real=()):
-        self._names = names
-        self._real = {"encoder", *real}
-
-    def input_types(self):
-        return {n: "a real source" if n in self._real else None for n in self._names}
-
-
-def rated(total, nonzero):
-    """A float array with an exact nonzero fraction nonzero/total."""
-    arr = np.zeros(total, dtype=np.float32)
-    arr[:nonzero] = 1.0
-    return arr
-
-
-class TestFlopHelpers:
-    def test_conv_flops_value(self):
-        conv = ConvLayer("c", 4, 8, 3, rng=np.random.default_rng(0))
-        assert conv.flops_per_step(12, 10) == 12 * 10 * 9 * 4 * 8
-
-    def test_fc_flops_value(self):
-        fc = DenseLayer("fc", 512, 10, rng=np.random.default_rng(0))
-        rec = SpikeRecord()
-        fc.forward(Tensor(np.ones((2, 3, 512), dtype=np.float32)),
-                   ForwardContext(record=rec))
-        assert rec.layers["fc"].total_flops == 5120 * 2 * 3
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -62,8 +29,8 @@ def test_input_nonzero_count_matches_count_nonzero(dtype):
     rng = np.random.default_rng(0)
     literal = rng.choice(special, size=(4, 3, 5, 5, 2))
     rec = SpikeRecord()
-    rec.note_input("conv1", "conv", literal, flops=1)
-    rec.note_input("conv1", "conv", special, flops=1)
+    rec.note_input("conv1", literal)
+    rec.note_input("conv1", special)
     st = rec.layers["conv1"]
     assert st.in_nonzero == np.count_nonzero(literal) + np.count_nonzero(special)
     assert st.in_nonzero == np.count_nonzero(literal) + 7
@@ -96,22 +63,27 @@ def test_census_matches_count_nonzero_and_the_masked_binarity(case, dtype):
     assert binary is _binarity(arr)
 
 
+# hand-chosen FLOPs per sample: the encoder is MAC regardless of rate,
+# conv1 and fc read spikes (AC)
+THREE = [("encoder", "conv", "MAC", 1000), ("conv1", "conv", "AC", 500),
+         ("fc", "fc", "AC", 100)]
+
+
 class TestEnergyOracle:
     def build_record(self):
-        # 2 samples; hand-chosen flops and input rates:
-        #   encoder: 1000 FLOPs/sample, MAC regardless of rate
-        #   conv1:   500 FLOPs/sample, binary input at rate 1/4 -> AC
-        #   fc:      100 FLOPs/sample, binary input at rate 1/2 -> AC
-        rec = SpikeRecord(samples=2)
-        rec.note_input("encoder", "conv", rated(8, 3), flops=2000, is_encoder=True)
-        rec.note_input("conv1", "conv", rated(8, 2), flops=1000)
-        rec.note_input("fc", "fc", rated(8, 4), flops=200)
+        # 2 samples of 4x4; input rates: encoder 3/8, conv1 1/4, fc 1/2
+        rec = SpikeRecord(samples=2, size=(4, 4))
+        rec.note_input("encoder", rated(8, 3))
+        rec.note_input("conv1", rated(8, 2))
+        rec.note_input("fc", rated(8, 4))
         rec.note_spikes("lif1", "lif", np.ones(6))
         return rec
 
     def test_three_layer_hand_oracle(self):
         rec = self.build_record()
-        report = estimate_energy(FakeNet(["encoder", "conv1", "fc"]), rec)
+        walk = FakeWalk(THREE)
+        report = estimate_energy(walk, rec)
+        assert walk.sizes == [(4, 4)]  # the walk runs at the record's input size
         expected = 4.6 * 1000 + 0.9 * (500 * 0.25) + 0.9 * (100 * 0.5)
         assert report.energy_pj_per_sample == pytest.approx(expected, rel=1e-9)
         assert report.mac_ops_per_sample == pytest.approx(1000, rel=1e-9)
@@ -125,7 +97,7 @@ class TestEnergyOracle:
 
     def test_total_is_exact_sum_of_lines(self):
         rec = self.build_record()
-        report = estimate_energy(FakeNet(["encoder", "conv1", "fc"]), rec)
+        report = estimate_energy(FakeWalk(THREE), rec)
         assert report.energy_pj_per_sample == sum(ln.energy_pj for ln in report.lines)
         assert report.mac_ops_per_sample == sum(
             ln.ops_per_sample for ln in report.lines if ln.klass == "MAC")
@@ -133,34 +105,34 @@ class TestEnergyOracle:
     def test_custom_constants_scale_linearly(self):
         rec = self.build_record()
         model = EnergyModel(e_mac_pj=9.2, e_ac_pj=1.8)
-        a = estimate_energy(FakeNet(["encoder", "conv1", "fc"]), self.build_record())
-        b = estimate_energy(FakeNet(["encoder", "conv1", "fc"]), rec, model)
+        a = estimate_energy(FakeWalk(THREE), self.build_record())
+        b = estimate_energy(FakeWalk(THREE), rec, model)
         assert b.energy_pj_per_sample == pytest.approx(2 * a.energy_pj_per_sample,
                                                        rel=1e-12)
 
     def test_million_flop_encoder_is_four_point_six_microjoules(self):
-        rec = SpikeRecord(samples=1)
-        rec.note_input("encoder", "conv", rated(4, 4), flops=1_000_000,
-                       is_encoder=True)
-        report = estimate_energy(FakeNet(["encoder"]), rec)
+        rec = SpikeRecord(samples=1, size=(4, 4))
+        rec.note_input("encoder", rated(4, 4))
+        report = estimate_energy(FakeWalk([("encoder", "conv", "MAC", 1_000_000)]), rec)
         assert report.energy_uj_per_sample == pytest.approx(4.6, rel=1e-9)
         assert "4.6000 uJ" in report.render()
 
     def test_nonbinary_input_layer_counts_as_mac(self):
-        rec = SpikeRecord(samples=1)
+        rec = SpikeRecord(samples=1, size=(4, 4))
         real = np.array([0.5, 1.0, 0.0, 0.25], dtype=np.float32)
-        rec.note_input("conv1", "conv", real, flops=100)
-        report = estimate_energy(FakeNet(["conv1"], real=["conv1"]), rec)
+        rec.note_input("conv1", real)
+        report = estimate_energy(FakeWalk([("conv1", "conv", "MAC", 100)]), rec)
         (line,) = report.lines
         assert line.klass == "MAC"
         assert line.energy_pj == pytest.approx(4.6 * 100, rel=1e-12)
 
     def test_attention_transform_is_mac_and_pool_is_ac(self):
-        rec = SpikeRecord(samples=1)
+        rec = SpikeRecord(samples=1, size=(4, 4))
         real = np.array([0.5, 0.5], dtype=np.float32)
-        rec.note_input("gate1", "attn_fc", real, flops=64)
-        rec.note_input("gate1.pool", "attn_pool", rated(4, 2), flops=32)
-        report = estimate_energy(FakeNet(["gate1", "gate1.pool"]), rec)
+        rec.note_input("gate1", real)
+        rec.note_input("gate1.pool", rated(4, 2))
+        report = estimate_energy(FakeWalk([("gate1", "attn_fc", "MAC", 64),
+                                           ("gate1.pool", "attn_pool", "AC", 32)]), rec)
         by_name = {ln.name: ln for ln in report.lines}
         assert by_name["gate1"].klass == "MAC"
         assert by_name["gate1"].energy_pj == pytest.approx(4.6 * 64, rel=1e-12)
@@ -171,15 +143,15 @@ class TestEnergyOracle:
     def test_missing_layer_entry_raises(self):
         rec = self.build_record()
         with pytest.raises(EngineError, match="no entry for layer 'conv9'"):
-            estimate_energy(FakeNet(["encoder", "conv9"]), rec)
+            estimate_energy(FakeWalk(THREE[:1] + [("conv9", "conv", "AC", 1)]), rec)
 
     def test_empty_record_raises(self):
         with pytest.raises(EngineError, match="at least one sample"):
-            estimate_energy(FakeNet(["encoder"]), SpikeRecord())
+            estimate_energy(FakeWalk(THREE), SpikeRecord())
 
     def test_rows_are_csv_ready(self):
         rec = self.build_record()
-        report = estimate_energy(FakeNet(["encoder", "conv1", "fc"]), rec)
+        report = estimate_energy(FakeWalk(THREE), rec)
         rows = report.rows()
         assert [r["layer"] for r in rows] == ["encoder", "conv1", "fc"]
         assert list(rows[0]) == ["layer", "kind", "klass", "flops_per_sample",

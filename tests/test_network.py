@@ -75,10 +75,9 @@ class TestCanonicalArchs:
         enc = net.nodes[0]
         assert isinstance(enc, ConvLayer)
         assert enc.name == "encoder"
-        assert enc.is_encoder
-        others = [m for m in net.walk()
-                  if isinstance(m, ConvLayer) and m.name != "encoder"]
-        assert others and not any(m.is_encoder for m in others)
+        ops = net.layer_ops(28, 28)
+        assert [o.name for o in ops.values() if o.is_encoder] == ["encoder"]
+        assert len(ops) == 21
 
     def test_static_arch_forward_shape(self):
         net = build_network(STATIC_ARCH, time_steps=2, in_channels=1)
@@ -364,7 +363,7 @@ class TestBuildErrors:
                                              r"\(token at byte offset 16\)"):
             build_network(arch, time_steps=2, in_channels=1)
         net = build_network(arch.replace("p2", "p1"), time_steps=2, in_channels=1)
-        assert net.input_types()["conv1"] is None
+        assert net.layer_ops(12, 12)["conv1"].source is None
         instrumented_pass(net, binary_batch((2, 3, 1, 12, 12), seed=5))
 
 
@@ -469,7 +468,7 @@ class TestAudit:
         batch = binary_batch((3, 4, 1, 12, 12), seed=17)
         rec = SpikeRecord()
         net.forward(batch, record=rec)
-        assert net.input_types()["fc"] is None  # typed by the pre-pool spike map
+        assert net.layer_ops(12, 12)["fc"].source is None  # typed by the pre-pool spike map
         assert rec.layers["fc"].input_rate > 0
         report = audit_spike_drivenness(net, batch)
         assert {e.name: e.klass for e in report.entries}["fc"] == "AC"

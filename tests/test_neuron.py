@@ -13,7 +13,7 @@ import pytest
 
 import orsnn.neuron as nrn
 import orsnn.tensor as tz
-from orsnn.errors import NumericError, ShapeError
+from orsnn.errors import ConfigError, NumericError, ShapeError
 from orsnn.layers import ForwardContext, LIFLayer
 from orsnn.neuron import LIFConfig, lif_multistep, lif_step, surrogate_grad
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node
@@ -114,14 +114,23 @@ def test_nonfinite_current_raises():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="tau"):
         LIFConfig(tau=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="must exceed u_reset"):
         LIFConfig(u_threshold=0.0, u_reset=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="hard reset"):
         LIFConfig(reset_mode="soft")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="surrogate_alpha"):
         LIFConfig(surrogate_alpha=-1.0)
+    with pytest.raises(ConfigError, match="tau"):
+        LIFConfig(tau=np.nan, u_threshold=np.nan)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["tau", "u_threshold", "u_reset", "surrogate_alpha"])
+def test_a_nan_or_infinite_constant_is_refused(key, value):
+    with pytest.raises(ConfigError):
+        LIFConfig(**{key: value})
 
 
 def test_detach_reset_changes_gradient():

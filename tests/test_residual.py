@@ -110,7 +110,7 @@ def test_only_a_bitwise_join_of_spikes_is_typed_binary():
     a pruned block hands on its backbone's spikes."""
     for mode in JoinMode:
         net = build_network(TWO_BLOCKS, join=mode, time_steps=2, in_channels=1)
-        types = net.input_types()
+        types = {name: o.source for name, o in net.layer_ops(12, 12).items()}
         assert types["encoder"] == "network input"
         real = {name: src for name, src in types.items() if src is not None}
         if mode is JoinMode.ADD:
@@ -118,7 +118,7 @@ def test_only_a_bitwise_join_of_spikes_is_typed_binary():
                             "block1.conv3": "block1 ADD join",
                             "block2.conv3": "block2 ADD join"}
             net.blocks()[1].prune()
-            assert net.input_types()["block2.conv3"] is None
+            assert net.layer_ops(12, 12)["block2.conv3"].source is None
         else:
             assert list(real) == ["encoder"], mode
 

@@ -98,8 +98,6 @@ class TestDefaults:
         ("time_steps", 0, "time_steps"),
         ("batch_size", 0, "batch_size"),
         ("epochs", -1, "epochs"),
-        ("optimizer", "sgd", "optimizer"),
-        ("loss", "mse", "loss"),
         ("patience", 0, "patience"),
     ])
     def test_validate_rejects_bad_fields(self, field, value, match):
