@@ -21,7 +21,7 @@ from .metrics import (EnergyModel, EnergyReport, FiringRateTrace,
                       PruningReport, apply_pruning, detect_natural_pruning,
                       estimate_energy)
 from .network import Network, build_network, frames_to_input
-from .neuron import LIFConfig, lif_multistep, lif_step, surrogate_grad
+from .neuron import LIFConfig, lif_multistep
 from .record import LayerLine, SpikeRecord, instrumented_pass, layer_table
 from .residual import (AuditReport, JoinMode, ResidualBlock,
                        audit_spike_drivenness, build_block, join)

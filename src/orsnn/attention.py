@@ -1,20 +1,29 @@
 """Synergistic attention gates: binary masks produced by spiking neurons.
 
-Every flavor pools the activation into a descriptor, pushes its mean and
-max branches through a shared transform (a conv for S, a two-matrix MLP
-for T and C), sums them, fires a fresh spiking neuron and multiplies the
-binary mask on. A T or C gate is one autograd node over (x, W0, W1): it
-pools axis 2 of x viewed as [T, N, H*W*C, 1] (T: MLP rows [N, T]) or
-[T, N, H*W, C] (C: rows [T*N, C]). With rows a (mean), m (max) and
-R_b = relu(b W0^T), U = u_reset + (R_a + R_m) W1^T / tau and
-out = x * step(U - u_threshold). The backward, for sg the surrogate slope
-and L the pooled length, replays the op order of the composed graph it
-replaced, so both passes are bit-identical to it:
+Every flavor pools the activation into max and mean descriptors, pushes
+them through a shared transform (a conv for S, a two-matrix MLP for T and
+C), fires a fresh spiking neuron on the drive (neuron.fire_from_rest) and
+multiplies the binary mask on. Each gate is one autograd node. With gmask
+= g * x summed over the pooled axes and gdrive = (gmask * sg + 0) / tau,
+sg the surrogate slope, its backward replays the op order of the composed
+graph it replaced, so both passes are bit-identical to it.
 
-    gdrive = (g * x summed over H, then W, then C for T) * sg / tau
+A T or C gate, over (x, W0, W1), pools axis 2 of x viewed as
+[T, N, H*W*C, 1] (T: MLP rows [N, T]) or [T, N, H*W, C] (C: rows [T*N, C]).
+Rows a (mean) and m (max) give R_b = relu(b W0^T) and the drive
+(R_a + R_m) W1^T. For L the pooled length (gmask sums H, W, then C for T):
+
     b = m, then a:  gR = (gdrive W1) [R_b > 0],  gW1 += gdrive^T R_b,
                     gdesc_b = gR W0,             gW0 += gR^T b
     dx = g * mask,  dx[first argmax] += gdesc_m,  dx += gdesc_a / L
+
+An S gate, over (x, weight), stacks each pixel's channel max m (first
+argmax) and mean a as the 2-channel image P = [m, a], and its drive is
+corr(pad(P), weight) by tensor.conv2d over a local leaf; mask
+[T, N, H, W, 1]. Its backward runs that conv node's backward at gdrive:
+
+    (gP, gweight) = conv2d backward,  dx = g * mask,  dx += gP_a / C,
+    then dx += gP_m at each first argmax (a dense add)
 
 A promoting gate on a backbone path and an inhibitory gate on a shortcut
 path are distinct parameter instances of the same math; the role only
@@ -30,9 +39,8 @@ import numpy as np
 from . import tensor as tz
 from .errors import BuildError, ShapeError
 from .layers import ForwardContext, Module, he_uniform
-from .neuron import LIFConfig, _fire, lif_step, surrogate_grad
-from .tensor import (Tensor, _give_grad, _unbroadcast, accumulate_grad, assert_finite,
-                     make_node)
+from .neuron import LIFConfig, fire_from_rest
+from .tensor import Tensor, _give_grad, _unbroadcast, accumulate_grad, make_node
 
 FLAVORS = ("T", "C", "S")
 PLACEMENTS = ("a", "b", "c", "d")
@@ -136,7 +144,7 @@ class _PooledGate(AttentionGate):
         kept = x.shape[4] if self.axis else 1
         xd = x.data
         view = xd.reshape(t, n, -1, kept)
-        w0, w1, cfg, axis = self.w0, self.w1, self.lif_cfg, self.axis
+        w0, w1, axis = self.w0, self.w1, self.axis
         avg = view.mean(axis=2)
         # flat index of each first maximum in view
         first = (np.arange(t * n).reshape(t, n, 1) * view.shape[2] + view.argmax(axis=2)) * kept
@@ -156,19 +164,14 @@ class _PooledGate(AttentionGate):
             pos = hid > 0
             branches.append((r, pos, hid * pos))
         drive = branches[1][2] @ w1.data.T + branches[0][2] @ w1.data.T
-        assert_finite(drive, "neuron input current")
-        reset, thr, k = (np.asarray(c, dtype=drive.dtype)
-                         for c in (cfg.u_reset, cfg.u_threshold, 1.0 / cfg.tau))
-        u = reset + drive * k
-        mask = unrows(_fire(u - thr, cfg.surrogate_alpha, False))
+        fired, drive_grad = fire_from_rest(drive, self.lif_cfg)
+        mask = unrows(fired)
         mask5 = mask.reshape(t, n, 1, 1, kept)
         if ctx.record is not None:
             ctx.record.note_input(self.name, avg)
 
         def bwd(g):
-            gmask = rows(_unbroadcast(g * xd, mask5.shape).reshape(mask.shape))
-            sg = surrogate_grad(u - thr, cfg.surrogate_alpha).astype(g.dtype, copy=False)
-            gdrive = (gmask * sg + 0.0) * k  # lif_step's + gH (1 - S), gH = 0: -0 to +0
+            gdrive = drive_grad(rows(_unbroadcast(g * xd, mask5.shape).reshape(mask.shape)))
             gdesc = []
             for r, pos, hid in branches:
                 ghid = (gdrive @ w1.data) * pos
@@ -201,14 +204,30 @@ class SpatialAttention(AttentionGate):
         return [(f"{self.name}.weight", self.weight)]
 
     def _gate(self, x, ctx):
-        mx = tz.reduce_max(x, (4,), keepdims=True)
-        avg = tz.reduce_mean(x, (4,), keepdims=True)
-        stacked = tz.concat([mx, avg], axis=4)
-        drive = tz.conv2d(stacked, self.weight, stride=1, padding=(self.kernel - 1) // 2)
+        xd = x.data
+        rows = xd.reshape(-1, xd.shape[4])
+        picked = (np.arange(len(rows)), rows.argmax(axis=1))  # first maxima
+        pooled = np.concatenate([rows[picked].reshape(xd.shape[:4] + (1,)),
+                                 xd.mean(axis=4, keepdims=True)], axis=4)
         if ctx.record is not None:
-            ctx.record.note_input(self.name, stacked.data)
-        mask, _ = lif_step(drive, self.lif_cfg)
-        return tz.mul(x, mask), mask.data
+            ctx.record.note_input(self.name, pooled)
+        # a leaf that needs a gradient when x does, so a frozen x takes
+        # conv2d's dW-only backward as the composed graph did
+        leaf = Tensor(pooled, requires_grad=x.requires_grad)
+        drive = tz.conv2d(leaf, self.weight, stride=1, padding=(self.kernel - 1) // 2)
+        mask, drive_grad = fire_from_rest(drive.data, self.lif_cfg)
+        conv_bwd = drive.backward_fn
+
+        def bwd(g):
+            conv_bwd(drive_grad(_unbroadcast(g * xd, mask.shape)))
+            if x.requires_grad:  # in the composed graph's order: mul, mean, max
+                _give_grad(x, g * mask)
+                accumulate_grad(x, np.broadcast_to(leaf.grad[..., 1:] / rows.shape[1], x.shape))
+                routed = np.zeros_like(rows)
+                routed[picked] = leaf.grad[..., 0].reshape(-1)
+                accumulate_grad(x, routed.reshape(x.shape))
+
+        return make_node(xd * mask, (x, self.weight), bwd), mask
 
 
 def make_attention(plan: AttentionPlan, role: str, name: str, channels: int,

@@ -229,6 +229,8 @@ def load_events(path) -> FramedEventSet:
         n, t, c, h, w = (int(v) for v in extents.split())
     except ValueError as err:
         raise DataFormatError(f"{path}: bad extent line {extents!r}") from err
+    if min(n, t, c, h, w) < 0:
+        raise DataFormatError(f"{path}: negative extent in {extents!r}")
     frame_bytes = n * t * c * h * w
     label_bytes = 4 * n
     if len(body) != frame_bytes + label_bytes:

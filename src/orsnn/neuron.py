@@ -65,7 +65,7 @@ class LIFConfig:
                               f"got {self.surrogate_alpha}")
 
 
-def surrogate_grad(v: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+def _surrogate_grad(v: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
     """d(step)/dv stand-in: alpha / (2 * (1 + (pi*alpha*v/2)^2)), rounded
     op by op in that order, into `out` when given (out may be v)."""
     d = np.asarray(np.multiply(v, np.pi * alpha, out=out))
@@ -91,11 +91,23 @@ def lif_multistep(x: Tensor, cfg: LIFConfig,
     return _lif(x, x.data, cfg, smooth)
 
 
-def lif_step(current: Tensor, cfg: LIFConfig) -> tuple[Tensor, np.ndarray]:
-    """One time step from rest: the T=1 case of lif_multistep, with the same
-    fused node, its BPTT backward, and the reset factor (1 - S) detached
-    from the graph when cfg.detach_reset is set."""
-    return _lif(current, current.data[None], cfg, False)
+def fire_from_rest(drive: np.ndarray, cfg: LIFConfig):
+    """One LIF step from rest over a plain array, a gate's fresh neuron: the
+    spikes S = step(u_reset + drive / tau - u_threshold) in drive's dtype,
+    and the map from dL/dS to dL/d(drive), (gS sg + 0) / tau for sg the
+    surrogate slope at U - u_threshold. Both are lif_multistep's T = 1 case
+    bit for bit (its + gH (1 - S) with gH = 0 is the + 0, which turns -0
+    into +0), with or without detach_reset, for finite U."""
+    assert_finite(drive, "neuron input current")
+    reset, thr, k = (np.asarray(c, dtype=drive.dtype)
+                     for c in (cfg.u_reset, cfg.u_threshold, 1.0 / cfg.tau))
+    v = reset + drive * k - thr
+
+    def drive_grad(g):
+        sg = _surrogate_grad(v, cfg.surrogate_alpha).astype(g.dtype, copy=False)
+        return (g * sg + 0.0) * k
+
+    return _fire(v, cfg.surrogate_alpha, False), drive_grad
 
 
 # Elements per backward time chunk: a chunk's surrogate slopes are computed in
@@ -145,7 +157,7 @@ def _lif(x: Tensor, xs: np.ndarray, cfg: LIFConfig,
         for stop in range(len(g), 0, -span):
             start = max(0, stop - span)
             sg = np.subtract(u_all[start:stop], thr)
-            surrogate_grad(sg, cfg.surrogate_alpha, out=sg)
+            _surrogate_grad(sg, cfg.surrogate_alpha, out=sg)
             keep = one - s_all[start:stop]
             if cfg.detach_reset:  # gS sg for the whole chunk
                 np.multiply(g[start:stop], sg, out=sg)

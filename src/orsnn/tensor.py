@@ -282,22 +282,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(out_data, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        accumulate_grad(a, -g)
-
-    return make_node(-a.data, (a,), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def bwd(g):
-        accumulate_grad(a, g * mask)
-
-    return make_node(a.data * mask, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra
 
@@ -390,7 +374,10 @@ def _phases(extent: int, k: int, stride: int, padding: int):
 
 def out_extent(n: int, k: int, stride: int, padding: int) -> int:
     """Outputs of a k-wide window at stride over n inputs padded both
-    sides; none at all is a ShapeError."""
+    sides. A window below 1, a stride below 1, a negative padding or no
+    output at all is a ShapeError."""
+    if k < 1 or stride < 1 or padding < 0:
+        raise ShapeError(f"invalid window geometry: k={k} stride={stride} padding={padding}")
     out = (n + 2 * padding - k) // stride + 1
     if out < 1:
         raise ShapeError(f"window {k} at stride {stride}, padding {padding} has no "
@@ -457,8 +444,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d kernel must be square, got {w.shape}")
     if cin != cin_k:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    if k < 1 or stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d invalid geometry: k={k} stride={stride} padding={padding}")
     out_h, out_w = out_extent(h, k, stride, padding), out_extent(wid, k, stride, padding)
 
     def padded(images):
@@ -535,19 +520,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return make_node(out.reshape(x.shape[:-3] + out.shape[1:]), (x, w), bwd)
 
 
-def _pool_geometry(h: int, wid: int, window: int, stride: int, padding: int):
-    if window < 1 or stride < 1 or padding < 0:
-        raise ShapeError(f"pool invalid geometry: window={window} stride={stride} padding={padding}")
-    return out_extent(h, window, stride, padding), out_extent(wid, window, stride, padding)
-
-
 def max_pool2d(x: Tensor, window: int, stride: int | None = None, padding: int = 0) -> Tensor:
     """Max pooling over channels-last [N, H, W, C] or [T, N, H, W, C]; ties
     resolve to the first (lowest linear index) element of the window."""
     x4 = _fold(x, 3, "max_pool2d")
     stride = window if stride is None else stride
     batch, h, wid, ch = x4.shape
-    out_h, out_w = _pool_geometry(h, wid, window, stride, padding)
+    out_h, out_w = out_extent(h, window, stride, padding), out_extent(wid, window, stride, padding)
     fill = np.array(-np.inf, dtype=x.data.dtype)
     xp = np.pad(x4, ((0, 0), (padding, padding), (padding, padding), (0, 0)),
                 constant_values=fill)
@@ -708,53 +687,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# Shape and reduction ops
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    try:
-        out_data = x.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}") from None
-
-    def bwd(g):
-        accumulate_grad(x, g.reshape(x.shape))
-
-    return make_node(out_data, (x,), bwd)
-
-
-def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"permute axes {axes} invalid for shape {x.shape}")
-    inverse = np.argsort(axes)
-
-    def bwd(g):
-        accumulate_grad(x, np.ascontiguousarray(g.transpose(inverse)))
-
-    return make_node(np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
-
-
-def concat(parts: list[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ShapeError("concat needs at least one tensor")
-    base = list(parts[0].shape)
-    for p in parts[1:]:
-        other = list(p.shape)
-        if len(other) != len(base):
-            raise ShapeError(f"concat rank mismatch: {parts[0].shape} vs {p.shape}")
-        if other[:axis] + other[axis + 1:] != base[:axis] + base[axis + 1:]:
-            raise ShapeError(f"concat extents differ off-axis: {parts[0].shape} vs {p.shape}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-
-    def bwd(g):
-        for idx, p in enumerate(parts):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[idx], offsets[idx + 1])
-            accumulate_grad(p, g[tuple(sl)])
-
-    return make_node(out_data, tuple(parts), bwd)
+# Reduction
 
 
 def _norm_axes(axes, ndim: int) -> tuple[int, ...]:
@@ -778,33 +711,6 @@ def reduce_mean(x: Tensor, axes, keepdims: bool = False) -> Tensor:
         accumulate_grad(x, np.broadcast_to(gk / count, x.shape))
 
     return make_node(out_data, (x,), bwd)
-
-
-def reduce_max(x: Tensor, axes, keepdims: bool = False) -> Tensor:
-    """Max over axes; gradient routes to the first maximum in row-major order."""
-    axes = _norm_axes(axes, x.ndim)
-    kept = tuple(a for a in range(x.ndim) if a not in axes)
-    perm = kept + axes
-    kept_shape = tuple(x.shape[a] for a in kept)
-    red = int(np.prod([x.shape[a] for a in axes]))
-    flat = x.data.transpose(perm).reshape(-1, red)
-    arg = flat.argmax(axis=1)
-    rows = np.arange(flat.shape[0])
-    out_flat = flat[rows, arg]
-    out_data = out_flat.reshape(kept_shape)
-    if keepdims:
-        out_data = np.expand_dims(out_data, axes)
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        gv = g if not keepdims else g.reshape(kept_shape + (1,) * len(axes))
-        dflat = np.zeros_like(flat)
-        dflat[rows, arg] = gv.reshape(-1)
-        full = dflat.reshape(kept_shape + tuple(x.shape[a] for a in axes))
-        accumulate_grad(x, np.ascontiguousarray(full.transpose(np.argsort(perm))))
-
-    return make_node(np.ascontiguousarray(out_data), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

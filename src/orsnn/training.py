@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -40,8 +41,8 @@ class TrainConfig:
     patience: int = 5
 
     def validate(self) -> "TrainConfig":
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < inf:
+            raise ConfigError(f"lr must be >= 0 and finite, got {self.lr}")
         if self.time_steps < 1:
             raise ConfigError(f"time_steps must be >= 1, got {self.time_steps}")
         if self.batch_size < 1:

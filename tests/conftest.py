@@ -1,10 +1,10 @@
 """Shared test helpers: the central-finite-difference gradient oracle,
-the LIF oracles (scalar rollout and per-step spike node), the T and C
-attention gates as the composed graph their fused node replaced, a
-network forward that releases no activation and the bytes a graph holds,
-small seeded input factories, the layout converters between the oracles'
+the LIF oracles (scalar rollout and per-step spike node), a network
+forward that releases no activation and the bytes a graph holds, small
+seeded input factories, the layout converters between the oracles'
 [..., C, H, W] and the engine's channels-last [..., H, W, C], and a file
-that fails like a full disk.
+that fails like a full disk. The generic ops and composed graphs that
+fused nodes are compared against live in reference.py.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import numpy as np
 
 from orsnn import tensor as tz
 from orsnn.layers import ForwardContext
-from orsnn.neuron import LIFConfig, _fire, lif_step, surrogate_grad
+from orsnn.neuron import LIFConfig, _fire, _surrogate_grad
 from orsnn.record import LayerOps
 from orsnn.residual import ResidualBlock, join
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node, no_grad
+
+from reference import permute
 
 
 def numeric_gradient(fn, tensors, index: int, step: float = 1e-5) -> np.ndarray:
@@ -126,7 +128,7 @@ def distinct_random(rng: np.random.Generator, shape, min_gap: float = 1e-3
 
 def _spike_node(v: Tensor, alpha: float, smooth: bool) -> Tensor:
     def bwd(g):
-        accumulate_grad(v, g * surrogate_grad(v.data, alpha).astype(g.dtype, copy=False))
+        accumulate_grad(v, g * _surrogate_grad(v.data, alpha).astype(g.dtype, copy=False))
 
     return make_node(_fire(v.data, alpha, smooth), (v,), bwd)
 
@@ -164,34 +166,12 @@ def lif_reference_trace(currents, cfg: LIFConfig) -> LIFTrace:
     return trace
 
 
-def composed_gate(gate, x: Tensor) -> tuple[Tensor, Tensor]:
-    """A T or C gate's (output, mask) built from generic ops: reduce_mean
-    and reduce_max over the pooled axes, the MLP as dense and relu (with
-    permutes to [N, T] rows for T), the branch sum, a fresh lif_step, the
-    mask reshaped to [T, N, 1, 1, 1 or C] and a broadcast mul. The fused
-    node must match it bit for bit."""
-    temporal = gate.letter == "T"
-    axes = (2, 3, 4) if temporal else (2, 3)
-
-    def mlp(desc):
-        if temporal:
-            rows = tz.permute(desc, (1, 0))
-            return tz.permute(tz.dense(tz.relu(tz.dense(rows, gate.w0)), gate.w1), (1, 0))
-        return tz.dense(tz.relu(tz.dense(desc, gate.w0)), gate.w1)
-
-    avg = tz.reduce_mean(x, axes)
-    mx = tz.reduce_max(x, axes)
-    mask, _ = lif_step(tz.add(mlp(avg), mlp(mx)), gate.lif_cfg)
-    lead = mask.shape[:2]
-    return tz.mul(x, tz.reshape(mask, lead + (1, 1) + (mask.shape[2:] or (1,)))), mask
-
-
 def unreleased_forward(net, x: np.ndarray) -> Tensor:
     """A training Network.forward's logits from the same modules called in
     the same order, block paths included, but with every activation kept:
     the reference the releasing chains must match bit for bit."""
     ctx = ForwardContext(training=True)
-    h = tz.permute(Tensor(np.asarray(x, dtype=net.dtype)), (0, 1, 3, 4, 2))
+    h = permute(Tensor(np.asarray(x, dtype=net.dtype)), (0, 1, 3, 4, 2))
     for node in net.nodes:
         if not isinstance(node, ResidualBlock):
             h = node.forward(h, ctx)

@@ -1,5 +1,5 @@
 """Attention gates: loop-oracle checks of the three mask computations,
-the fused T and C node against the composed graph it replaced, binarity
+each fused gate node against the composed graph it replaced, binarity
 of gated outputs, and plan parsing. The oracles take [T, N, C, H, W]; the
 gates run on channels-last [T, N, H, W, C]."""
 
@@ -14,7 +14,8 @@ from orsnn.record import SpikeRecord
 from orsnn import tensor as tz
 from orsnn.tensor import Tensor
 
-from conftest import composed_gate, nchw, nhwc
+from conftest import nchw, nhwc
+from reference import composed_gate
 
 
 CFG = LIFConfig()
@@ -198,46 +199,68 @@ def test_gate_gradients_reach_parameters(flavor):
 
 
 # ---------------------------------------------------------------------------
-# The fused T and C node against the composed graph
+# Each fused gate node against the composed graph
 # ---------------------------------------------------------------------------
 
-# (gate init seed, activation scale, open-fraction band): the activation is
-# N(0, 1) * scale, and the drive scales with it, so a small scale keeps
-# every mask bit closed and a large one opens about half of them
+# (init and input seed, activation scale, open-fraction band): the activation
+# is N(0, 1) * scale, and the drive scales with it, so a small scale keeps
+# every mask bit closed and a large one opens about half of them. Spikes
+# are binary at density 1/2, with the mask open or not. An S gate's drive
+# sums k*k taps of each pooled map, so its scales are per kernel.
 OPENNESS = {"closed": (0, 0.01, (0.0, 0.0)),
             "partly_open": (1, 1.0, (0.05, 0.3)),
-            "half_open": (0, 10.0, (0.3, 0.6))}
+            "half_open": (0, 10.0, (0.3, 0.6)),
+            "spikes": (2, None, (0.0, 1.0))}
+S_OPENNESS = {3: {"partly_open": (0, 2.0, (0.05, 0.3))},
+              7: {"partly_open": (1, 2.0, (0.05, 0.3)), "half_open": (1, 5.0, (0.3, 0.6))}}
+# train-conv's two gate shapes, train-longT's, and for S an H != W one
+GATE_SHAPES = [(8, 32, 8, 8, 16), (8, 32, 4, 4, 32), (32, 8, 4, 4, 8)]
+GATES = [pytest.param(flavor, kernel, shape, id=f"{flavor}{kernel or ''}-"
+                                                f"{'x'.join(map(str, shape))}")
+         for flavor, kernel in (("T", None), ("C", None), ("S", 3), ("S", 7))
+         for shape in GATE_SHAPES + ([(2, 3, 5, 7, 4)] if kernel else [])]
 
 
-@pytest.mark.parametrize("openness", sorted(OPENNESS))
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_frozen"])
+@pytest.mark.parametrize("inputs", sorted(OPENNESS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(8, 32, 8, 8, 16), (8, 32, 4, 4, 32), (32, 8, 4, 4, 8)])
-@pytest.mark.parametrize("flavor", ["T", "C"])
-def test_fused_gate_is_bit_identical_to_the_composed_graph(flavor, shape, dtype, openness):
-    """Output, mask, x.grad, w0.grad and w1.grad are array_equal to the
-    reduce/dense/relu/lif_step/mul graph of conftest.composed_gate."""
-    seed, scale, (lo, hi) = OPENNESS[openness]
-    t, _, _, _, c = shape
-    x_data = (np.random.default_rng(seed + 100).normal(size=shape) * scale).astype(dtype)
+@pytest.mark.parametrize("flavor,kernel,shape", GATES)
+def test_fused_gate_is_bit_identical_to_the_composed_graph(flavor, kernel, shape, dtype,
+                                                           inputs, x_grad):
+    """Output, mask, x.grad and every parameter's gradient equal, byte for
+    byte, those of the generic-op graph of reference.composed_gate. A frozen
+    x leaves the parameters' gradients alone to compare."""
+    seed, scale, (lo, hi) = S_OPENNESS.get(kernel, {}).get(inputs, OPENNESS[inputs])
+    t, n, _, _, c = shape
+    rng = np.random.default_rng(seed + 100)
+    if scale is None:
+        x_data = (rng.random(shape) < 0.5).astype(dtype)
+    else:
+        x_data = (rng.normal(size=shape) * scale).astype(dtype)
     g_out = np.random.default_rng(seed + 200).normal(size=shape).astype(dtype)
     results = []
     for fused in (True, False):
-        plan = AttentionPlan(flavor=flavor)
+        plan = AttentionPlan(flavor=flavor, spatial_kernel=kernel or 7)
         gate = make_attention(plan, "MA", "g", channels=c, time_steps=t, lif_cfg=CFG,
                               rng=np.random.default_rng(seed), dtype=dtype)
-        x = Tensor(x_data.copy(), requires_grad=True)
+        x = Tensor(x_data.copy(), requires_grad=x_grad)
+        params = [p for _, p in gate.named_params()]
         if fused:
             out, mask = gate.apply(x, ForwardContext())
-            assert out.parents == (x, gate.w0, gate.w1)
+            assert out.parents == (x, *params)
         else:
             out, mask = composed_gate(gate, x)
-            mask = mask.data.reshape(t, shape[1], -1)
+            mask = mask.data.reshape(mask.shape if kernel else (t, n, -1))
         tz.backward(out, seed=g_out)
-        results.append((out.data, mask, x.grad, gate.w0.grad, gate.w1.grad))
+        results.append((out.data, mask, x.grad, *(p.grad for p in params)))
     assert lo <= results[0][1].mean() <= hi
-    for what, got, want in zip(("out", "mask", "x.grad", "w0.grad", "w1.grad"), *results):
-        assert got.dtype == want.dtype, what
-        np.testing.assert_array_equal(got, want, err_msg=what)
+    names = ["out", "mask", "x.grad"] + [name for name, _ in gate.named_params()]
+    for what, got, want in zip(names, *results, strict=True):
+        if what == "x.grad" and not x_grad:
+            assert got is None and want is None
+            continue
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+        assert got.tobytes() == want.tobytes(), what
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,16 @@ class TestEval:
                      "--data", str(bad)]) == 2
         assert "ERROR BadMagic:" in capsys.readouterr().err
 
+    def test_negative_extents_are_a_usage_error(self, run_dir, tmp_path, capsys):
+        """Two negative extents multiply to a positive frame size; the file
+        is still refused with exit 2 and one typed line, not a traceback."""
+        bad = tmp_path / "bad.evt"
+        bad.write_bytes(b"ORSNN-EVT v1\n-1 -1 2 2 2\n" + bytes(4))
+        assert main(["eval", "--ckpt", str(run_dir / "checkpoint.ckpt"),
+                     "--data", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR DataFormatError: {bad}: negative extent in b'-1 -1 2 2 2'"]
+
     def test_a_gzip_event_file_reads_like_the_plain_one(self, run_dir, tmp_path, capsys):
         plain = tmp_path / "data.evt"
         save_events(plain, synth_events("two-class-motion", 8, 4, 12, 12, seed=1))

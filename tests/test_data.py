@@ -191,6 +191,14 @@ class TestEvents:
         with pytest.raises(DataFormatError, match="bad extent line"):
             load_events(tmp_path / "x.evt")
 
+    @pytest.mark.parametrize("extents", [b"-1 -1 2 2 2", b"-2 1 2 1 1", b"4 4 -2 6 8"])
+    def test_negative_extents(self, tmp_path, extents):
+        """A negative extent is refused before any size is computed from it:
+        two of them multiply to a positive frame size, one to a negative."""
+        (tmp_path / "x.evt").write_bytes(b"ORSNN-EVT v1\n" + extents + b"\n" + bytes(4))
+        with pytest.raises(DataFormatError, match="negative extent"):
+            load_events(tmp_path / "x.evt")
+
     def test_short_and_trailing_payloads(self, tmp_path):
         ds = synth_events("two-class-motion", 4, 3, 5, 6, seed=0)
         save_events(tmp_path / "d.evt", ds)

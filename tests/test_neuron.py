@@ -15,9 +15,10 @@ import orsnn.neuron as nrn
 import orsnn.tensor as tz
 from orsnn.errors import ConfigError, NumericError, ShapeError
 from orsnn.layers import ForwardContext, LIFLayer
-from orsnn.neuron import LIFConfig, lif_multistep, lif_step, surrogate_grad
+from orsnn.neuron import LIFConfig, _surrogate_grad, fire_from_rest, lif_multistep
 from orsnn.tensor import Tensor, accumulate_grad, backward, make_node
 
+import reference
 from conftest import (gradcheck, lif_reference_trace, margin_random, smooth_spike_fn,
                       spike_fn)
 
@@ -72,10 +73,11 @@ def test_subthreshold_accumulation_and_decay():
 
 def test_nonzero_reset_level():
     cfg = LIFConfig(u_reset=0.5, u_threshold=1.0)
-    s, membrane = lif_step(Tensor(np.array([2.0])), cfg)
+    s, membrane = lif_multistep(Tensor(np.array([[2.0]])), cfg)
     # U = 0.5 + (2 - 0) / 2 = 1.5 -> fires, membrane hard-resets to 0
-    assert s.data[0] == 1.0
+    assert s.data[0, 0] == 1.0
     assert membrane[0] == 0.0
+    assert fire_from_rest(np.array([2.0]), cfg)[0][0] == 1.0
 
 
 def test_step_function_signs():
@@ -85,8 +87,8 @@ def test_step_function_signs():
 
 
 def test_surrogate_value_at_zero():
-    assert surrogate_grad(np.array(0.0), alpha=2.0) == pytest.approx(1.0)
-    assert surrogate_grad(np.array(0.0), alpha=4.0) == pytest.approx(2.0)
+    assert _surrogate_grad(np.array(0.0), alpha=2.0) == pytest.approx(1.0)
+    assert _surrogate_grad(np.array(0.0), alpha=4.0) == pytest.approx(2.0)
 
 
 def test_surrogate_matches_smooth_primitive_slope():
@@ -99,7 +101,7 @@ def test_spike_backward_uses_surrogate():
     v = Tensor(np.array([0.3, -0.4]), requires_grad=True)
     out = spike_fn(v, alpha=2.0)
     backward(out, seed=np.ones(2))
-    assert np.allclose(v.grad, surrogate_grad(v.data, 2.0))
+    assert np.allclose(v.grad, _surrogate_grad(v.data, 2.0))
 
 
 def test_multistep_needs_a_time_axis():
@@ -110,7 +112,9 @@ def test_multistep_needs_a_time_axis():
 
 def test_nonfinite_current_raises():
     with pytest.raises(NumericError):
-        lif_step(Tensor(np.array([np.inf])), LIFConfig())
+        lif_multistep(Tensor(np.array([[np.inf]])), LIFConfig())
+    with pytest.raises(NumericError):
+        fire_from_rest(np.array([np.inf]), LIFConfig())
 
 
 def test_config_validation():
@@ -160,10 +164,10 @@ def test_smooth_twin_two_layer_net_gradient(seed):
     b2 = rng.standard_normal(2) * 0.1
 
     def fn(xt, w1t, w2t, b2t):
-        c = tz.conv2d(tz.reshape(xt, (3, 4, 4, 1)), w1t, 1, 0)  # channels-last, C = 1
-        sp1, _ = lif_multistep(tz.reshape(c, (3, 1, 2, 2, 2)), cfg, smooth=True)
-        d = tz.dense(tz.reshape(sp1, (3, 8)), w2t, b2t)
-        sp2, _ = lif_multistep(tz.reshape(d, (3, 1, 2)), cfg, smooth=True)
+        c = tz.conv2d(reference.reshape(xt, (3, 4, 4, 1)), w1t, 1, 0)  # channels-last, C = 1
+        sp1, _ = lif_multistep(reference.reshape(c, (3, 1, 2, 2, 2)), cfg, smooth=True)
+        d = tz.dense(reference.reshape(sp1, (3, 8)), w2t, b2t)
+        sp2, _ = lif_multistep(reference.reshape(d, (3, 1, 2)), cfg, smooth=True)
         return tz.reduce_mean(sp2, (0, 1, 2))
 
     gradcheck(fn, x, w1, w2, b2)
@@ -266,24 +270,46 @@ def test_a_negative_zero_reset_level_keeps_the_graphs_zero_signs():
     assert final.tobytes() == membrane.data.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("detach", [True, False], ids=["detach", "attach"])
+@pytest.mark.parametrize("u_reset", [0.0, -0.0, 0.5])
+def test_fire_from_rest_is_one_step_of_lif_multistep(u_reset, detach, dtype):
+    """The gates' fresh neuron: its spikes and the drive's gradient are
+    byte-equal to lif_multistep's over a [1, ...] input, at drives that land
+    on the threshold or are zeros of either sign and at output gradients
+    that are zeros of either sign."""
+    cfg = LIFConfig(u_reset=u_reset, detach_reset=detach)
+    rng = np.random.default_rng(5)
+    drive = rng.normal(1.0, 2.0, size=(6, 5)).astype(dtype)
+    drive.reshape(-1)[:3] = [2.0 * (1.0 - u_reset), 0.0, -0.0]  # [0] fires at threshold
+    g = rng.normal(size=drive.shape).astype(dtype)
+    g.reshape(-1)[3:5] = [0.0, -0.0]
+
+    spikes, drive_grad = fire_from_rest(drive, cfg)
+    x = Tensor(drive[None].copy(), requires_grad=True)
+    want, _ = lif_multistep(x, cfg)
+    backward(want, seed=g[None])
+    assert spikes.dtype == dtype and spikes.reshape(-1)[0] == 1.0
+    assert spikes.tobytes() == want.data[0].tobytes()
+    assert drive_grad(g).tobytes() == x.grad[0].tobytes()
+
+
 def _kept_arrays(node):
     """The arrays a node's backward closure keeps (U, S and constants for LIF)."""
     return [c.cell_contents for c in node.backward_fn.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
 
 
-@pytest.mark.parametrize("multistep", [True, False], ids=["lif_multistep", "lif_step"])
-def test_a_rollout_writes_only_its_own_arrays(multistep):
+def test_a_rollout_writes_only_its_own_arrays():
     """The rollout runs in place, but only in arrays it allocated: the input
     is unchanged, by the forward and by the backward, and the returned
     membrane shares no memory with the input, U or S."""
     rng = np.random.default_rng(8)
     cfg = LIFConfig()
-    x = rng.normal(0.9, 1.0, size=(4, 3, 5) if multistep else (3, 5))
+    x = rng.normal(0.9, 1.0, size=(4, 3, 5))
     xt = Tensor(x.copy(), requires_grad=True)
-    run = lif_multistep if multistep else lif_step
 
-    spikes, membrane = run(xt, cfg)
+    spikes, membrane = lif_multistep(xt, cfg)
     assert np.any(membrane != 0)
     kept = _kept_arrays(spikes)
     assert len(kept) >= 2
@@ -298,7 +324,7 @@ def test_a_rollout_writes_only_its_own_arrays(multistep):
 
 
 def _surrogate_formula(v, alpha):
-    """surrogate_grad's formula in its own op order, as the per-step graph
+    """_surrogate_grad's formula in its own op order, as the per-step graph
     computed it."""
     half = np.pi * alpha * v / 2.0
     return alpha / (2.0 * (1.0 + half * half))
@@ -307,7 +333,7 @@ def _surrogate_formula(v, alpha):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("alpha", [2.0, 0.5])
 def test_surrogate_grad_in_place_is_its_formula_bit_for_bit(dtype, alpha):
-    """surrogate_grad, allocating or in place, rounds as its formula does at
+    """_surrogate_grad, allocating or in place, rounds as its formula does at
     edge inputs: 0, subnormals, 1e-30, 1, and the largest v whose
     (pi*alpha*v/2)^2 stays finite, and the next one up. There a folded
     alpha/2 would not: 2 (1 + half^2) overflows to inf where
@@ -329,9 +355,9 @@ def test_surrogate_grad_in_place_is_its_formula_bit_for_bit(dtype, alpha):
                  big, np.nextafter(big, dtype(np.inf))]
         v = np.array(edges + [-e for e in edges], dtype)
         want = _surrogate_formula(v, alpha)
-        got = surrogate_grad(v, alpha)
+        got = _surrogate_grad(v, alpha)
         buf = v.copy()
-        in_place = surrogate_grad(buf, alpha, out=buf)
+        in_place = _surrogate_grad(buf, alpha, out=buf)
         half = np.pi * alpha * v / 2.0
         folded = (alpha / 2.0) / (1.0 + half * half)
     assert want.dtype == got.dtype == in_place.dtype == dtype
@@ -365,30 +391,25 @@ def test_lif_layer_retains_little_beyond_its_output():
     assert retained <= 2.05 * out.data.nbytes, (retained, out.data.nbytes)
 
 
-@pytest.mark.parametrize("multistep,dtype,steps,smooth", [
-    pytest.param(multistep, dtype, steps, smooth, id="-".join((
-        "lif_multistep" if multistep else "lif_step", np.dtype(dtype).name, str(steps),
-        "smooth" if smooth else "step")))
-    for multistep in (True, False) for dtype in (np.float32, np.float64)
-    for steps in (1, 32) for smooth in (False, True) if multistep or not smooth])
-def test_a_pass_that_records_nothing_fires_the_same_bytes(multistep, dtype, steps, smooth):
+@pytest.mark.parametrize("dtype,steps,smooth", [
+    pytest.param(dtype, steps, smooth, id="-".join((
+        "lif_multistep", np.dtype(dtype).name, str(steps), "smooth" if smooth else "step")))
+    for dtype in (np.float32, np.float64) for steps in (1, 32) for smooth in (False, True)])
+def test_a_pass_that_records_nothing_fires_the_same_bytes(dtype, steps, smooth):
     """No-grad, the step kernel builds U in the spike buffer and fires it in
     place; the smooth twin keeps its own U. Either way spikes and final
     membrane are byte-equal to the recording pass's, at a current that
     lands exactly on the threshold too."""
     rng = np.random.default_rng(steps)
     cfg = LIFConfig()
-    shape = (steps, 6, 5) if multistep else (6, 5)
+    shape = (steps, 6, 5)
     x = rng.normal(0.9, 1.0, size=shape).astype(dtype)
     x.reshape(-1)[:3] = [2.0, 1.0, -0.0]  # fires at threshold from rest
 
-    def run(t):
-        return lif_multistep(t, cfg, smooth) if multistep else lif_step(t, cfg)
-
-    recorded, recorded_h = run(Tensor(x, requires_grad=True))
+    recorded, recorded_h = lif_multistep(Tensor(x, requires_grad=True), cfg, smooth)
     with tz.no_grad():
-        quiet, quiet_h = run(Tensor(x, requires_grad=True))
-    frozen, frozen_h = run(Tensor(x))
+        quiet, quiet_h = lif_multistep(Tensor(x, requires_grad=True), cfg, smooth)
+    frozen, frozen_h = lif_multistep(Tensor(x), cfg, smooth)
     assert recorded.backward_fn is not None
     assert quiet.backward_fn is None and frozen.backward_fn is None
     assert recorded.dtype == quiet.dtype == dtype

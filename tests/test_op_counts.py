@@ -118,14 +118,19 @@ def test_a_record_over_two_input_sizes_is_refused():
     assert (rec.samples, rec.size) == (2, (12, 12))
 
 
-def test_an_input_too_small_for_a_window_is_refused_statically_too():
+@pytest.mark.parametrize("arch,size,match", [
+    (STEMS["s2p0"], (2, 5), "window 3 at stride 2, padding 0 has no output"),
+    (BODY.replace("c8k3s1p1", "c8k3s0p1", 1), (8, 8), "k=3 stride=0 padding=1"),
+    ("MPk3s0-" + BODY, (8, 8), "k=3 stride=0 padding=0")])
+def test_an_input_too_small_for_a_window_is_refused_statically_too(arch, size, match):
     """Extents come from one rule (tensor.out_extent), so the walk refuses
-    an input size the forward refuses, rather than count nothing."""
-    net = build_network(STEMS["s2p0"], time_steps=2, in_channels=1, seed=0)
-    with pytest.raises(ShapeError, match="window 3 at stride 2, padding 0 has no output"):
-        net.layer_ops(2, 5)
-    with pytest.raises(ShapeError, match="window 3 at stride 2, padding 0 has no output"):
-        net.forward(np.ones((2, 1, 1, 2, 5), dtype=np.float32))
+    an input size or a window geometry the forward refuses, rather than
+    count nothing or divide by a zero stride."""
+    net = build_network(arch, time_steps=2, in_channels=1, seed=0)
+    with pytest.raises(ShapeError, match=match):
+        net.layer_ops(*size)
+    with pytest.raises(ShapeError, match=match):
+        net.forward(np.ones((2, 1, 1, *size), dtype=np.float32))
 
 
 PAPER_ARCH = ("c64k3s1p1-BN-LIF-{c64k3s1p1-BN-LIF}*4-(OR-SEW Block(c128))-"

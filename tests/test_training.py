@@ -62,11 +62,11 @@ def param_bytes(net):
     return {name: p.data.tobytes() for name, p in net.named_params()}
 
 
-def train_net_batch(which: str, seed: int = 901):
-    """A benchmark train network (T/a gates, init seed 0), one seeded batch
-    as time-major input, and its labels."""
+def train_net_batch(which: str, seed: int = 901, plan: str = "T/a"):
+    """A benchmark train network (T/a gates unless plan says otherwise, init
+    seed 0), one seeded batch as time-major input, and its labels."""
     arch, kind, hw, t, batch = TRAIN_NETS[which]
-    net = build_network(arch, attention=AttentionPlan.parse("T/a"), time_steps=t,
+    net = build_network(arch, attention=AttentionPlan.parse(plan), time_steps=t,
                         in_channels=2, seed=0)
     x, y = synth_events(kind, batch, t, hw, hw, seed=seed).xy()
     return net, frames_to_input(x), y
@@ -95,6 +95,9 @@ class TestDefaults:
 
     @pytest.mark.parametrize("field,value,match", [
         ("lr", -0.1, "lr"),
+        ("lr", float("nan"), "lr"),
+        ("lr", float("inf"), "lr"),
+        ("lr", float("-inf"), "lr"),
         ("time_steps", 0, "time_steps"),
         ("batch_size", 0, "batch_size"),
         ("epochs", -1, "epochs"),
@@ -258,11 +261,14 @@ def test_second_step_does_not_hold_the_first_steps_graph():
     assert second <= 1.1 * first, (first, second)
 
 
-def test_train_conv_step_has_one_node_per_gate_and_per_join(monkeypatch):
-    """One train-conv step (T/a gates, batch 32) reaches at most 50 nodes
-    from the loss, and each of its six gates and two OR joins is a single
-    node whose parents are its inputs; the composed graph had 139 nodes,
-    16 per gate and 3 per join."""
+@pytest.mark.parametrize("plan,gates,most", [("T/a", 6, 50), ("S/a", 2, 45)])
+def test_train_conv_step_has_one_node_per_gate_and_per_join(monkeypatch, plan, gates, most):
+    """One train-conv step (batch 32) reaches at most `most` nodes from the
+    loss, and each of its gates and two OR joins is a single node whose
+    parents are its inputs. With T/a gates it reaches 45, where the composed
+    graph had 139 nodes, 16 per T gate and 3 per join; with S/a gates (on
+    the shortcuts alone) 41, where the composed S gates of six nodes each
+    made 51."""
     made = []  # (output, the inputs it must hang from directly)
     apply, join = AttentionGate.apply, residual.join
 
@@ -278,9 +284,9 @@ def test_train_conv_step_has_one_node_per_gate_and_per_join(monkeypatch):
 
     monkeypatch.setattr(AttentionGate, "apply", recorded_apply)
     monkeypatch.setattr(residual, "join", recorded_join)
-    net, inp, y = train_net_batch("train-conv")
+    net, inp, y = train_net_batch("train-conv", plan=plan)
     loss = tz.softmax_cross_entropy(net.forward(inp, training=True), y)
-    assert len(made) == 8
+    assert len(made) == gates + 2
     for out, inputs in made:
         assert out.parents == inputs
     seen, todo = {}, [loss]
@@ -289,7 +295,7 @@ def test_train_conv_step_has_one_node_per_gate_and_per_join(monkeypatch):
         if node.index and id(node) not in seen:
             seen[id(node)] = node
             todo.extend(node.parents)
-    assert len(seen) <= 50, len(seen)
+    assert len(seen) <= most, len(seen)
 
 
 class TestTrainStepMemory:
