@@ -17,9 +17,8 @@ from .errors import (ArchError, ArchMismatch, BadMagic, BuildError,
                      CountMismatch, DataFormatError, DatasetNotFound,
                      DivergenceError, EngineError, GraphError, NumericError,
                      PruneRefused, ShapeError, Truncated, VersionMismatch)
-from .metrics import (EnergyModel, EnergyReport, FiringRateTrace,
-                      PruningReport, apply_pruning, detect_natural_pruning,
-                      estimate_energy)
+from .metrics import (EnergyReport, FiringRateTrace, PruningReport,
+                      apply_pruning, detect_natural_pruning, estimate_energy)
 from .network import Network, build_network, frames_to_input
 from .neuron import LIFConfig, lif_multistep
 from .record import LayerLine, SpikeRecord, instrumented_pass, layer_table

@@ -54,7 +54,11 @@ class AttentionPlan:
     'a' = first stages (backbone and post-join), 'b' = second stages of
     both, 'c' = backbone first stage only, 'd' = backbone second stage
     only. The shortcut always receives the inhibitory gate when a plan is
-    active.
+    active. The spatial flavor builds that inhibitory gate alone
+    (residual.build_block), so S/a, S/b, S/c and S/d build the same
+    network. The reduction factors and the spatial kernel are set here
+    only (a config file's attention string takes the defaults), and a
+    checkpoint header stores them.
     """
 
     flavor: str
@@ -118,7 +122,7 @@ class _PooledGate(AttentionGate):
     descriptor: 0 for T, -1 for C."""
 
     def __init__(self, name: str, role: str, letter: str, extent: int, reduction: int,
-                 lif_cfg: LIFConfig, *, rng: np.random.Generator, dtype=np.float32):
+                 lif_cfg: LIFConfig, *, rng: np.random.Generator):
         super().__init__(name, role, lif_cfg)
         self.letter, self.axis = letter, (0 if letter == "T" else -1)
         what = f"{'temporal' if letter == 'T' else 'channel'} reduction"
@@ -130,8 +134,8 @@ class _PooledGate(AttentionGate):
             raise BuildError(f"{name}: {what} {reduction} must divide {extent}")
         hidden = max(1, extent // reduction)
         self.extent = extent
-        self.w0 = he_uniform(rng, (hidden, extent), extent, dtype)
-        self.w1 = he_uniform(rng, (extent, hidden), hidden, dtype)
+        self.w0 = he_uniform(rng, (hidden, extent), extent)
+        self.w1 = he_uniform(rng, (extent, hidden), hidden)
 
     def named_params(self):
         return [(f"{self.name}.w0", self.w0), (f"{self.name}.w1", self.w1)]
@@ -193,12 +197,12 @@ class SpatialAttention(AttentionGate):
     2-channel image, one small odd-kernel convolution, mask [T, N, H, W, 1]."""
 
     def __init__(self, name: str, role: str, kernel: int, lif_cfg: LIFConfig, *,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         super().__init__(name, role, lif_cfg)
         if kernel < 1 or kernel % 2 == 0:
             raise BuildError(f"{name}: spatial kernel must be odd and >= 1, got {kernel}")
         self.kernel = kernel
-        self.weight = he_uniform(rng, (1, 2, kernel, kernel), 2 * kernel * kernel, dtype)
+        self.weight = he_uniform(rng, (1, 2, kernel, kernel), 2 * kernel * kernel)
 
     def named_params(self):
         return [(f"{self.name}.weight", self.weight)]
@@ -232,12 +236,11 @@ class SpatialAttention(AttentionGate):
 
 def make_attention(plan: AttentionPlan, role: str, name: str, channels: int,
                    time_steps: int, lif_cfg: LIFConfig, *,
-                   rng: np.random.Generator, dtype=np.float32) -> AttentionGate:
+                   rng: np.random.Generator) -> AttentionGate:
     if plan.flavor == "T":
         return _PooledGate(name, role, "T", time_steps, plan.temporal_reduction,
-                           lif_cfg, rng=rng, dtype=dtype)
+                           lif_cfg, rng=rng)
     if plan.flavor == "C":
         return _PooledGate(name, role, "C", channels, plan.channel_reduction,
-                           lif_cfg, rng=rng, dtype=dtype)
-    return SpatialAttention(name, role, plan.spatial_kernel, lif_cfg,
-                            rng=rng, dtype=dtype)
+                           lif_cfg, rng=rng)
+    return SpatialAttention(name, role, plan.spatial_kernel, lif_cfg, rng=rng)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arch import parse_arch, render_arch
 from .attention import AttentionPlan
-from .config import from_settings, settings
+from .config import ExperimentConfig, from_settings, settings
 from .data import replacing
 from .errors import (ArchMismatch, BadMagic, CheckpointError, ConfigError,
                      CorruptPayload, DatasetNotFound, VersionMismatch)
@@ -31,23 +31,29 @@ _HEADER_KEYS = ("arch", "join", "attention", "attention_reductions",
                 "in_channels", "time_steps", "seed", "epoch", "pruned")
 
 
-def _header_text(network, epoch: int) -> str:
-    plan = network.attention
-    attention = plan.render() if plan else "none"
+def _described(arch: str, join: JoinMode, plan: AttentionPlan | None,
+               lif: LIFConfig, in_channels: int, time_steps: int,
+               seed: int) -> dict[str, str]:
+    """The header lines that describe a network, as key -> text: every key
+    but epoch and pruned, in header order."""
     reductions = (f"{plan.temporal_reduction},{plan.channel_reduction},"
                   f"{plan.spatial_kernel}") if plan else "4,16,7"
+    return {"arch": arch, "join": join.value,
+            "attention": plan.render() if plan else "none",
+            "attention_reductions": reductions, "in_channels": str(in_channels),
+            "time_steps": str(time_steps), "seed": str(seed),
+            **{f"lif_{name}": text for name, text in settings(lif)}}
+
+
+def _header_text(network, epoch: int) -> str:
+    described = _described(network.arch_string, network.join_mode, network.attention,
+                           network.lif_cfg, network.in_channels, network.time_steps,
+                           network.seed)
     pruned = ";".join(network.pruned_block_names())
-    lines = [f"{CKPT_FORMAT} {CKPT_VERSION}",
-             f"arch={network.arch_string}",
-             f"join={network.join_mode.value}",
-             f"attention={attention}",
-             f"attention_reductions={reductions}",
-             f"in_channels={network.in_channels}",
-             f"time_steps={network.time_steps}",
-             f"seed={network.seed}",
-             f"epoch={epoch}",
-             f"pruned={pruned}"]
-    lines += [f"lif_{name}={text}" for name, text in settings(network.lif_cfg)]
+    lines = [f"{CKPT_FORMAT} {CKPT_VERSION}"]
+    lines += [f"{k}={v}" for k, v in described.items() if not k.startswith("lif_")]
+    lines += [f"epoch={epoch}", f"pruned={pruned}"]
+    lines += [f"{k}={v}" for k, v in described.items() if k.startswith("lif_")]
     return "\n".join(lines) + "\n\n"
 
 
@@ -140,12 +146,15 @@ def _parse_header(text: str, path) -> dict:
     return meta
 
 
-def load_checkpoint(path, expect_arch: str | None = None):
+def load_checkpoint(path, expect: ExperimentConfig | None = None):
     """Rebuild the saved network; returns (network, epoch).
 
-    `expect_arch` guards resuming: a checkpoint whose architecture differs
-    from it raises ArchMismatch before any rebuild work. It is compared in
-    the canonical form the header holds (repeat groups expanded, no p0).
+    `expect` guards resuming: a checkpoint whose network differs from the
+    one this config builds, in architecture, join, attention plan (with its
+    reductions), LIF settings, input channels, time steps or seed, raises
+    ArchMismatch naming every differing header key, before any rebuild
+    work. The architecture is compared in the canonical form the header
+    holds (repeat groups expanded, no p0).
     """
     from .network import build_network
     path = Path(path)
@@ -160,10 +169,14 @@ def load_checkpoint(path, expect_arch: str | None = None):
     except UnicodeDecodeError as err:
         raise CorruptPayload(f"{path}: undecodable header: {err}") from err
     meta = _parse_header(header, path)
-    if expect_arch is not None and meta["arch"] != render_arch(parse_arch(expect_arch)):
-        raise ArchMismatch(
-            f"{path}: checkpoint architecture {meta['arch']!r} differs from "
-            f"expected {expect_arch!r}")
+    if expect is not None:
+        want = _described(render_arch(parse_arch(expect.arch)), expect.join_mode(),
+                          expect.attention_plan(), expect.lif, expect.in_channels,
+                          expect.train.time_steps, expect.seed)
+        differ = [f"{k} {meta[k]!r} (config: {v!r})" for k, v in want.items() if meta[k] != v]
+        if differ:
+            raise ArchMismatch(f"{path}: checkpoint differs from the config in "
+                               + ", ".join(differ))
     try:
         lif = from_settings(LIFConfig, {k[4:]: v for k, v in meta.items()
                                         if k.startswith("lif_")}, "lif")

@@ -126,7 +126,6 @@ def _batches(network, args):
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = args.data or cfg.dataset
     if args.val_data:
         splits = resolve_splits(spec, "train") + resolve_splits(args.val_data, "test")
@@ -134,7 +133,7 @@ def cmd_train(args) -> int:
         splits = resolve_splits(spec, "train", "test")
     train_xy, val_xy = (subset(xy, args.limit, cfg.seed) for xy in splits)
     if args.resume:
-        network, start_epoch = load_checkpoint(args.resume, expect_arch=cfg.arch)
+        network, start_epoch = load_checkpoint(args.resume, expect=cfg)
     else:
         network, start_epoch = cfg.build(), 0
     trace_path = out_dir / ARTIFACTS["firing_rates"]
@@ -156,6 +155,7 @@ def cmd_train(args) -> int:
         log.trace.epochs = log.trace.epochs[:start_epoch]
         for name in log.trace.rates:
             log.trace.rates[name] = log.trace.rates[name][:start_epoch]
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_config(out_dir / ARTIFACTS["config"], cfg)
 
     def on_epoch(stats):

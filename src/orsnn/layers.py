@@ -1,7 +1,8 @@
 """Layer toolkit operating on the channels-last [T, N, H, W, C] activation
 layout, C-contiguous. Network.to_input views a dataset batch as
-[T, N, C, H, W], Network.forward copies that view into this layout in the
-network's dtype, once, and no layer changes the layout.
+[T, N, C, H, W], Network.forward copies that view into this layout in
+float32, once, and no layer changes the layout. Parameters and buffers are
+float32 (tensor.DEFAULT_DTYPE).
 
 Every layer hands its [T, N, ...] activation straight to one tensor op:
 conv, BN, the pools and the classifier fold T into the batch as a view
@@ -49,10 +50,10 @@ def forward_chain(x: Tensor, mods: list["Module"], ctx: ForwardContext) -> Tenso
     return x
 
 
-def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
-               dtype) -> Tensor:
+def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
     bound = float(np.sqrt(6.0 / fan_in))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True, dtype=dtype)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True,
+                  dtype=tz.DEFAULT_DTYPE)
 
 
 class Module:
@@ -95,8 +96,7 @@ class ConvLayer(Module):
     """Square-kernel convolution over all T x N frames. No bias (BN follows)."""
 
     def __init__(self, name: str, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator,
-                 dtype=np.float32):
+                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator):
         super().__init__(name)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -104,7 +104,7 @@ class ConvLayer(Module):
         self.stride = stride
         self.padding = padding
         self.weight = he_uniform(rng, (out_channels, in_channels, kernel, kernel),
-                                 in_channels * kernel * kernel, dtype)
+                                 in_channels * kernel * kernel)
 
     def named_params(self):
         return [(f"{self.name}.weight", self.weight)]
@@ -119,12 +119,13 @@ class ConvLayer(Module):
 
 
 class BatchNormLayer(Module):
-    """BatchNorm over channels; statistics pool the folded T x batch axis.
-    eps and momentum are batchnorm2d's defaults, 1e-5 and 0.1."""
+    """BatchNorm over channels; statistics pool the folded T x batch axis,
+    with tensor.BN_EPS and tensor.BN_MOMENTUM."""
 
-    def __init__(self, name: str, channels: int, *, dtype=np.float32):
+    def __init__(self, name: str, channels: int):
         super().__init__(name)
         self.channels = channels
+        dtype = tz.DEFAULT_DTYPE
         self.gamma = Tensor(np.ones(channels), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(channels), requires_grad=True, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -200,12 +201,12 @@ class DenseLayer(Module):
     """Classifier head on pooled features: [T, N, F] -> [T, N, K]."""
 
     def __init__(self, name: str, in_features: int, out_features: int, *,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         super().__init__(name)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = he_uniform(rng, (out_features, in_features), in_features, dtype)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True, dtype=dtype)
+        self.weight = he_uniform(rng, (out_features, in_features), in_features)
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True, dtype=tz.DEFAULT_DTYPE)
 
     def named_params(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]

@@ -5,8 +5,8 @@ Energy per sample follows the additive model over record.layer_table:
 a MAC-class layer pays the full multiply-accumulate price for every op;
 an AC-class layer pays the accumulate price scaled by the nonzero
 fraction of its input. Classes and FLOPs come from the network's
-construction (Network.layer_ops), input rates from the record.
-Constants default to 4.6 pJ per MAC and 0.9 pJ per AC (45 nm process
+construction (Network.layer_ops), input rates from the record. The
+prices are fixed at 4.6 pJ per MAC and 0.9 pJ per AC (45 nm process
 figures).
 """
 
@@ -24,10 +24,8 @@ from .record import (SPIKING_KINDS, LayerLine, SpikeRecord, instrumented_pass,
 from .residual import AUDIT_POLICY, JoinMode
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    e_mac_pj: float = 4.6
-    e_ac_pj: float = 0.9
+E_MAC_PJ = 4.6  # energy of one multiply-accumulate, pJ
+E_AC_PJ = 0.9  # energy of one accumulate, pJ
 
 
 @dataclass
@@ -39,7 +37,6 @@ class EnergyLine(LayerLine):
 @dataclass
 class EnergyReport:
     lines: list[EnergyLine]
-    model: EnergyModel
     samples: int
     time_steps: int
     spikes_per_sample: float
@@ -70,7 +67,7 @@ class EnergyReport:
 
     def render(self) -> str:
         out = [f"# energy estimate over {self.samples} samples, T={self.time_steps}",
-               f"# model: {self.model.e_mac_pj} pJ/MAC, {self.model.e_ac_pj} pJ/AC",
+               f"# model: {E_MAC_PJ} pJ/MAC, {E_AC_PJ} pJ/AC",
                f"# {self.policy}",
                f"{'layer':32s} {'kind':10s} {'class':5s} {'FLOPs/sample':>14s} "
                f"{'input_rate':>10s} {'ops/sample':>14s} {'energy':>12s}"]
@@ -106,25 +103,23 @@ def _format_pj(pj: float) -> str:
     return f"{pj:.2f} pJ"
 
 
-def estimate_energy(network, record: SpikeRecord,
-                    model: EnergyModel | None = None) -> EnergyReport:
+def estimate_energy(network, record: SpikeRecord) -> EnergyReport:
     """Apply the MAC/AC energy model to an instrumented record."""
-    model = model or EnergyModel()
     lines = []
     for ln in layer_table(network, record):
         if ln.klass == "MAC":
             ops = ln.flops_per_sample
-            energy = model.e_mac_pj * ops
+            energy = E_MAC_PJ * ops
         else:
             ops = ln.flops_per_sample * ln.input_rate
-            energy = model.e_ac_pj * ops
+            energy = E_AC_PJ * ops
         lines.append(EnergyLine(**vars(ln), ops_per_sample=ops, energy_pj=energy))
     t = max(record.time_steps, 1)
     spiking = [st for st in record.layers.values() if st.kind in SPIKING_KINDS]
     neurons = sum(st.out_total for st in spiking) / (record.samples * t)
     sps = record.spikes_per_sample()
     return EnergyReport(
-        lines=lines, model=model, samples=record.samples,
+        lines=lines, samples=record.samples,
         time_steps=record.time_steps, spikes_per_sample=sps,
         spikes_per_sample_per_step=sps / t,
         spikes_per_neuron=sps / neurons if neurons else 0.0,

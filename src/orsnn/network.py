@@ -4,12 +4,13 @@ Network.to_input is the one place a dataset batch meets the time axis:
 a static [N, C, H, W] batch is viewed T times over and a framed
 [N, T, C, H, W] batch is viewed time-major, neither copied. A network
 takes that [T, N, C, H, W] view, of any dtype, and makes the one copy at
-entry: cast to its dtype in the C-contiguous channels-last
-[T, N, H, W, C] layout that every module inside runs on. The modules are
-an ordered list ending in a global-average-pool plus classifier head
-whose per-step outputs are averaged over time into the logits. The
-first convolution is the encoder stage (real-valued input, so MAC
-class); the spiking neuron after it performs the actual spike encoding.
+entry: cast to float32 (tensor.DEFAULT_DTYPE, the dtype every network is
+built in) in the C-contiguous channels-last [T, N, H, W, C] layout that
+every module inside runs on. The modules are an ordered list ending in a
+global-average-pool plus classifier head whose per-step outputs are
+averaged over time into the logits (tensor.time_mean). The first
+convolution is the encoder stage (real-valued input, so MAC class); the
+spiking neuron after it performs the actual spike encoding.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Network(Module):
     def __init__(self, nodes: list[Module], *, arch_string: str,
                  join_mode: JoinMode, attention: AttentionPlan | None,
                  lif_cfg: LIFConfig, time_steps: int, in_channels: int,
-                 class_count: int, seed: int, dtype=np.float32):
+                 class_count: int, seed: int):
         super().__init__("net")
         self.nodes = nodes
         self.arch_string = arch_string
@@ -44,7 +45,6 @@ class Network(Module):
         self.in_channels = in_channels
         self.class_count = class_count
         self.seed = seed
-        self.dtype = dtype
 
     def children(self) -> list[Module]:
         return list(self.nodes)
@@ -157,8 +157,8 @@ class Network(Module):
             record.time_steps, record.size = x.shape[0], x.shape[3:]
         # the one copy (cast and channels-last layout), held by the chain alone
         h = forward_chain(Tensor(np.ascontiguousarray(
-            x.transpose(0, 1, 3, 4, 2), dtype=self.dtype)), self.nodes, ctx)
-        logits = tz.reduce_mean(h, (0,))
+            x.transpose(0, 1, 3, 4, 2), dtype=tz.DEFAULT_DTYPE)), self.nodes, ctx)
+        logits = tz.time_mean(h)
         tz.assert_finite(logits.data, "logits")
         return logits
 
@@ -166,13 +166,12 @@ class Network(Module):
 def build_network(arch, join: JoinMode = JoinMode.OR,
                   attention: AttentionPlan | None = None,
                   lif: LIFConfig | None = None, *, time_steps: int,
-                  in_channels: int, seed: int = 0,
-                  dtype=np.float32) -> Network:
+                  in_channels: int, seed: int = 0) -> Network:
     """Construct a parameterized network from an architecture string.
 
     Every block joins its backbone and shortcut spikes by `join`;
-    attention requires the OR join. Identical seeds produce bit-identical
-    parameters.
+    attention requires the OR join. Parameters are float32
+    (tensor.DEFAULT_DTYPE), and identical seeds produce bit-identical ones.
     """
     tokens = parse_arch(arch) if isinstance(arch, str) else list(arch)
     if lif is None:
@@ -204,13 +203,13 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
         if tok.kind == "conv":
             out, k, s, p = tok.args
             name = "encoder" if not seen_conv else f"conv{bump('conv')}"
-            nodes.append(ConvLayer(name, channels, out, k, s, p, rng=rng, dtype=dtype))
+            nodes.append(ConvLayer(name, channels, out, k, s, p, rng=rng))
             channels = out
             seen_conv = True
         elif tok.kind == "bn":
             if not seen_conv:
                 raise BuildError(f"BN before any convolution{off}")
-            nodes.append(BatchNormLayer(f"bn{bump('bn')}", channels, dtype=dtype))
+            nodes.append(BatchNormLayer(f"bn{bump('bn')}", channels))
         elif tok.kind == "lif":
             nodes.append(LIFLayer(f"lif{bump('lif')}", lif))
         elif tok.kind == "maxpool":
@@ -229,7 +228,7 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
         elif tok.kind == "fc":
             if not pooled:
                 raise BuildError(f"FC requires a preceding AP{off}")
-            nodes.append(DenseLayer("fc", channels, tok.args[0], rng=rng, dtype=dtype))
+            nodes.append(DenseLayer("fc", channels, tok.args[0], rng=rng))
             head_done = True
         elif tok.kind in ("ma", "ia"):
             if attention is None:
@@ -239,15 +238,14 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
                 raise BuildError(f"{tok.kind.upper()} before any convolution{off}")
             role = tok.kind.upper()
             nodes.append(make_attention(attention, role, f"gate{bump('gate')}",
-                                        channels, time_steps, lif, rng=rng,
-                                        dtype=dtype))
+                                        channels, time_steps, lif, rng=rng))
         elif tok.kind == "block":
             if not seen_conv:
                 raise BuildError(f"residual block before any convolution{off}")
             out = tok.args[0]
             nodes.append(build_block(
                 channels, out, join, attention, lif, time_steps,
-                rng=rng, dtype=dtype, name=f"block{bump('block')}"))
+                rng=rng, name=f"block{bump('block')}"))
             channels = out
         else:
             raise BuildError(f"unhandled token kind {tok.kind!r}{off}")
@@ -257,7 +255,7 @@ def build_network(arch, join: JoinMode = JoinMode.OR,
     return Network(nodes, arch_string=rendered, join_mode=join,
                    attention=attention, lif_cfg=lif, time_steps=time_steps,
                    in_channels=in_channels, class_count=tokens[-1].args[0],
-                   seed=seed, dtype=dtype)
+                   seed=seed)
 
 
 def frames_to_input(frames) -> np.ndarray:

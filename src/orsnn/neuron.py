@@ -12,7 +12,7 @@ plain numpy, from rest (H[-1] = u_reset) on every call: no membrane is
 carried from one call to the next, so a caller hands over all T steps of a
 sample at once. The rollout is one autograd node over the input keeping
 only U and S; a pass that records no node builds U in S's buffer, so S is
-its one [T, ...] array (the smooth twin keeps its own U). Its backward is BPTT over reversed t, with sg the
+its one [T, ...] array. Its backward is BPTT over reversed t, with sg the
 arc-tangent surrogate slope and gH[T-1] = 0 (the final membrane is returned
 as a plain array, outside the graph):
 
@@ -24,9 +24,7 @@ detach_reset makes the reset factor (1 - S) a constant of the graph, so no
 gradient reaches the membrane through the spike that reset it.
 
 The step function fires exactly at threshold (step(0) = 1). Its backward
-uses the arc-tangent surrogate; a smooth twin replaces the step with the
-surrogate's primitive in the forward pass too, so whole networks become
-finite-difference checkable.
+uses the arc-tangent surrogate.
 """
 
 from __future__ import annotations
@@ -76,21 +74,6 @@ def _surrogate_grad(v: np.ndarray, alpha: float, out: np.ndarray | None = None) 
     return np.divide(alpha, d, out=d)
 
 
-def _fire(v: np.ndarray, alpha: float, smooth: bool) -> np.ndarray:
-    """Forward of the step (step(0) = 1), or of its smooth twin
-    arctan(pi*alpha*v/2)/pi + 1/2, in the dtype of v."""
-    if smooth:
-        return (np.arctan(np.pi * alpha * v / 2.0) / np.pi + 0.5).astype(v.dtype)
-    return (v >= 0).astype(v.dtype)
-
-
-def lif_multistep(x: Tensor, cfg: LIFConfig,
-                  smooth: bool = False) -> tuple[Tensor, np.ndarray]:
-    """Run axis 0 of x ([T, ...]) from rest; returns the spikes, one node
-    over x, and the final membrane H[T-1] as a plain array of its own."""
-    return _lif(x, x.data, cfg, smooth)
-
-
 def fire_from_rest(drive: np.ndarray, cfg: LIFConfig):
     """One LIF step from rest over a plain array, a gate's fresh neuron: the
     spikes S = step(u_reset + drive / tau - u_threshold) in drive's dtype,
@@ -107,7 +90,7 @@ def fire_from_rest(drive: np.ndarray, cfg: LIFConfig):
         sg = _surrogate_grad(v, cfg.surrogate_alpha).astype(g.dtype, copy=False)
         return (g * sg + 0.0) * k
 
-    return _fire(v, cfg.surrogate_alpha, False), drive_grad
+    return (v >= 0).astype(v.dtype), drive_grad
 
 
 # Elements per backward time chunk: a chunk's surrogate slopes are computed in
@@ -115,8 +98,10 @@ def fire_from_rest(drive: np.ndarray, cfg: LIFConfig):
 _BPTT_CHUNK = 1 << 15
 
 
-def _lif(x: Tensor, xs: np.ndarray, cfg: LIFConfig,
-         smooth: bool) -> tuple[Tensor, np.ndarray]:
+def lif_multistep(x: Tensor, cfg: LIFConfig) -> tuple[Tensor, np.ndarray]:
+    """Run axis 0 of x ([T, ...]) from rest; returns the spikes, one node
+    over x, and the final membrane H[T-1] as a plain array of its own."""
+    xs = x.data
     if xs.ndim < 1 or len(xs) < 1:
         raise ShapeError(f"LIF input needs a leading time axis of >= 1 step, got {x.shape}")
     assert_finite(xs, "neuron input current")
@@ -131,23 +116,18 @@ def _lif(x: Tensor, xs: np.ndarray, cfg: LIFConfig,
     # S (the output) outlives the call and U does in a grad pass; LIF layers
     # drop H on return. The allocation order moves peak RSS, not time
     # (README, LIF kernel). A pass that records no node builds U in S, which
-    # the step firing below overwrites in place; the smooth twin reads U
-    # after writing S[t], so it keeps its own U.
+    # the firing below overwrites in place.
     s_all = np.empty_like(xs)
     h = np.full(xs.shape[1:], reset)
-    u_all = np.empty_like(xs) if smooth or recording(x) else s_all
+    u_all = np.empty_like(xs) if recording(x) else s_all
     for t in range(len(xs)):
         u = u_all[t]
         np.subtract(xs[t], h if skip_reset else h - reset, out=u)
         np.multiply(u, k, out=u)
         np.add(h, u, out=u)
-        if smooth:
-            s_all[t] = _fire(u - thr, cfg.surrogate_alpha, smooth)
-            np.multiply(u, one - s_all[t], out=h)
-        else:
-            np.multiply(u, np.less(u, thr, out=h), out=h)
-    if not smooth:  # S[t] reads U[t] alone, so one call covers every step
-        np.greater_equal(u_all, thr, out=s_all)
+        np.multiply(u, np.less(u, thr, out=h), out=h)
+    # S[t] reads U[t] alone, so one call covers every step
+    np.greater_equal(u_all, thr, out=s_all)
     shape = xs.shape  # not xs: backward reads U and S, never the input
 
     def bwd(g):

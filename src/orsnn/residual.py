@@ -117,31 +117,11 @@ class ResidualBlock(Module):
         s = forward_chain(x, self.shortcut, ctx)
         return join(out, s, self.join_mode, name=f"{self.name}.join")
 
-    def render_layout(self) -> str:
-        """Table-style layout string: backbone | shortcut | post-join."""
-        def token(mod: Module) -> str:
-            if isinstance(mod, ConvLayer):
-                pad = f"p{mod.padding}" if mod.padding else ""
-                return f"c{mod.out_channels}k{mod.kernel}s{mod.stride}{pad}"
-            if isinstance(mod, BatchNormLayer):
-                return "BN"
-            if isinstance(mod, LIFLayer):
-                return "LIF"
-            if isinstance(mod, AttentionGate):
-                return mod.role
-            return mod.__class__.__name__
-
-        def tokens(mods: list[Module]) -> str:
-            return "-".join(token(m) for m in mods)
-
-        shortcut = "pruned" if self.pruned else tokens(self.shortcut)
-        return f"{tokens(self.backbone)} | {shortcut} | {tokens(self.post)}"
-
 
 def build_block(in_channels: int, channels: int, join_mode: JoinMode,
                 attention_plan: AttentionPlan | None, lif_cfg: LIFConfig,
                 time_steps: int, *, rng: np.random.Generator,
-                dtype=np.float32, name: str = "block") -> ResidualBlock:
+                name: str = "block") -> ResidualBlock:
     if channels <= 0:
         raise BuildError(f"{name}: channels must be positive, got {channels}")
     if attention_plan is not None and join_mode is not JoinMode.OR:
@@ -149,17 +129,17 @@ def build_block(in_channels: int, channels: int, join_mode: JoinMode,
             f"{name}: SynA attention requires the OR join, got {join_mode.value}")
 
     def conv(cin: int, k: int, s: int, p: int, label: str) -> ConvLayer:
-        return ConvLayer(f"{name}.{label}", cin, channels, k, s, p, rng=rng, dtype=dtype)
+        return ConvLayer(f"{name}.{label}", cin, channels, k, s, p, rng=rng)
 
     def bn(label: str) -> BatchNormLayer:
-        return BatchNormLayer(f"{name}.{label}", channels, dtype=dtype)
+        return BatchNormLayer(f"{name}.{label}", channels)
 
     def lif(label: str) -> LIFLayer:
         return LIFLayer(f"{name}.{label}", lif_cfg)
 
     def gate(label: str, role: str) -> AttentionGate:
         return make_attention(attention_plan, role, f"{name}.{label}", channels,
-                              time_steps, lif_cfg, rng=rng, dtype=dtype)
+                              time_steps, lif_cfg, rng=rng)
 
     # The spatial flavor is inhibitory-only: the shortcut receives IA-S and
     # the backbone stages receive no promoting gate.

@@ -19,7 +19,7 @@ well.
 Whether an op records a node is one predicate, recording(): gradients are
 live and some parent requires one. An op that records no node keeps
 nothing for backward and allocates nothing that only a backward reads:
-neuron._lif builds U in its spike buffer and fires it in place, and
+neuron.lif_multistep builds U in its spike buffer and fires it in place, and
 batchnorm2d normalises in its output buffer. Either result is bit-identical
 to the recording path's.
 
@@ -41,8 +41,9 @@ GEMM over a chunk of silent images: for finite g that product is all +-0,
 which leaves every bit of a sum that starts at +0 (an inf or NaN in g there
 would have made it NaN).
 One copy of the gradient's taps per chunk feeds both conv gradients.
-Training runs in float32 by default; tests build float64 tensors for
-finite-difference comparisons.
+Every op runs in its inputs' float dtype. Networks are built in
+DEFAULT_DTYPE (float32); tests build float64 tensors for finite-difference
+comparisons.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import GraphError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+# batchnorm2d's variance floor and running-statistics momentum (torch's)
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 _GRAD_ENABLED = True
 _NODE_INDEX = count(1)
@@ -603,7 +607,7 @@ def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool, eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
+                training: bool) -> Tensor:
     """Per-channel batch normalization over channels-last [N, H, W, C] or
     [T, N, H, W, C] (statistics pool T, N, H and W).
 
@@ -615,8 +619,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     one matvec over the batch, then a sum over the H*W positions; m = B*H*W
     is the pooled count. Training mode normalizes with the biased batch
     statistics mean = S(x) / m and var = S((x - mean)^2) / m, and updates
-    the running buffers in place (unbiased variance, torch convention).
-    Backward, with s = gamma / sqrt(var + eps): dbeta = S(g),
+    the running buffers in place by BN_MOMENTUM (unbiased variance, torch
+    convention). Backward, with s = gamma / sqrt(var + BN_EPS): dbeta = S(g),
     dgamma = S(g*xhat), and
 
         dx = s * (g - dbeta/m - xhat * dgamma/m)     (training)
@@ -650,16 +654,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         # squares in x's dtype
         sq = out if out.dtype == xhat.dtype and xhat is not out else None
         var = channel_sum(np.multiply(xhat, xhat, out=sq)) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
         unbiased = var * (n / (n - 1)) if n > 1 else var
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         mean = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
         xhat = np.subtract(rows, np.tile(mean, hw), out=xhat)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= np.tile(inv_std, hw)
     np.multiply(xhat, np.tile(gamma.data, hw), out=out)
     out += np.tile(beta.data, hw)
@@ -690,27 +694,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 # Reduction
 
 
-def _norm_axes(axes, ndim: int) -> tuple[int, ...]:
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(a % ndim for a in axes)
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate reduction axes {axes}")
-    return tuple(sorted(axes))
-
-
-def reduce_mean(x: Tensor, axes, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axes, x.ndim)
-    count = int(np.prod([x.shape[a] for a in axes]))
-    out_data = x.data.mean(axis=axes, keepdims=keepdims)
+def time_mean(x: Tensor) -> Tensor:
+    """The mean over axis 0 of x: a [T, N, K] network output's logits."""
+    steps = x.shape[0]
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        gk = g if keepdims else np.expand_dims(g, axes)
-        accumulate_grad(x, np.broadcast_to(gk / count, x.shape))
+        accumulate_grad(x, np.broadcast_to(g / steps, x.shape))
 
-    return make_node(out_data, (x,), bwd)
+    return make_node(x.data.mean(axis=0), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Shared test helpers: the central-finite-difference gradient oracle,
-the LIF oracles (scalar rollout and per-step spike node), a network
-forward that releases no activation and the bytes a graph holds, small
-seeded input factories, the layout converters between the oracles'
-[..., C, H, W] and the engine's channels-last [..., H, W, C], and a file
-that fails like a full disk. The generic ops and composed graphs that
-fused nodes are compared against live in reference.py.
+the scalar LIF rollout, a network forward that releases no activation and
+the bytes a graph holds, small seeded input factories, the layout
+converters between the oracles' [..., C, H, W] and the engine's
+channels-last [..., H, W, C], and a file that fails like a full disk. The
+generic ops and composed graphs that fused nodes are compared against, and
+the per-step LIF graph, live in reference.py.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import numpy as np
 
 from orsnn import tensor as tz
 from orsnn.layers import ForwardContext
-from orsnn.neuron import LIFConfig, _fire, _surrogate_grad
+from orsnn.neuron import LIFConfig
 from orsnn.record import LayerOps
 from orsnn.residual import ResidualBlock, join
-from orsnn.tensor import Tensor, accumulate_grad, backward, make_node, no_grad
+from orsnn.tensor import Tensor, backward, no_grad
 
 from reference import permute
 
@@ -126,23 +126,6 @@ def distinct_random(rng: np.random.Generator, shape, min_gap: float = 1e-3
     return vals.reshape(shape)
 
 
-def _spike_node(v: Tensor, alpha: float, smooth: bool) -> Tensor:
-    def bwd(g):
-        accumulate_grad(v, g * _surrogate_grad(v.data, alpha).astype(g.dtype, copy=False))
-
-    return make_node(_fire(v.data, alpha, smooth), (v,), bwd)
-
-
-def spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
-    """Heaviside step with step(0) = 1; arc-tangent surrogate backward."""
-    return _spike_node(v, alpha, smooth=False)
-
-
-def smooth_spike_fn(v: Tensor, alpha: float = 2.0) -> Tensor:
-    """Surrogate primitive arctan(pi*alpha*v/2)/pi + 1/2 used in both passes."""
-    return _spike_node(v, alpha, smooth=True)
-
-
 @dataclass
 class LIFTrace:
     """Per-step record of one neuron sequence."""
@@ -171,7 +154,7 @@ def unreleased_forward(net, x: np.ndarray) -> Tensor:
     the same order, block paths included, but with every activation kept:
     the reference the releasing chains must match bit for bit."""
     ctx = ForwardContext(training=True)
-    h = permute(Tensor(np.asarray(x, dtype=net.dtype)), (0, 1, 3, 4, 2))
+    h = permute(Tensor(np.asarray(x, dtype=tz.DEFAULT_DTYPE)), (0, 1, 3, 4, 2))
     for node in net.nodes:
         if not isinstance(node, ResidualBlock):
             h = node.forward(h, ctx)
@@ -186,7 +169,7 @@ def unreleased_forward(net, x: np.ndarray) -> Tensor:
         for mod in node.post:
             out = mod.forward(out, ctx)
         h = out
-    return tz.reduce_mean(h, (0,))
+    return tz.time_mean(h)
 
 
 def graph_nodes(root: Tensor) -> list[Tensor]:
@@ -201,7 +184,7 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
 
 
 def node_kind(t: Tensor) -> str:
-    """The op that made t, from its backward's name ('conv2d', '_lif',
+    """The op that made t, from its backward's name ('conv2d', 'lif_multistep',
     'join', ...), or 'leaf'."""
     fn = t.backward_fn
     return fn.__qualname__.split(".<locals>")[0] if fn is not None else "leaf"

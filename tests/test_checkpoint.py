@@ -15,6 +15,7 @@ from orsnn.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from orsnn.config import ExperimentConfig, TrainConfig
 from orsnn.errors import (
     ArchError,
     ArchMismatch,
@@ -69,6 +70,12 @@ def trained_like_net(seed=0, time_steps=2, **kwargs):
     return net
 
 
+def config_of(arch=SMALL, time_steps=2, **kwargs):
+    """The experiment config that builds trained_like_net's network."""
+    return ExperimentConfig(dataset="synth", arch=arch, train=TrainConfig(time_steps=time_steps),
+                            **{"in_channels": 1, **kwargs})
+
+
 def batch(seed=9, time_steps=2):
     rng = np.random.default_rng(seed)
     return (rng.random((time_steps, 3, 1, 12, 12)) < 0.5).astype(np.float32)
@@ -118,10 +125,10 @@ class TestRoundTrip:
         assert live["encoder.weight"].data.tobytes() == saved["encoder.weight"].data.tobytes()
         assert live["encoder.weight"].data.tobytes() != init["encoder.weight"].data.tobytes()
 
-    def test_expect_arch_accepts_matching_string(self, tmp_path):
+    def test_expect_accepts_the_config_that_built_it(self, tmp_path):
         net = trained_like_net(seed=6)
         save_checkpoint(net, tmp_path / "run.ckpt")
-        loaded, _ = load_checkpoint(tmp_path / "run.ckpt", expect_arch=SMALL)
+        loaded, _ = load_checkpoint(tmp_path / "run.ckpt", expect=config_of(seed=6))
         assert loaded.arch_string == SMALL
 
     def test_attention_plan_and_reductions_survive(self, tmp_path):
@@ -190,12 +197,15 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
     def test_a_float64_network_is_refused_before_any_write(self, tmp_path):
-        """v1 stores float32 blocks: a float64 network would load back rounded,
-        so saving it raises and leaves an existing file as it was."""
+        """v1 stores float32 blocks: a network whose parameter array was
+        replaced by a float64 one would load back rounded, so saving it
+        raises and leaves an existing file as it was."""
         path = tmp_path / "net.ckpt"
         save_checkpoint(trained_like_net(seed=1), path)
         before = path.read_bytes()
-        net = build_network(SMALL, time_steps=2, in_channels=1, seed=1, dtype=np.float64)
+        net = build_network(SMALL, time_steps=2, in_channels=1, seed=1)
+        weight = dict(net.named_params())["encoder.weight"]
+        weight.data = weight.data.astype(np.float64)
         with pytest.raises(CheckpointError, match="encoder.weight is float64"):
             save_checkpoint(net, path, epoch=3)
         assert path.read_bytes() == before
@@ -226,23 +236,43 @@ class TestGuards:
             load_checkpoint(p)
         assert CKPT_VERSION == "v1"
 
-    def test_expect_arch_mismatch(self, tmp_path):
+    def test_expect_refuses_another_arch(self, tmp_path):
         p = self.save_one(tmp_path)
-        with pytest.raises(ArchMismatch, match="differs from expected"):
-            load_checkpoint(p, expect_arch="c8k3s1p1-BN-LIF-AP-FC4")
+        with pytest.raises(ArchMismatch, match="differs from the config in arch "):
+            load_checkpoint(p, expect=config_of("c8k3s1p1-BN-LIF-AP-FC4", seed=1))
 
-    def test_expect_arch_is_compared_in_canonical_form(self, tmp_path):
+    def test_expect_compares_the_arch_in_canonical_form(self, tmp_path):
         p = tmp_path / "run.ckpt"
         save_checkpoint(build_network("c4k3s1p0-BN-LIF-{c4k3s1p1-BN-LIF}*2-AP-FC3",
                                       time_steps=2, in_channels=1), p)
         for spelling in ("c4k3s1p0-BN-LIF-{c4k3s1p1-BN-LIF}*2-AP-FC3",
                          "c4k3s1-BN-LIF-c4k3s1p1-BN-LIF-c4k3s1p1-BN-LIF-AP-FC3",
                          " c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*1-c4k3s1p1-BN-LIF-AP-FC3"):
-            assert load_checkpoint(p, expect_arch=spelling)[1] == 0
-        with pytest.raises(ArchMismatch, match="differs from expected"):
-            load_checkpoint(p, expect_arch="c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*1-AP-FC3")
+            assert load_checkpoint(p, expect=config_of(spelling))[1] == 0
+        with pytest.raises(ArchMismatch, match="differs from the config in arch "):
+            load_checkpoint(p, expect=config_of("c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*1-AP-FC3"))
         with pytest.raises(ArchError, match="unknown token"):
-            load_checkpoint(p, expect_arch="c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*2-XX-FC3")
+            load_checkpoint(p, expect=config_of("c4k3s1-BN-LIF-{c4k3s1p1-BN-LIF}*2-XX-FC3"))
+
+    def test_expect_compares_the_attention_reductions(self, tmp_path):
+        """A config's attention string takes the default reductions, so it
+        does not describe a network built with others."""
+        p = tmp_path / "run.ckpt"
+        plan = AttentionPlan("C", "a", temporal_reduction=2, channel_reduction=2,
+                             spatial_kernel=5)
+        save_checkpoint(build_network(SMALL, attention=plan, time_steps=2, in_channels=1), p)
+        with pytest.raises(ArchMismatch, match=r"in attention_reductions '2,2,5' "
+                                               r"\(config: '4,16,7'\)$"):
+            load_checkpoint(p, expect=config_of(attention="C/a"))
+
+    def test_expect_names_every_differing_key(self, tmp_path):
+        p = self.save_one(tmp_path)
+        with pytest.raises(ArchMismatch) as err:
+            load_checkpoint(p, expect=config_of(join="ADD", attention="none", seed=1,
+                                                lif=LIFConfig(tau=3.0, detach_reset=False)))
+        assert str(err.value) == (
+            f"{p}: checkpoint differs from the config in join 'OR' (config: 'ADD'), "
+            "lif_tau '2.0' (config: '3.0'), lif_detach_reset 'true' (config: 'false')")
 
     def test_header_never_ends(self, tmp_path):
         p = self.save_one(tmp_path)

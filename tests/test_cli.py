@@ -2,6 +2,7 @@
 reporting for every subcommand."""
 
 import gzip
+import shutil
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ def write_idx_dir(directory, train=9, test=4):
         save_idx_labels(directory / f"{split}-labels-idx1-ubyte",
                         (np.arange(n) % 2).astype(np.uint8))
     return directory
+
+
+@pytest.fixture(scope="module")
+def one_epoch_run(tmp_path_factory):
+    """A run directory after one epoch of write_config's settings."""
+    base = tmp_path_factory.mktemp("oneepoch")
+    assert main(["train", "--config", str(write_config(base / "a.cfg", base / "run",
+                                                       epochs=1))]) == 0
+    return base / "run"
 
 
 def push_beta(net, suffixes, value=5.0):
@@ -176,6 +186,32 @@ class TestTrain:
                      "--resume", str(out / "checkpoint.ckpt")]) == 2
         assert "ERROR ArchMismatch:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("join = OR\n", "join = ADD\n", "join"),
+        ("join = OR\n", "join = OR\nattention = T/a\n", "attention"),
+        ("[train]\n", "[lif]\ntau = 3.0\n\n[train]\n", "lif_tau"),
+        ("in_channels = 2\n", "in_channels = 1\n", "in_channels"),
+        ("seed = 3\n", "seed = 4\n", "seed"),
+        ("time_steps = 4\n", "time_steps = 2\n", "time_steps"),
+    ], ids=["join", "attention", "lif", "in_channels", "seed", "time_steps"])
+    def test_resume_refuses_a_config_that_builds_another_network(
+            self, old, new, key, one_epoch_run, tmp_path, capsys):
+        """Every network setting that the checkpoint header stores must be the
+        config's, or the resume is refused typed (exit 2) before anything is
+        written: in the run directory, or as a new output directory."""
+        out = shutil.copytree(one_epoch_run, tmp_path / "run")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = write_config(tmp_path / "b.cfg", out, epochs=2)
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        ckpt = out / "checkpoint.ckpt"
+        for target in (out, tmp_path / "fresh"):
+            assert main(["train", "--config", str(cfg), "--resume", str(ckpt),
+                         "--out", str(target)]) == 2
+            assert (f"ERROR ArchMismatch: {ckpt}: checkpoint differs from the config in "
+                    f"{key} " in capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not (tmp_path / "fresh").exists()
+
     @pytest.mark.parametrize("artifact", ["train_log.csv", "firing_rates.csv",
                                           "checkpoint.ckpt"])
     def test_a_broken_epoch_write_leaves_a_resumable_run(self, artifact, tmp_path,
@@ -222,7 +258,7 @@ class TestTrain:
         else:
             log_path.unlink()
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        cfg = write_config(tmp_path / "b.cfg", out, epochs=3, seed=4)
+        cfg = write_config(tmp_path / "b.cfg", out, epochs=3)
         assert main(["train", "--config", str(cfg),
                      "--resume", str(out / "checkpoint.ckpt")]) == 2
         missing = "[0]" if log_rows else "[0, 1]"
@@ -663,7 +699,7 @@ def test_a_malformed_run_artifact_fails_typed(files, bad, command, tmp_path, cap
     """A run artifact read back with a bad value exits 2 with one typed
     error line naming the file, the row and the column."""
     ckpt = tmp_path / "net.ckpt"
-    save_net(ckpt)
+    save_net(ckpt, seed=3)  # the network write_config builds, so a resume reads the log
     write_config(tmp_path / "exp.cfg", tmp_path)
     for name, row in files.items():
         write_csv(tmp_path / name, [row])

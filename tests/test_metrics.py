@@ -7,7 +7,6 @@ import pytest
 from conftest import FakeWalk, rated
 from orsnn.errors import EngineError, PruneRefused, ShapeError
 from orsnn.metrics import (
-    EnergyModel,
     FiringRateTrace,
     apply_pruning,
     detect_natural_pruning,
@@ -101,14 +100,6 @@ class TestEnergyOracle:
         assert report.energy_pj_per_sample == sum(ln.energy_pj for ln in report.lines)
         assert report.mac_ops_per_sample == sum(
             ln.ops_per_sample for ln in report.lines if ln.klass == "MAC")
-
-    def test_custom_constants_scale_linearly(self):
-        rec = self.build_record()
-        model = EnergyModel(e_mac_pj=9.2, e_ac_pj=1.8)
-        a = estimate_energy(FakeWalk(THREE), self.build_record())
-        b = estimate_energy(FakeWalk(THREE), rec, model)
-        assert b.energy_pj_per_sample == pytest.approx(2 * a.energy_pj_per_sample,
-                                                       rel=1e-12)
 
     def test_million_flop_encoder_is_four_point_six_microjoules(self):
         rec = SpikeRecord(samples=1, size=(4, 4))

@@ -1,7 +1,8 @@
 """Leaky integrate-and-fire dynamics: frozen hand-traced sequences, the
 threshold-equality firing rule, surrogate gradient values, reset handling,
-gradient checks through the smooth twin, and the fused multi-step op
-against the scalar oracle and the per-step Tensor graph it replaced. Every
+gradient checks through the smooth twin of the per-step graph
+(reference.lif_rollout), and the fused multi-step op against the scalar
+oracle and that per-step Tensor graph, which it replaced. Every
 rollout starts from rest; the membrane after step t is the final membrane
 of the rollout over the first t + 1 steps.
 """
@@ -16,11 +17,11 @@ import orsnn.tensor as tz
 from orsnn.errors import ConfigError, NumericError, ShapeError
 from orsnn.layers import ForwardContext, LIFLayer
 from orsnn.neuron import LIFConfig, _surrogate_grad, fire_from_rest, lif_multistep
-from orsnn.tensor import Tensor, accumulate_grad, backward, make_node
+from orsnn.tensor import Tensor, backward
 
 import reference
-from conftest import (gradcheck, lif_reference_trace, margin_random, smooth_spike_fn,
-                      spike_fn)
+from conftest import gradcheck, lif_reference_trace, margin_random
+from reference import smooth_spike_fn, spike_fn
 
 # Hand-computed 10-step rollout with tau=2, threshold=1, hard reset to 0:
 #   U[t] = (H[t-1] + I[t]) / 2,  S[t] = [U >= 1],  H[t] = U * (1 - S)
@@ -31,12 +32,12 @@ HAND_SPIKES = [0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
 HAND_MEMBRANES = [0.25, 0.375, 0.4375, 0.0, 0.0, 0.75, 0.475, 0.6875, 0.0, 0.0]
 
 
-def rollout(currents, cfg, smooth=False):
+def rollout(currents, cfg):
     """The spikes of one rollout over all currents, and the membrane after
     every step, from the rollout over each prefix."""
     x = np.array(currents, dtype=np.float64)[:, None]
-    spikes, _ = lif_multistep(Tensor(x), cfg, smooth=smooth)
-    membranes = [float(lif_multistep(Tensor(x[:t + 1]), cfg, smooth=smooth)[1][0])
+    spikes, _ = lif_multistep(Tensor(x), cfg)
+    membranes = [float(lif_multistep(Tensor(x[:t + 1]), cfg)[1][0])
                  for t in range(len(x))]
     return spikes.data[:, 0].tolist(), membranes
 
@@ -94,7 +95,7 @@ def test_surrogate_value_at_zero():
 def test_surrogate_matches_smooth_primitive_slope():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(32)
-    gradcheck(lambda a: tz.reduce_mean(smooth_spike_fn(a, 2.0), (0,)), v)
+    gradcheck(lambda a: tz.time_mean(smooth_spike_fn(a, 2.0)), v)
 
 
 def test_spike_backward_uses_surrogate():
@@ -142,7 +143,7 @@ def test_detach_reset_changes_gradient():
         cfg = LIFConfig(detach_reset=detach)
         x = Tensor(np.tile([0.9, 1.7, 0.4], (3, 1)), requires_grad=True)
         s, _ = lif_multistep(x, cfg)
-        backward(tz.reduce_mean(s, (0, 1)))
+        backward(reference.reduce_mean(s, (0, 1)))
         return x.grad.copy()
 
     g_detached = run(True)
@@ -153,7 +154,7 @@ def test_detach_reset_changes_gradient():
 @pytest.mark.parametrize("seed", range(4))
 def test_smooth_twin_two_layer_net_gradient(seed):
     """Conv -> smooth LIF -> dense -> smooth LIF over 3 steps, each LIF stage
-    one fused node over the time axis, checked against finite differences
+    the per-step graph's smooth twin, checked against finite differences
     end to end. The reset gate stays in the graph so autodiff covers every
     smooth-forward dependency."""
     rng = np.random.default_rng(seed)
@@ -165,10 +166,12 @@ def test_smooth_twin_two_layer_net_gradient(seed):
 
     def fn(xt, w1t, w2t, b2t):
         c = tz.conv2d(reference.reshape(xt, (3, 4, 4, 1)), w1t, 1, 0)  # channels-last, C = 1
-        sp1, _ = lif_multistep(reference.reshape(c, (3, 1, 2, 2, 2)), cfg, smooth=True)
+        sp1, _ = reference.lif_rollout(
+            reference.unstack(reference.reshape(c, (3, 1, 2, 2, 2))), cfg, smooth=True)
         d = tz.dense(reference.reshape(sp1, (3, 8)), w2t, b2t)
-        sp2, _ = lif_multistep(reference.reshape(d, (3, 1, 2)), cfg, smooth=True)
-        return tz.reduce_mean(sp2, (0, 1, 2))
+        sp2, _ = reference.lif_rollout(
+            reference.unstack(reference.reshape(d, (3, 1, 2))), cfg, smooth=True)
+        return reference.reduce_mean(sp2, (0, 1, 2))
 
     gradcheck(fn, x, w1, w2, b2)
 
@@ -194,44 +197,17 @@ def test_multistep_matches_reference_trace_per_column(cfg):
         assert membrane.tolist() == [tr.membranes[steps - 1] for tr in traces]
 
 
-def _stack(parts):
-    def bwd(g):
-        for t, p in enumerate(parts):
-            accumulate_grad(p, g[t])
-
-    return make_node(np.stack([p.data for p in parts]), tuple(parts), bwd)
-
-
-def _per_step_rollout(steps, cfg, smooth):
-    """The per-step Tensor graph the fused op replaced, as the reference."""
-    fire = smooth_spike_fn if smooth else spike_fn
-
-    def const(value, like):  # a scalar as a constant tensor of like's dtype
-        return Tensor(np.asarray(value, dtype=like.dtype))
-
-    h = Tensor(np.full(steps[0].shape, cfg.u_reset))
-    outs = []
-    for x_t in steps:
-        u = tz.add(h, tz.mul(tz.sub(x_t, tz.sub(h, const(cfg.u_reset, h))),
-                             const(1.0 / cfg.tau, x_t)))
-        s = fire(tz.sub(u, const(cfg.u_threshold, u)), cfg.surrogate_alpha)
-        kept = Tensor(s.data) if cfg.detach_reset else s
-        h = tz.mul(u, tz.sub(const(1.0, kept), kept))
-        outs.append(s)
-    return _stack(outs), h
-
-
 # "rest-both" in the case ids: each rollout starts from rest, and both of its
 # outputs (the spikes and the final membrane) are checked.
 @pytest.mark.parametrize("shape", [(6, 3, 4), (5, 4, 4096), (3, 2, 20000), (32, 8, 128)],
                          ids=["rest-both-small", "rest-both-chunked", "rest-both-span1",
                               "rest-both-longT"])
-@pytest.mark.parametrize("smooth", [False, True], ids=["step", "smooth"])
 @pytest.mark.parametrize("detach", [True, False], ids=["detach", "attach"])
-def test_multistep_gradient_matches_per_step_graph(detach, smooth, shape):
+def test_multistep_gradient_matches_per_step_graph(detach, shape):
     """Spikes, final membrane and the gradient of x equal the per-step
-    graph's bit for bit, for an objective on the spikes: the BPTT loop keeps
-    the graph's op order."""
+    graph's (reference.lif_rollout) bit for bit, for an objective on the
+    spikes: the BPTT loop keeps the graph's op order, the one that the
+    finite-difference checks run on through the graph's smooth twin."""
     steps_per_chunk = nrn._BPTT_CHUNK // np.prod(shape[1:])
     if shape[0] == 5:  # backward chunks of 2 steps over T=5, the last one short
         assert steps_per_chunk == 2
@@ -245,12 +221,12 @@ def test_multistep_gradient_matches_per_step_graph(detach, smooth, shape):
     w_s = Tensor(rng.normal(size=x.shape))
 
     xf = Tensor(x, requires_grad=True)
-    fused, final = lif_multistep(xf, cfg, smooth=smooth)
-    backward(tz.reduce_mean(tz.mul(fused, w_s), (0, 1, 2)))
+    fused, final = lif_multistep(xf, cfg)
+    backward(reference.reduce_mean(tz.mul(fused, w_s), (0, 1, 2)))
 
     steps = [Tensor(x_t, requires_grad=True) for x_t in x]
-    ref, membrane = _per_step_rollout(steps, cfg, smooth)
-    backward(tz.reduce_mean(tz.mul(ref, w_s), (0, 1, 2)))
+    ref, membrane = reference.lif_rollout(steps, cfg)
+    backward(reference.reduce_mean(tz.mul(ref, w_s), (0, 1, 2)))
 
     assert np.array_equal(fused.data, ref.data)
     assert np.array_equal(final, membrane.data)
@@ -265,7 +241,7 @@ def test_a_negative_zero_reset_level_keeps_the_graphs_zero_signs():
     cfg = LIFConfig(u_reset=-0.0)
     x = np.array([[0.0, -0.0, 0.5, -0.5]])
     _, final = lif_multistep(Tensor(x), cfg)
-    _, membrane = _per_step_rollout([Tensor(x_t) for x_t in x], cfg, False)
+    _, membrane = reference.lif_rollout([Tensor(x_t) for x_t in x], cfg)
     assert np.any(np.signbit(membrane.data) & (membrane.data == 0))
     assert final.tobytes() == membrane.data.tobytes()
 
@@ -317,7 +293,7 @@ def test_a_rollout_writes_only_its_own_arrays():
         assert not np.shares_memory(membrane, other)
     assert np.array_equal(xt.data, x)
 
-    backward(tz.reduce_mean(tz.mul(spikes, Tensor(rng.normal(size=x.shape))),
+    backward(reference.reduce_mean(tz.mul(spikes, Tensor(rng.normal(size=x.shape))),
                             tuple(range(x.ndim))))
     assert np.array_equal(xt.data, x)
     assert np.any(xt.grad != 0)
@@ -391,31 +367,29 @@ def test_lif_layer_retains_little_beyond_its_output():
     assert retained <= 2.05 * out.data.nbytes, (retained, out.data.nbytes)
 
 
-@pytest.mark.parametrize("dtype,steps,smooth", [
-    pytest.param(dtype, steps, smooth, id="-".join((
-        "lif_multistep", np.dtype(dtype).name, str(steps), "smooth" if smooth else "step")))
-    for dtype in (np.float32, np.float64) for steps in (1, 32) for smooth in (False, True)])
-def test_a_pass_that_records_nothing_fires_the_same_bytes(dtype, steps, smooth):
-    """No-grad, the step kernel builds U in the spike buffer and fires it in
-    place; the smooth twin keeps its own U. Either way spikes and final
-    membrane are byte-equal to the recording pass's, at a current that
-    lands exactly on the threshold too."""
+@pytest.mark.parametrize("dtype,steps", [
+    pytest.param(dtype, steps, id="-".join((
+        "lif_multistep", np.dtype(dtype).name, str(steps), "step")))
+    for dtype in (np.float32, np.float64) for steps in (1, 32)])
+def test_a_pass_that_records_nothing_fires_the_same_bytes(dtype, steps):
+    """No-grad, the kernel builds U in the spike buffer and fires it in
+    place. Spikes and final membrane are byte-equal to the recording pass's,
+    at a current that lands exactly on the threshold too."""
     rng = np.random.default_rng(steps)
     cfg = LIFConfig()
     shape = (steps, 6, 5)
     x = rng.normal(0.9, 1.0, size=shape).astype(dtype)
     x.reshape(-1)[:3] = [2.0, 1.0, -0.0]  # fires at threshold from rest
 
-    recorded, recorded_h = lif_multistep(Tensor(x, requires_grad=True), cfg, smooth)
+    recorded, recorded_h = lif_multistep(Tensor(x, requires_grad=True), cfg)
     with tz.no_grad():
-        quiet, quiet_h = lif_multistep(Tensor(x, requires_grad=True), cfg, smooth)
-    frozen, frozen_h = lif_multistep(Tensor(x), cfg, smooth)
+        quiet, quiet_h = lif_multistep(Tensor(x, requires_grad=True), cfg)
+    frozen, frozen_h = lif_multistep(Tensor(x), cfg)
     assert recorded.backward_fn is not None
     assert quiet.backward_fn is None and frozen.backward_fn is None
     assert recorded.dtype == quiet.dtype == dtype
     assert recorded.data.tobytes() == quiet.data.tobytes() == frozen.data.tobytes()
     assert recorded_h.tobytes() == quiet_h.tobytes() == frozen_h.tobytes()
-    assert not smooth or not np.isin(recorded.data, (0.0, 1.0)).all()
 
 
 def test_a_no_grad_rollout_allocates_no_second_time_axis_array():

@@ -11,7 +11,7 @@ import pytest
 from orsnn.attention import AttentionGate, AttentionPlan, SpatialAttention
 from orsnn.errors import ShapeError
 from orsnn.layers import ConvLayer, DenseLayer
-from orsnn.metrics import EnergyModel
+from orsnn.metrics import E_AC_PJ, E_MAC_PJ
 from orsnn.network import build_network
 from orsnn.record import SpikeRecord, instrumented_pass
 from orsnn.residual import JoinMode
@@ -141,7 +141,6 @@ def paper_table(rates=(0.05, 0.1, 0.2)) -> list[str]:
     """README's rows: per uniform input rate of every AC layer, each join's
     MAC and AC ops (millions) and energy (uJ) per 28x28 sample at T=16,
     and the ADD-to-OR energy ratio, from the static walk alone."""
-    model = EnergyModel()
     ops = {mode: build_network(PAPER_ARCH, join=mode, time_steps=16,
                                in_channels=1).layer_ops(28, 28).values()
            for mode in (JoinMode.OR, JoinMode.ADD)}
@@ -151,7 +150,7 @@ def paper_table(rates=(0.05, 0.1, 0.2)) -> list[str]:
         for layers in ops.values():
             mac = sum(o.flops_per_sample for o in layers if o.klass == "MAC")
             ac = rate * sum(o.flops_per_sample for o in layers if o.klass == "AC")
-            energy.append((model.e_mac_pj * mac + model.e_ac_pj * ac) / 1e6)
+            energy.append((E_MAC_PJ * mac + E_AC_PJ * ac) / 1e6)
             cells += [f"{mac / 1e6:.1f}", f"{ac / 1e6:.1f}", f"{energy[-1]:.1f}"]
         rows.append("| " + " | ".join(cells + [f"{energy[1] / energy[0]:.1f}×"]) + " |")
     return rows

@@ -37,14 +37,14 @@ def test_arithmetic_gradients(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
-    gradcheck(lambda x, y: tz.reduce_mean(tz.mul(tz.add(x, y), tz.sub(x, y)), (0, 1)), a, b)
+    gradcheck(lambda x, y: reference.reduce_mean(tz.mul(tz.add(x, y), tz.sub(x, y)), (0, 1)), a, b)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_relu_gradient(seed):
     rng = np.random.default_rng(seed)
     a = margin_random(rng, (4, 5))
-    gradcheck(lambda x: tz.reduce_mean(reference.relu(x), (0, 1)), a)
+    gradcheck(lambda x: reference.reduce_mean(reference.relu(x), (0, 1)), a)
 
 
 def test_broadcast_then_reduce_identity():
@@ -104,7 +104,7 @@ def test_matmul_gradient(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal((2, 4))
-    gradcheck(lambda x, y: tz.reduce_mean(tz.dense(x, y), (0, 1, 2)), a, b)
+    gradcheck(lambda x, y: reference.reduce_mean(tz.dense(x, y), (0, 1, 2)), a, b)
 
 
 def test_dense_identity_and_sum_fixture():
@@ -122,7 +122,7 @@ def test_dense_gradient(seed):
     x = rng.standard_normal((4, 5))
     w = rng.standard_normal((3, 5))
     b = rng.standard_normal(3)
-    gradcheck(lambda a, c, d: tz.reduce_mean(tz.dense(a, c, d), (0, 1)), x, w, b)
+    gradcheck(lambda a, c, d: reference.reduce_mean(tz.dense(a, c, d), (0, 1)), x, w, b)
 
 
 def test_dense_shape_errors():
@@ -165,7 +165,7 @@ def test_conv_kernel_gradient_vs_finite_differences(seed):
     rng = np.random.default_rng(seed)
     x = nhwc(rng.standard_normal((1, 1, 5, 5)))
     w = rng.standard_normal((2, 1, 3, 3))
-    gradcheck(lambda a, k: tz.reduce_mean(tz.conv2d(a, k), (0, 1, 2, 3)), x, w)
+    gradcheck(lambda a, k: reference.reduce_mean(tz.conv2d(a, k), (0, 1, 2, 3)), x, w)
 
 
 @pytest.mark.parametrize("stride,padding,k,hw", [
@@ -182,7 +182,7 @@ def test_conv_strided_padded_gradient(stride, padding, k, hw):
     rng = np.random.default_rng(7)
     x = nhwc(rng.standard_normal((2, 3) + hw))
     w = rng.standard_normal((4, 3, k, k))
-    gradcheck(lambda a, kern: tz.reduce_mean(tz.conv2d(a, kern, stride, padding),
+    gradcheck(lambda a, kern: reference.reduce_mean(tz.conv2d(a, kern, stride, padding),
                                              (0, 1, 2, 3)), x, w)
 
 
@@ -643,10 +643,10 @@ def test_avg_pool_distributes_uniformly():
 def test_pool_gradients(seed):
     rng = np.random.default_rng(seed)
     x = nhwc(distinct_random(rng, (2, 2, 4, 4)))
-    gradcheck(lambda a: tz.reduce_mean(tz.max_pool2d(a, 2), (0, 1, 2, 3)), x)
-    gradcheck(lambda a: tz.reduce_mean(tz.adaptive_avg_pool2d(a, 2), (0, 1, 2, 3)), x)
-    gradcheck(lambda a: tz.reduce_mean(tz.global_avg_pool(a), (0, 1)), x)
-    gradcheck(lambda a: tz.reduce_mean(tz.adaptive_avg_pool2d(a, 3), (0, 1, 2, 3)), x)
+    gradcheck(lambda a: reference.reduce_mean(tz.max_pool2d(a, 2), (0, 1, 2, 3)), x)
+    gradcheck(lambda a: reference.reduce_mean(tz.adaptive_avg_pool2d(a, 2), (0, 1, 2, 3)), x)
+    gradcheck(lambda a: reference.reduce_mean(tz.global_avg_pool(a), (0, 1)), x)
+    gradcheck(lambda a: reference.reduce_mean(tz.adaptive_avg_pool2d(a, 3), (0, 1, 2, 3)), x)
 
 
 def test_adaptive_pool_identity_and_window_match():
@@ -702,7 +702,7 @@ def test_adaptive_pool_matches_the_per_bin_loop(shape, out, dtype, tol):
                                        ((1, 1, 7, 6, 2), 1)])
 def test_adaptive_pool_gradcheck(shape, out):
     x = np.random.default_rng(5).standard_normal(shape)
-    gradcheck(lambda a: tz.reduce_mean(tz.mul(tz.adaptive_avg_pool2d(a, out),
+    gradcheck(lambda a: reference.reduce_mean(tz.mul(tz.adaptive_avg_pool2d(a, out),
                                               tz.adaptive_avg_pool2d(a, out)),
                                        (0, 1, 2, 3, 4)), x)
 
@@ -716,7 +716,7 @@ def test_adaptive_pool_is_one_node_and_leaves_a_frozen_input_alone():
     w = Tensor(np.random.default_rng(7).standard_normal((3, 2, 3, 3)), requires_grad=True)
     pooled = tz.adaptive_avg_pool2d(frozen, 4)
     assert pooled.index == 0 and pooled.parents == ()
-    backward(tz.reduce_mean(tz.conv2d(pooled, w, 1, 1), (0, 1, 2, 3, 4)))
+    backward(reference.reduce_mean(tz.conv2d(pooled, w, 1, 1), (0, 1, 2, 3, 4)))
     assert frozen.grad is None and w.grad is not None
 
 
@@ -748,8 +748,8 @@ def test_batchnorm_running_stats_update_and_infer():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((16, 2, 3, 3))
     rm, rv = np.zeros(2), np.ones(2)
-    tz.batchnorm2d(t(nhwc(x)), t(np.ones(2)), t(np.zeros(2)), rm, rv, training=True,
-                   momentum=0.1)
+    tz.batchnorm2d(t(nhwc(x)), t(np.ones(2)), t(np.zeros(2)), rm, rv, training=True)
+    assert tz.BN_MOMENTUM == 0.1
     n = 16 * 9
     expect_rm = 0.1 * x.mean(axis=(0, 2, 3))
     expect_rv = 0.9 + 0.1 * (x.var(axis=(0, 2, 3)) * n / (n - 1))
@@ -780,7 +780,7 @@ def test_batchnorm_gradients(seed, training):
     def fn(a, g, b):
         y = tz.batchnorm2d(a, g, b, running_mean.copy(), running_var.copy(),
                            training=training)
-        return tz.reduce_mean(tz.mul(y, weights), (0, 1, 2, 3))
+        return reference.reduce_mean(tz.mul(y, weights), (0, 1, 2, 3))
 
     gradcheck(fn, x, gamma, beta)
 
@@ -818,8 +818,7 @@ def test_batchnorm_forward_is_bit_identical_to_formula(training, xdt, pdt):
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     expect = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    out = tz.batchnorm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), rm, rv, training,
-                         eps, momentum)
+    out = tz.batchnorm2d(Tensor(nhwc(x)), Tensor(gamma), Tensor(beta), rm, rv, training)
     assert out.dtype == expect.dtype
     assert np.array_equal(out.data, nhwc(expect))
     assert np.array_equal(rm, erm) and np.array_equal(rv, erv)
@@ -881,12 +880,14 @@ def test_a_no_grad_batchnorm_allocates_one_output_sized_array():
     assert peak >= out + size, (out, peak)
 
 
-def test_batchnorm_training_statistics_accuracy():
+def test_batchnorm_training_statistics_accuracy(monkeypatch):
     """In float32 at the train-conv network's BN shapes (folded batch 256),
     the channel-sum mean and unbiased variance are each no further from a
     float64 reference, in max relative error over all channels of 24
     inputs, than numpy's mean and var over [B, C, H*W] rows: the order the
-    statistics were taken in before the layout moved to channels-last."""
+    statistics were taken in before the layout moved to channels-last. A
+    momentum of 1 makes the running buffers the batch statistics."""
+    monkeypatch.setattr(tz, "BN_MOMENTUM", 1.0)
     worst = {"mean": [0.0, 0.0], "var": [0.0, 0.0]}  # [channel sums, numpy]
     for c, hw in ((8, 16), (16, 8), (32, 4)):
         for seed in range(8):
@@ -898,8 +899,7 @@ def test_batchnorm_training_statistics_accuracy():
             rows = x.reshape(256, c, -1)
             rm, rv = np.zeros(c, np.float32), np.zeros(c, np.float32)
             tz.batchnorm2d(Tensor(nhwc(x)), Tensor(np.ones(c, np.float32)),
-                           Tensor(np.zeros(c, np.float32)), rm, rv, training=True,
-                           momentum=1.0)
+                           Tensor(np.zeros(c, np.float32)), rm, rv, training=True)
             unbias = n / (n - 1)
             for stat, got, base, ref in (
                     ("mean", rm, rows.mean(axis=(0, 2)), x64.mean(axis=(0, 2, 3))),
@@ -913,7 +913,7 @@ def test_batchnorm_training_statistics_accuracy():
 
 
 # ---------------------------------------------------------------------------
-# Shape and reduction ops (reduce_mean is the engine's; the others are the
+# Shape and reduction ops (time_mean is the engine's; the others are the
 # reference ops that the composed gate graphs are built from)
 
 
@@ -921,20 +921,35 @@ def test_batchnorm_training_statistics_accuracy():
 def test_shape_op_gradients(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 3, 4))
-    gradcheck(lambda a: tz.reduce_mean(reference.reshape(a, (6, 4)), (0, 1)), x)
-    gradcheck(lambda a: tz.reduce_mean(reference.permute(a, (2, 0, 1)), (0, 1, 2)), x)
+    gradcheck(lambda a: reference.reduce_mean(reference.reshape(a, (6, 4)), (0, 1)), x)
+    gradcheck(lambda a: reference.reduce_mean(reference.permute(a, (2, 0, 1)), (0, 1, 2)), x)
     y = rng.standard_normal((2, 3, 4))
-    gradcheck(lambda a, b: tz.reduce_mean(reference.concat([a, b], 1), (0, 1, 2)), x, y)
+    gradcheck(lambda a, b: reference.reduce_mean(reference.concat([a, b], 1), (0, 1, 2)), x, y)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_reduce_gradients(seed):
     rng = np.random.default_rng(seed)
     x = distinct_random(rng, (3, 4, 5))
-    gradcheck(lambda a: tz.reduce_mean(a, (0, 1, 2)), x)
-    gradcheck(lambda a: tz.reduce_mean(reference.reduce_max(a, (1,)), (0, 1)), x)
-    gradcheck(lambda a: tz.reduce_mean(reference.reduce_max(a, (0, 2), keepdims=True),
-                                       (0, 1, 2)), x)
+    gradcheck(lambda a: reference.reduce_mean(a, (0, 1, 2)), x)
+    gradcheck(lambda a: reference.reduce_mean(reference.reduce_max(a, (1,)), (0, 1)), x)
+    gradcheck(lambda a: reference.reduce_mean(reference.reduce_max(a, (0, 2), keepdims=True),
+                                              (0, 1, 2)), x)
+    gradcheck(lambda a: reference.reduce_mean(tz.time_mean(a), (0, 1)), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_time_mean_is_the_general_mean_over_axis_0_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((8, 3, 5)).astype(dtype)
+    g = rng.standard_normal((3, 5)).astype(dtype)
+    grads = []
+    for op in (tz.time_mean, lambda a: reference.reduce_mean(a, (0,))):
+        leaf = t(x, requires_grad=True, dtype=dtype)
+        out = op(leaf)
+        backward(out, seed=g)
+        grads.append((out.data.tobytes(), leaf.grad.tobytes(), out.dtype))
+    assert grads[0] == grads[1]
 
 
 def test_reduce_max_tie_takes_first_index():
@@ -996,7 +1011,7 @@ def test_no_grad_suppresses_graph():
 
 def test_second_backward_over_a_consumed_graph_raises():
     a = t([1.0, 2.0], requires_grad=True)
-    loss = tz.reduce_mean(tz.mul(a, a), (0,))
+    loss = reference.reduce_mean(tz.mul(a, a), (0,))
     backward(loss)
     first = a.grad.copy()
     with pytest.raises(GraphError, match="consumed"):
@@ -1010,9 +1025,9 @@ def test_backward_of_a_root_sharing_a_consumed_subgraph_raises():
     a = t([1.0, 2.0], requires_grad=True)
     b = t([3.0, -1.0], requires_grad=True)
     shared = tz.mul(a, b)
-    backward(tz.reduce_mean(shared, (0,)))
+    backward(reference.reduce_mean(shared, (0,)))
     first = a.grad.copy()
-    other = tz.reduce_mean(tz.add(shared, b), (0,))
+    other = reference.reduce_mean(tz.add(shared, b), (0,))
     with pytest.raises(GraphError, match="consumed"):
         backward(other)
     assert np.array_equal(a.grad, first) and np.array_equal(b.grad, [0.5, 1.0])
@@ -1028,8 +1043,8 @@ def test_backward_consumes_interior_nodes_and_leaves_keep_grads():
     hidden = reference.relu(tz.mul(a, w))
     starved = tz.mul(a, const)
     stop = tz.make_node(starved.data.copy(), (starved,), lambda g: None)
-    loss = tz.reduce_mean(tz.add(hidden, tz.mul(hidden, hidden)), (0,))
-    backward(tz.add(loss, tz.reduce_mean(stop, (0,))))
+    loss = reference.reduce_mean(tz.add(hidden, tz.mul(hidden, hidden)), (0,))
+    backward(tz.add(loss, reference.reduce_mean(stop, (0,))))
     for node in (hidden, starved, stop, loss):
         assert node.index > 0
         assert node.grad is None and node.backward_fn is None and node.parents == ()
@@ -1048,7 +1063,7 @@ def test_backward_replay_is_bit_deterministic():
     for _ in range(2):
         xt = t(x, requires_grad=True)
         wt = t(w, requires_grad=True)
-        out = tz.reduce_mean(reference.relu(tz.conv2d(xt, wt, 1, 1)), (0, 1, 2, 3))
+        out = reference.reduce_mean(reference.relu(tz.conv2d(xt, wt, 1, 1)), (0, 1, 2, 3))
         backward(out)
         grads.append((xt.grad.copy(), wt.grad.copy()))
     assert np.array_equal(grads[0][0], grads[1][0])
@@ -1079,7 +1094,7 @@ def test_release_frees_what_no_backward_captured_and_gradients_still_flow():
     try:
         h = tz.add(a, a)
         y = tz.add(h, b)
-        loss = tz.reduce_mean(tz.mul(y, b), (0,))
+        loss = reference.reduce_mean(tz.mul(y, b), (0,))
         freed = []
         for released in (h, y):
             before = tracemalloc.get_traced_memory()[0]

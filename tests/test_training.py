@@ -541,7 +541,7 @@ class TestReleasedActivations:
             base = tracemalloc.get_traced_memory()[0]
             loss = tz.softmax_cross_entropy(net.forward(inp, training=True), y)
             kept = tracemalloc.get_traced_memory()[0] - base
-            lif = [t for t in graph_nodes(loss) if node_kind(t) == "_lif"]
+            lif = [t for t in graph_nodes(loss) if node_kind(t) == "lif_multistep"]
             spikes = sum(t.size * t.dtype.itemsize for t in lif)
             held = graph_held_bytes(loss)
             tz.backward(loss)
