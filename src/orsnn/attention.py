@@ -40,7 +40,8 @@ from . import tensor as tz
 from .errors import BuildError, ShapeError
 from .layers import ForwardContext, Module, he_uniform
 from .neuron import LIFConfig, fire_from_rest
-from .tensor import Tensor, _give_grad, _unbroadcast, accumulate_grad, make_node
+from .tensor import (Tensor, _give_grad, _unbroadcast, accumulate_grad, make_node,
+                     overwrites)
 
 FLAVORS = ("T", "C", "S")
 PLACEMENTS = ("a", "b", "c", "d")
@@ -92,27 +93,42 @@ class AttentionPlan:
 
 class AttentionGate(Module):
     """Common plumbing: every flavor runs through apply, which checks the
-    layout, gates x by the flavor's _gate and records the pooling and the
-    mask's spikes."""
+    layout, gates x by the flavor's _gate and records the mask's spikes."""
 
     def __init__(self, name: str, role: str, lif_cfg: LIFConfig):
         super().__init__(name)
         self.role = role
         self.lif_cfg = lif_cfg
 
-    def apply(self, x: Tensor, ctx: ForwardContext) -> tuple[Tensor, np.ndarray]:
+    def apply(self, x: Tensor, ctx: ForwardContext,
+              owned: bool = False) -> tuple[Tensor, np.ndarray]:
         """x multiplied by this gate's binary mask, and the mask: [T, N, 1]
-        for T, [T, N, C] for C and [T, N, H, W, 1] for S."""
+        for T, [T, N, C] for C and [T, N, H, W, 1] for S. The mask goes on
+        in x's buffer when x is owned and no node is recorded
+        (tensor.overwrites), so the record takes the transform's and the
+        pool's literal inputs (_note_inputs) before x is masked."""
         if x.ndim != 5:
             raise ShapeError(f"{self.name} expects [T, N, H, W, C], got {x.shape}")
-        out, mask = self._gate(x, ctx)
+        out, mask = self._gate(x, ctx, owned)
         if ctx.record is not None:
-            ctx.record.note_input(f"{self.name}.pool", x.data)
             ctx.record.note_spikes(f"{self.name}.gate", "gate", mask)
         return out, mask
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        return self.apply(x, ctx)[0]
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
+        return self.apply(x, ctx, owned)[0]
+
+    def _note_inputs(self, ctx: ForwardContext, x: Tensor, descriptor: np.ndarray) -> None:
+        """Record the transform's literal input, then the pool's: x, still
+        unmasked."""
+        if ctx.record is not None:
+            ctx.record.note_input(self.name, descriptor)
+            ctx.record.note_input(f"{self.name}.pool", x.data)
+
+    def _masked(self, x: Tensor, mask: np.ndarray, owned: bool, *params: Tensor) -> np.ndarray:
+        """x * mask, in x's buffer when the gate may overwrite x."""
+        xd = x.data
+        inplace = overwrites(x, owned, np.result_type(xd, mask), *params)
+        return np.multiply(xd, mask, out=xd if inplace else None)
 
 
 class _PooledGate(AttentionGate):
@@ -140,7 +156,7 @@ class _PooledGate(AttentionGate):
     def named_params(self):
         return [(f"{self.name}.w0", self.w0), (f"{self.name}.w1", self.w1)]
 
-    def _gate(self, x, ctx):
+    def _gate(self, x, ctx, owned):
         t, n = x.shape[:2]
         if x.shape[self.axis] != self.extent:
             raise ShapeError(f"{self.name} built for {self.letter}={self.extent}, "
@@ -171,8 +187,7 @@ class _PooledGate(AttentionGate):
         fired, drive_grad = fire_from_rest(drive, self.lif_cfg)
         mask = unrows(fired)
         mask5 = mask.reshape(t, n, 1, 1, kept)
-        if ctx.record is not None:
-            ctx.record.note_input(self.name, avg)
+        self._note_inputs(ctx, x, avg)
 
         def bwd(g):
             gdrive = drive_grad(rows(_unbroadcast(g * xd, mask5.shape).reshape(mask.shape)))
@@ -189,7 +204,7 @@ class _PooledGate(AttentionGate):
                 dxv += (gdesc[1] / view.shape[2])[:, :, None]
                 _give_grad(x, dx)
 
-        return make_node(xd * mask5, (x, w0, w1), bwd), mask
+        return make_node(self._masked(x, mask5, owned, w0, w1), (x, w0, w1), bwd), mask
 
 
 class SpatialAttention(AttentionGate):
@@ -207,14 +222,13 @@ class SpatialAttention(AttentionGate):
     def named_params(self):
         return [(f"{self.name}.weight", self.weight)]
 
-    def _gate(self, x, ctx):
+    def _gate(self, x, ctx, owned):
         xd = x.data
         rows = xd.reshape(-1, xd.shape[4])
         picked = (np.arange(len(rows)), rows.argmax(axis=1))  # first maxima
         pooled = np.concatenate([rows[picked].reshape(xd.shape[:4] + (1,)),
                                  xd.mean(axis=4, keepdims=True)], axis=4)
-        if ctx.record is not None:
-            ctx.record.note_input(self.name, pooled)
+        self._note_inputs(ctx, x, pooled)
         # a leaf that needs a gradient when x does, so a frozen x takes
         # conv2d's dW-only backward as the composed graph did
         leaf = Tensor(pooled, requires_grad=x.requires_grad)
@@ -231,7 +245,7 @@ class SpatialAttention(AttentionGate):
                 routed[picked] = leaf.grad[..., 0].reshape(-1)
                 accumulate_grad(x, routed.reshape(x.shape))
 
-        return make_node(xd * mask, (x, self.weight), bwd), mask
+        return make_node(self._masked(x, mask, owned, self.weight), (x, self.weight), bwd), mask
 
 
 def make_attention(plan: AttentionPlan, role: str, name: str, channels: int,

@@ -136,6 +136,10 @@ def cmd_train(args) -> int:
         network, start_epoch = load_checkpoint(args.resume, expect=cfg)
     else:
         network, start_epoch = cfg.build(), 0
+    top = max(int(labels.max()) for _, labels in (train_xy, val_xy))
+    if top >= network.class_count:  # refused before anything is written
+        raise ConfigError(f"the data holds label {top}, but the network's head "
+                          f"classifies {network.class_count} classes")
     trace_path = out_dir / ARTIFACTS["firing_rates"]
     log_path = out_dir / ARTIFACTS["train_log"]
     ckpt_path = out_dir / ARTIFACTS["checkpoint"]

@@ -12,9 +12,10 @@ which threads the membrane step to step inside one node and starts from
 rest on every forward (see neuron.py).
 A ForwardContext carries the training flag and the optional SpikeRecord,
 which each op-counted layer tells its literal input. Network and
-ResidualBlock run their modules through forward_chain, which releases each
-activation once its consumer's forward has returned; a layer called
-directly keeps its output.
+ResidualBlock run their modules through forward_chain, which hands each
+activation it made to its one consumer as owned (Module.forward) and
+releases it once that consumer's forward has returned; a layer called
+directly keeps its output and never writes its input.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ class ForwardContext:
 
 
 def forward_chain(x: Tensor, mods: list["Module"], ctx: ForwardContext) -> Tensor:
-    """x through mods in order. Each activation the chain produced is
-    released (tz.release) as soon as the module it feeds has returned, since
-    no backward reads it; x itself is the caller's. The chain holds no
-    activation past its consumer, so an unreleased (no-grad) one is freed
-    there too unless the caller holds it."""
+    """x through mods in order. Each activation the chain made goes to the
+    one module it feeds as owned, since the chain reads it no more, and is
+    released (tz.release) once that module has returned, since no backward
+    reads it. x is the caller's: never owned, never released. The chain
+    holds no activation past its consumer, so an unreleased (no-grad) one
+    is freed there too unless the caller holds it."""
     for i, mod in enumerate(mods):
-        out = mod.forward(x, ctx)
+        out = mod.forward(x, ctx, owned=i > 0)
         if i:
             tz.release(x)
         x = out
@@ -82,7 +84,10 @@ class Module:
             out.extend(child.named_buffers())
         return out
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
+        """This module's output for x. owned: the caller hands x over and
+        reads it no more, so an op that records no node may compute in x's
+        buffer (tensor.overwrites). Only forward_chain grants it."""
         raise NotImplementedError
 
 
@@ -109,7 +114,7 @@ class ConvLayer(Module):
     def named_params(self):
         return [(f"{self.name}.weight", self.weight)]
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
         c = _require_5d(x, self.name)[4]
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} channels, got {c}")
@@ -138,10 +143,10 @@ class BatchNormLayer(Module):
         return [(f"{self.name}.running_mean", self.running_mean),
                 (f"{self.name}.running_var", self.running_var)]
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
         _require_5d(x, self.name)
         return tz.batchnorm2d(x, self.gamma, self.beta, self.running_mean,
-                              self.running_var, training=ctx.training)
+                              self.running_var, training=ctx.training, owned=owned)
 
 
 class LIFLayer(Module):
@@ -152,9 +157,9 @@ class LIFLayer(Module):
         super().__init__(name)
         self.cfg = cfg
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
         try:
-            out, _ = lif_multistep(x, self.cfg)
+            out, _ = lif_multistep(x, self.cfg, owned=owned)
         except NumericError as err:
             raise NumericError(f"{self.name}: {err}") from None
         if ctx.record is not None:
@@ -169,7 +174,7 @@ class MaxPoolLayer(Module):
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
         _require_5d(x, self.name)
         return tz.max_pool2d(x, self.kernel, self.stride, self.padding)
 
@@ -179,7 +184,7 @@ class AdaptiveAvgPoolLayer(Module):
         super().__init__(name)
         self.out_size = out_size
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
         _require_5d(x, self.name)
         return tz.adaptive_avg_pool2d(x, self.out_size)
 
@@ -192,7 +197,7 @@ class GlobalAvgPoolLayer(Module):
     def __init__(self, name: str):
         super().__init__(name)
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
         _require_5d(x, self.name)
         return tz.global_avg_pool(x)
 
@@ -211,7 +216,7 @@ class DenseLayer(Module):
     def named_params(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
         if x.ndim != 3:
             raise ShapeError(
                 f"{self.name} expects pooled [T, N, F] input, got {x.shape}; "

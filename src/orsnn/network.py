@@ -155,7 +155,9 @@ class Network(Module):
                 raise ShapeError(f"record holds {record.size} inputs, batch is {x.shape[3:]}")
             record.samples += x.shape[1]
             record.time_steps, record.size = x.shape[0], x.shape[3:]
-        # the one copy (cast and channels-last layout), held by the chain alone
+        # the one copy (cast and channels-last layout), held by the chain
+        # alone; with one float32 channel it is a view of x, which the chain,
+        # owning no input of its own, never writes
         h = forward_chain(Tensor(np.ascontiguousarray(
             x.transpose(0, 1, 3, 4, 2), dtype=tz.DEFAULT_DTYPE)), self.nodes, ctx)
         logits = tz.time_mean(h)

@@ -12,7 +12,11 @@ plain numpy, from rest (H[-1] = u_reset) on every call: no membrane is
 carried from one call to the next, so a caller hands over all T steps of a
 sample at once. The rollout is one autograd node over the input keeping
 only U and S; a pass that records no node builds U in S's buffer, so S is
-its one [T, ...] array. Its backward is BPTT over reversed t, with sg the
+its one [T, ...] array, and that is the input's own buffer when the caller
+owns the input (tensor.overwrites). A current that is non-finite, or that
+drives U past the float range, leaves the final membrane non-finite (NaN
+and -inf persist through the update, and +inf resets to NaN), so one check
+of H[T-1] refuses both. Its backward is BPTT over reversed t, with sg the
 arc-tangent surrogate slope and gH[T-1] = 0 (the final membrane is returned
 as a plain array, outside the graph):
 
@@ -34,8 +38,8 @@ from math import inf
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, _give_grad, assert_finite, make_node, recording
+from .errors import ConfigError, NumericError, ShapeError
+from .tensor import Tensor, _give_grad, assert_finite, make_node, overwrites, recording
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,13 @@ def fire_from_rest(drive: np.ndarray, cfg: LIFConfig):
 _BPTT_CHUNK = 1 << 15
 
 
-def lif_multistep(x: Tensor, cfg: LIFConfig) -> tuple[Tensor, np.ndarray]:
+def lif_multistep(x: Tensor, cfg: LIFConfig, *, owned: bool = False) -> tuple[Tensor, np.ndarray]:
     """Run axis 0 of x ([T, ...]) from rest; returns the spikes, one node
-    over x, and the final membrane H[T-1] as a plain array of its own."""
+    over x, and the final membrane H[T-1] as a plain array of its own. A
+    non-finite current or membrane is a NumericError."""
     xs = x.data
     if xs.ndim < 1 or len(xs) < 1:
         raise ShapeError(f"LIF input needs a leading time axis of >= 1 step, got {x.shape}")
-    assert_finite(xs, "neuron input current")
     # Constants in the input dtype and the op order of U and H reproduce the
     # per-step Tensor arithmetic bit for bit, and so does the backward below.
     # Each step is five numpy calls into preallocated arrays. H - (+0) is H,
@@ -116,16 +120,21 @@ def lif_multistep(x: Tensor, cfg: LIFConfig) -> tuple[Tensor, np.ndarray]:
     # S (the output) outlives the call and U does in a grad pass; LIF layers
     # drop H on return. The allocation order moves peak RSS, not time
     # (README, LIF kernel). A pass that records no node builds U in S, which
-    # the firing below overwrites in place.
-    s_all = np.empty_like(xs)
+    # the firing below overwrites in place; S is x's buffer when x is owned,
+    # as step t reads only x[t] before it writes U[t].
+    s_all = xs if overwrites(x, owned, xs.dtype) else np.empty_like(xs)
     h = np.full(xs.shape[1:], reset)
     u_all = np.empty_like(xs) if recording(x) else s_all
-    for t in range(len(xs)):
-        u = u_all[t]
-        np.subtract(xs[t], h if skip_reset else h - reset, out=u)
-        np.multiply(u, k, out=u)
-        np.add(h, u, out=u)
-        np.multiply(u, np.less(u, thr, out=h), out=h)
+    with np.errstate(over="ignore", invalid="ignore"):  # the H check below
+        for t in range(len(xs)):
+            u = u_all[t]
+            np.subtract(xs[t], h if skip_reset else h - reset, out=u)
+            np.multiply(u, k, out=u)
+            np.add(h, u, out=u)
+            np.multiply(u, np.less(u, thr, out=h), out=h)
+    if not np.isfinite(h).all():
+        raise NumericError("non-finite neuron membrane: the input current is "
+                           "non-finite or overflows it")
     # S[t] reads U[t] alone, so one call covers every step
     np.greater_equal(u_all, thr, out=s_all)
     shape = xs.shape  # not xs: backward reads U and S, never the input

@@ -4,7 +4,8 @@ spike-drivenness auditor.
 The bitwise joins are differentiated through their arithmetic forms,
 which is what training backpropagates through. The OR join x + y - x*y is
 one autograd node with gx = g - g*y = g(1 - y) and gy = g - g*x, rounded as
-its composed add, mul and sub nodes rounded them. A block is two backbone
+its composed add, mul and sub nodes rounded them. A no-grad OR join of
+owned operands computes in x's buffer. A block is two backbone
 conv stages, a stride-2 projection shortcut that ends in its own spiking
 neuron, the join of the two spike maps, and two post-join conv stages. The
 join mode (OR, ADD, AND or IAND) is the only thing that varies: OR, AND
@@ -27,7 +28,7 @@ from .layers import (BatchNormLayer, ConvLayer, ForwardContext, LIFLayer, Module
                      forward_chain)
 from .neuron import LIFConfig
 from .record import LayerLine, instrumented_pass, layer_table
-from .tensor import Tensor, _give_grad, make_node
+from .tensor import Tensor, _give_grad, make_node, overwrites
 
 
 class JoinMode(enum.Enum):
@@ -48,8 +49,11 @@ class JoinMode(enum.Enum):
 BITWISE_MODES = (JoinMode.AND, JoinMode.IAND, JoinMode.OR)
 
 
-def join(x: Tensor, y: Tensor, mode: JoinMode, *, name: str = "join") -> Tensor:
-    """Combine two residual branches element-wise."""
+def join(x: Tensor, y: Tensor, mode: JoinMode, *, name: str = "join",
+         owned: bool = False) -> Tensor:
+    """Combine two residual branches element-wise. owned: the caller hands
+    both operands over, so an OR join that records no node computes in x's
+    buffer (tensor.overwrites)."""
     if x.shape != y.shape:
         raise ShapeError(f"{name}: join operands differ in shape: {x.shape} vs {y.shape}")
     if mode is JoinMode.ADD:
@@ -59,8 +63,9 @@ def join(x: Tensor, y: Tensor, mode: JoinMode, *, name: str = "join") -> Tensor:
     if mode is JoinMode.IAND:
         return tz.mul(tz.sub(Tensor(np.asarray(1.0, dtype=x.dtype)), x), y)
     xd, yd = x.data, y.data
-    out = xd + yd  # OR, as one node
-    out -= xd * yd
+    xy = xd * yd  # OR, as one node: (x + y) - x*y
+    out = np.add(xd, yd, out=xd if overwrites(x, owned, np.result_type(xd, yd), y) else None)
+    out -= xy
 
     def bwd(g):
         for operand, other in ((x, yd), (y, xd)):
@@ -103,19 +108,22 @@ class ResidualBlock(Module):
                 "identity when the shortcut is silent; refusing to prune")
         self.pruned = True
 
-    def forward(self, x: Tensor, ctx: ForwardContext) -> Tensor:
-        # _joined's locals are gone before the post chain runs, so no frame
-        # holds the join output past its consumer in a no-grad pass either
+    def forward(self, x: Tensor, ctx: ForwardContext, owned: bool = False) -> Tensor:
+        # x feeds both paths, so neither owns it. _joined's locals are gone
+        # before the post chain runs, so no frame holds the join output past
+        # its consumer in a no-grad pass either
         return forward_chain(self._joined(x, ctx), self.post, ctx)
 
     def _joined(self, x: Tensor, ctx: ForwardContext) -> Tensor:
         """The join of both paths, or the backbone's spikes when pruned. Both
-        paths read x, which the caller releases after forward returns."""
+        paths read x, which the caller releases after forward returns. The
+        join owns its operands: each path's chain made its own and holds it
+        no more."""
         out = forward_chain(x, self.backbone, ctx)
         if self.pruned:
             return out
         s = forward_chain(x, self.shortcut, ctx)
-        return join(out, s, self.join_mode, name=f"{self.name}.join")
+        return join(out, s, self.join_mode, name=f"{self.name}.join", owned=True)
 
 
 def build_block(in_channels: int, channels: int, join_mode: JoinMode,

@@ -20,8 +20,13 @@ Whether an op records a node is one predicate, recording(): gradients are
 live and some parent requires one. An op that records no node keeps
 nothing for backward and allocates nothing that only a backward reads:
 neuron.lif_multistep builds U in its spike buffer and fires it in place, and
-batchnorm2d normalises in its output buffer. Either result is bit-identical
-to the recording path's.
+batchnorm2d normalises in its output buffer. Such an op also computes in its
+input's buffer when its caller owns that input (overwrites): BN, the
+attention gates, LIF and the OR join then allocate no output at all. Only
+layers.forward_chain, for the activations it made, and
+residual.ResidualBlock._joined, for the join operands, grant ownership, so
+an op never writes an array its caller passed in or a second path still
+reads. Every such result is bit-identical to the recording path's.
 
 A backward reads only the arrays its own forward captured, plus
 parameters' .data: never a parent's .data, which may have been released
@@ -124,6 +129,14 @@ def recording(*parents: Tensor) -> bool:
     some parent requires one. An op that records none keeps nothing for
     backward."""
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
+def overwrites(x: Tensor, owned: bool, dtype, *others: Tensor) -> bool:
+    """Whether an op over x (and others) computes its output, of dtype, in
+    x's buffer: the caller owns x, so nothing reads x once the op returns;
+    the op records no node, so no backward reads it either; and the output
+    has x's dtype."""
+    return owned and dtype == x.dtype and not recording(x, *others)
 
 
 def make_node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -607,7 +620,7 @@ def adaptive_avg_pool2d(x: Tensor, out_size: int) -> Tensor:
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool) -> Tensor:
+                training: bool, *, owned: bool = False) -> Tensor:
     """Per-channel batch normalization over channels-last [N, H, W, C] or
     [T, N, H, W, C] (statistics pool T, N, H and W).
 
@@ -630,8 +643,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     keeps xhat (one array of x's size) and the per-channel scale for
     backward, never x. A pass that records no node keeps nothing: when the
     output dtype is x's, it builds xhat in the output buffer and scales
-    and shifts it there, so the output is its one array of x's size; training mode adds a transient
-    one for the squares. Mixed dtypes take the recording path's arrays.
+    and shifts it there, so the output is its one array of x's size, and
+    that buffer is x's own when the caller owns x (owned, see overwrites).
+    Training mode adds a transient array of x's size for the squares.
+    Mixed dtypes take the recording path's arrays.
     """
     x4 = _fold(x, 3, "batchnorm2d")
     batch, h, wid, ch = x4.shape
@@ -645,7 +660,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     def channel_sum(a):
         return (ones @ a).reshape(hw, ch).sum(axis=0)
 
-    out = np.empty(rows.shape, np.result_type(rows, gamma.data, beta.data))
+    dtype = np.result_type(rows, gamma.data, beta.data)
+    out = rows if overwrites(x, owned, dtype, gamma, beta) else np.empty(rows.shape, dtype)
     # xhat is built in out when no backward will read it
     xhat = None if recording(x, gamma, beta) or out.dtype != rows.dtype else out
     if training:

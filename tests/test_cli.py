@@ -148,6 +148,23 @@ class TestTrain:
         assert f"ERROR ConfigError: {what}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_labels_beyond_the_head_are_refused_before_any_write(self, tmp_path, capsys):
+        """A 4-class event set on a 2-class head fails at once, naming both
+        numbers, and leaves no run directory (it used to fail after one
+        forward, with config.cfg written)."""
+        evt = tmp_path / "bars.evt"
+        assert main(["synth", "--kind", "moving-bar", "--n", "10", "--t", "4",
+                     "--height", "12", "--width", "12", "--out", str(evt)]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "exp.cfg", tmp_path / "run", dataset=str(evt))
+        assert main(["train", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "ERROR ConfigError: the data holds label 3, but the network's head "
+            "classifies 2 classes"]
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
     def test_resume_extends_the_same_log(self, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", str(write_config(tmp_path / "a.cfg", out,

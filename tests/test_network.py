@@ -206,11 +206,11 @@ class TestGraphs:
         inputs, alive = {}, set()
         original = ConvLayer.forward
 
-        def forward(layer, x, ctx):
+        def forward(layer, x, ctx, owned=False):
             if layer.name == "block1.conv4":
                 alive.update(name for name, ref in inputs.items() if ref() is not None)
             inputs[layer.name] = weakref.ref(x.data)
-            return original(layer, x, ctx)
+            return original(layer, x, ctx, owned)
 
         monkeypatch.setattr(ConvLayer, "forward", forward)
         with tz.no_grad():
@@ -531,8 +531,8 @@ class TestLayout:
             attention=AttentionPlan.parse("T/a"), time_steps=4, in_channels=2, seed=0)
         seen = []
         for cls in (ConvLayer, BatchNormLayer, LIFLayer):
-            def forward(layer, x, ctx, original=cls.forward):
-                out = original(layer, x, ctx)
+            def forward(layer, x, ctx, owned=False, original=cls.forward):
+                out = original(layer, x, ctx, owned)
                 seen.append((layer, x.shape, out.data))
                 return out
             monkeypatch.setattr(cls, "forward", forward)
@@ -581,9 +581,9 @@ class TestEncoding:
         seen = []
         original = ConvLayer.forward
 
-        def forward(layer, x, ctx):
+        def forward(layer, x, ctx, owned=False):
             seen.append(x.data)
-            return original(layer, x, ctx)
+            return original(layer, x, ctx, owned)
         monkeypatch.setattr(ConvLayer, "forward", forward)
         net.forward(net.to_input(frames), training=True)
         entry = seen[0]

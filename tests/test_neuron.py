@@ -7,6 +7,7 @@ rollout starts from rest; the membrane after step t is the final membrane
 of the rollout over the first t + 1 steps.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,22 @@ def test_nonfinite_current_raises():
         lif_multistep(Tensor(np.array([[np.inf]])), LIFConfig())
     with pytest.raises(NumericError):
         fire_from_rest(np.array([np.inf]), LIFConfig())
+
+
+@pytest.mark.parametrize("current", [
+    [-3e38, 3.4e38, 0.5], [-3.4e38, -3.4e38, 3.4e38], [0.5, np.inf, 0.5],
+    [0.5, 0.5, -np.inf], [np.nan, 0.5, 0.5]],
+    ids=["overflow", "overflow-last", "inf", "-inf-last", "nan-first"])
+@pytest.mark.parametrize("mode", ["record", "no_grad", "owned"])
+def test_a_current_that_leaves_the_membrane_non_finite_raises(current, mode):
+    """A finite float32 current can drive U past the float range: from
+    H = -1.5e38, a current of 3.4e38 gives U = inf, which used to fire and
+    leave a NaN membrane. That and every non-finite current is refused, on
+    every path and without a numpy warning (which pytest makes an error)."""
+    x = Tensor(np.array(current, dtype=np.float32)[:, None], requires_grad=mode == "record")
+    with tz.no_grad() if mode != "record" else contextlib.nullcontext():
+        with pytest.raises(NumericError, match="non-finite neuron membrane"):
+            lif_multistep(x, LIFConfig(), owned=mode == "owned")
 
 
 def test_config_validation():

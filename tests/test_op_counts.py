@@ -38,8 +38,8 @@ def forward_counts(net, batches):
     def wrap(mod):
         forward = mod.forward
 
-        def spy(x, ctx):
-            out = forward(x, ctx)
+        def spy(x, ctx, owned=False):
+            out = forward(x, ctx, owned)
             seen.setdefault(mod.name, []).append((x.shape, out.shape))
             return out
         mod.forward = spy

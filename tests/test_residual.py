@@ -266,7 +266,7 @@ def test_a_typed_binary_layer_reading_a_real_value_is_an_engine_error():
     x = spikes((2, 3, 1, 12, 12), seed=4)
     instrumented_pass(net, x)
     lif = net.blocks()[0].shortcut[-1]
-    lif.forward = lambda x, ctx: Tensor(np.full(x.shape, 0.5, dtype=x.data.dtype))
+    lif.forward = lambda x, ctx, owned=False: Tensor(np.full(x.shape, 0.5, dtype=x.data.dtype))
     with pytest.raises(EngineError, match="block1.conv3 is typed binary"):
         instrumented_pass(net, x)
 

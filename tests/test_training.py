@@ -272,8 +272,8 @@ def test_train_conv_step_has_one_node_per_gate_and_per_join(monkeypatch, plan, g
     made = []  # (output, the inputs it must hang from directly)
     apply, join = AttentionGate.apply, residual.join
 
-    def recorded_apply(gate, x, ctx):
-        out, mask = apply(gate, x, ctx)
+    def recorded_apply(gate, x, ctx, owned=False):
+        out, mask = apply(gate, x, ctx, owned)
         made.append((out, (x, *(p for _, p in gate.named_params()))))
         return out, mask
 
